@@ -4,9 +4,9 @@ PR 1 made the kernels fast; this benchmark gates the *orchestration*:
 full-image super-resolution through the packed engine, batched
 (all tiles stacked into large-M GEMM batches), buffer-reusing (the
 per-thread workspace arena) and bit-domain (fused threshold -> packed
-im2col), against the retained seed execution — one tile at a time
-through the reference float64 sign-plane kernels
-(``REPRO_PACKED_IMPL=reference`` + ``TiledInference(batched=False)``).
+im2col), against the seed execution — one tile at a time through the seed
+float64 sign-plane kernels (``tests.oracles``: ``reference_packed()`` +
+``SequentialTiledInference``).
 
 Every timing comparison first asserts the two paths produce *identical*
 outputs, so the trajectory numbers can never drift from a silently
@@ -28,12 +28,13 @@ import pytest
 
 from repro import grad as G
 from repro.binarize.scales_layers import SCALESBinaryConv2d
-from repro.deploy import TiledInference, compile_model, packed_backend
+from repro.deploy import TiledInference, compile_model
 from repro.grad import Tensor, no_grad
 from repro.infer import InferencePipeline, get_num_threads
 from repro.nn import Sequential, init
 from repro.perf import bench, record_bench, speedup
 from repro.train import super_resolve
+from tests.oracles import SequentialTiledInference, reference_packed
 
 #: Gate from the PR acceptance criteria.
 MIN_E2E_SPEEDUP = 3.0
@@ -73,10 +74,9 @@ class TestE2ETiledSR:
     def _paths(self, channels, depth, tile, overlap, batch_size):
         model = _scales_model(channels, depth)
         compiled = compile_model(model)
-        seed = TiledInference(compiled, tile=tile, overlap=overlap,
-                              batched=False)
+        seed = SequentialTiledInference(compiled, tile=tile, overlap=overlap)
         fast = TiledInference(compiled, tile=tile, overlap=overlap,
-                              batched=True, batch_size=batch_size)
+                              batch_size=batch_size)
         return seed, fast
 
     def test_equivalence_small(self):
@@ -87,7 +87,7 @@ class TestE2ETiledSR:
             x = Tensor(np.random.default_rng(0)
                        .random((1, 3, 41, 37)).astype(np.float32))
             with no_grad():
-                with packed_backend("reference"):
+                with reference_packed():
                     expected = seed(x).data
                 actual = fast(x).data
             np.testing.assert_array_equal(actual, expected)
@@ -113,12 +113,12 @@ class TestE2ETiledSR:
             x = Tensor(np.random.default_rng(2)
                        .random((1, 3, 128, 128)).astype(np.float32))
             with no_grad():
-                with packed_backend("reference"):
+                with reference_packed():
                     expected = seed(x).data
                 actual = fast(x).data
                 np.testing.assert_array_equal(actual, expected)
 
-                with packed_backend("reference"):
+                with reference_packed():
                     ref = bench(lambda: seed(x), label="tiled_sr/seed_sequential",
                                 warmup=1, repeats=3)
                 opt = bench(lambda: fast(x), label="tiled_sr/batched_pipeline",

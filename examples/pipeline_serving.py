@@ -6,12 +6,10 @@ The deployment story end to end, the way a serving process would run it:
    packed XNOR-popcount engine;
 2. stand up an :class:`repro.infer.InferencePipeline` — requests are
    submitted one by one, executed as micro-batches on the thread pool;
-3. push a full-resolution image through the batched tiled path and
-   compare against the sequential per-tile seed execution.
+3. push a full-resolution image through the tiled path.
 
-Knobs: ``REPRO_NUM_THREADS`` (or ``repro.infer.set_num_threads``) sets
-the worker-thread count; ``REPRO_PACKED_IMPL=reference`` switches the
-packed layers back to the seed kernels.
+Knob: ``REPRO_NUM_THREADS`` (or ``repro.infer.set_num_threads``) sets
+the worker-thread count.
 
 Run:  python examples/pipeline_serving.py
 """
@@ -22,7 +20,7 @@ import numpy as np
 
 from repro import grad as G
 from repro.data import training_pool
-from repro.deploy import TiledInference, compile_model, packed_backend
+from repro.deploy import TiledInference, compile_model
 from repro.grad import Tensor, no_grad
 from repro.infer import InferencePipeline, get_num_threads
 from repro.models import build_model
@@ -57,24 +55,15 @@ def main() -> None:
               f"({pipeline.stats['batches']} batches, "
               f"largest {pipeline.stats['max_batch']})")
 
-        print("\nFull image through the batched tile pipeline...")
+        print("\nFull image through the tiled path...")
         big = rng.random((1, 3, 96, 128)).astype(np.float32)
-        batched = TiledInference(compiled, tile=32, overlap=8, batch_size=16)
-        sequential = TiledInference(compiled, tile=32, overlap=8,
-                                    batched=False)
+        tiled = TiledInference(compiled, tile=32, overlap=8, batch_size=16)
         with no_grad():
             t0 = time.perf_counter()
-            sr = batched(Tensor(big)).data
-            t_batched = time.perf_counter() - t0
-            with packed_backend("reference"):
-                t0 = time.perf_counter()
-                sr_seed = sequential(Tensor(big)).data
-                t_seed = time.perf_counter() - t0
-        assert np.array_equal(sr, sr_seed), "pipeline must match seed path"
-        print(f"  128x96 LR -> {sr.shape[3]}x{sr.shape[2]} SR")
-        print(f"  sequential seed path : {t_seed * 1e3:6.0f} ms")
-        print(f"  batched pipeline     : {t_batched * 1e3:6.0f} ms "
-              f"({t_seed / t_batched:.1f}x)")
+            sr = tiled(Tensor(big)).data
+            elapsed = time.perf_counter() - t0
+        print(f"  128x96 LR -> {sr.shape[3]}x{sr.shape[2]} SR "
+              f"in {elapsed * 1e3:.0f} ms")
 
 
 if __name__ == "__main__":

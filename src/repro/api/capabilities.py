@@ -1,16 +1,10 @@
-"""The merged capability registry: can this cell compile, export, serve?
+"""The capability registry: can this cell compile, export, serve?
 
-Three previously-separate sources answered parts of that question:
+The answer comes from :func:`repro.deploy.registry.classify_recipe` /
+``deploy_registry`` — compile *coverage* (``full`` / ``partial`` /
+``none``) probed against the compiler table.
 
-* :func:`repro.deploy.registry.classify_recipe` / ``deploy_registry``
-  — compile *coverage* (``full`` / ``partial`` / ``none``) probed
-  against the compiler table;
-* the packed-engine backend switch (``fast`` / ``reference``,
-  ``REPRO_PACKED_IMPL``);
-* the autograd conv backend switch (``fast`` / ``reference``,
-  ``REPRO_CONV_IMPL``).
-
-:class:`Capability` merges them into one answer the
+:class:`Capability` turns it into one answer the
 :class:`repro.api.Engine` consults *before* doing work: ``compile()``
 on a cell whose capability says ``can_compile == False`` fails
 immediately with the registry's own explanation, instead of deep inside
@@ -27,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..deploy.engine import _BACKENDS as _PACKED_BACKENDS
 from ..deploy.registry import DeployEntry, classify_recipe, deploy_registry
-from ..grad.conv import _BACKENDS as _CONV_BACKENDS
 from .results import EngineError
 from .spec import ModelSpec
 
@@ -48,10 +40,6 @@ class Capability:
     coverage: str
     #: the registry's human-readable explanation
     detail: str
-    #: packed-layer backends available on this build
-    packed_backends: Tuple[str, ...] = tuple(_PACKED_BACKENDS)
-    #: autograd conv backends available on this build
-    conv_backends: Tuple[str, ...] = tuple(_CONV_BACKENDS)
 
     @property
     def key(self) -> Tuple[str, str, int]:

@@ -1,37 +1,22 @@
-"""`EngineConfig`: the consolidated home of every ``REPRO_*`` switch.
+"""`EngineConfig`: every execution knob of the engine in one typed object.
 
-Before this module, execution knobs were scattered: the packed-layer
-backend lived in ``REPRO_PACKED_IMPL`` / ``set_packed_backend``, the
-conv backend in ``REPRO_CONV_IMPL`` / ``set_conv_backend``, the thread
-count in ``REPRO_NUM_THREADS`` / ``set_num_threads``, tiling and batch
-size in per-callsite kwargs, and the serving knobs in
-:class:`repro.serve.ServerConfig`.  :class:`EngineConfig` is the one
-typed object that holds all of them, with a single documented
-precedence rule for the environment-backed fields:
+The thread count lives in ``REPRO_NUM_THREADS`` / ``set_num_threads``,
+tiling and batch size in per-callsite kwargs, and the serving knobs in
+:class:`repro.serve.ServerConfig`; :class:`EngineConfig` holds all of
+them.  Its one environment-backed field follows a single documented
+precedence rule:
 
     **explicit argument > ``REPRO_*`` environment variable > default**
 
 The environment is read once, at construction; :meth:`source` reports
-where each env-backed value came from (``"arg"`` / ``"env"`` /
-``"default"``), so a surprising setting can be traced to its origin.
+where the value came from (``"arg"`` / ``"env"`` / ``"default"``), so a
+surprising setting can be traced to its origin.
 
 ============== ======================= ==========================
 field           environment variable    default
 ============== ======================= ==========================
-packed_impl     ``REPRO_PACKED_IMPL``   ``"fast"``
-conv_impl       ``REPRO_CONV_IMPL``     ``"fast"``
 n_threads       ``REPRO_NUM_THREADS``   ``None`` (= cpu count)
-bench_dir       ``REPRO_BENCH_DIR``     ``None`` (= repo root)
-perf_smoke      ``REPRO_PERF_SMOKE``    ``False``
-update_golden   ``REPRO_UPDATE_GOLDEN`` ``False``
 ============== ======================= ==========================
-
-(``perf_smoke`` and ``update_golden`` are test-harness switches; they
-are surfaced here so *every* ``REPRO_*`` variable has one documented
-home, but the engine itself never acts on them.  Their parsers mirror
-their consumers' exact grammars: any non-empty ``REPRO_PERF_SMOKE``
-enables smoke mode — including ``0`` — while ``REPRO_UPDATE_GOLDEN``
-enables only on the literal ``1``.)
 
 The remaining fields are plain typed defaults — execution strategy
 (``batch_size``, ``tile``, ``clip``, ``dtype``, ``seed``) and the
@@ -44,20 +29,11 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, Optional, Tuple
+
+from ..grad import thread_default_dtype
 
 __all__ = ["EngineConfig"]
-
-_BACKEND_CHOICES = ("fast", "reference")
-
-
-def _choice(valid: Tuple[str, ...]) -> Callable[[Any], str]:
-    def parse(value: Any) -> str:
-        value = str(value)
-        if value not in valid:
-            raise ValueError(f"expected one of {valid}, got {value!r}")
-        return value
-    return parse
 
 
 def _positive_int(value: Any) -> int:
@@ -67,34 +43,9 @@ def _positive_int(value: Any) -> int:
     return value
 
 
-# The flag parsers mirror their consumers' exact grammars, so
-# describe()/source() never contradict what the process actually does:
-# the perf harness enables smoke mode on any non-empty value
-# (``bool(os.environ.get("REPRO_PERF_SMOKE"))`` — REPRO_PERF_SMOKE=0
-# *is* smoke mode), while the conformance suite regenerates goldens
-# only on the literal "1" (``os.environ.get(...) == "1"``).
-
-
-def _flag_nonempty(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    return str(value) != ""
-
-
-def _flag_exact1(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    return str(value) == "1"
-
-
 #: env-backed fields: name -> (variable, default, parser)
 _ENV_FIELDS: Dict[str, Tuple[str, Any, Callable[[Any], Any]]] = {
-    "packed_impl": ("REPRO_PACKED_IMPL", "fast", _choice(_BACKEND_CHOICES)),
-    "conv_impl": ("REPRO_CONV_IMPL", "fast", _choice(_BACKEND_CHOICES)),
     "n_threads": ("REPRO_NUM_THREADS", None, _positive_int),
-    "bench_dir": ("REPRO_BENCH_DIR", None, str),
-    "perf_smoke": ("REPRO_PERF_SMOKE", False, _flag_nonempty),
-    "update_golden": ("REPRO_UPDATE_GOLDEN", False, _flag_exact1),
 }
 
 
@@ -102,29 +53,23 @@ _ENV_FIELDS: Dict[str, Tuple[str, Any, Callable[[Any], Any]]] = {
 class EngineConfig:
     """Every execution knob of :class:`repro.api.Engine`, in one place.
 
-    Environment-backed fields (see module docstring) accept ``None`` to
-    mean "unset": the ``REPRO_*`` variable is consulted, then the
-    default.  An explicit value always wins and is validated the same
-    way the environment value would be.
+    The environment-backed field (see module docstring) accepts
+    ``None`` to mean "unset": the ``REPRO_*`` variable is consulted,
+    then the default.  An explicit value always wins and is validated
+    the same way the environment value would be.
 
     Parameters
     ----------
-    packed_impl / conv_impl:
-        Packed-layer and convolution backend: ``"fast"`` or
-        ``"reference"``.  Applied as a scoped override around engine
-        operations (the process-global switch is left alone when the
-        resolved value came from the default).
     n_threads:
         Inference worker threads (``None`` = auto, see
         :func:`repro.infer.get_num_threads`).
-    bench_dir / perf_smoke / update_golden:
-        Test-harness switches, surfaced for completeness.
     dtype:
         When set (e.g. ``"float32"``), every engine operation runs
-        under this default dtype, applied as a set-and-restore override
-        of the process-wide default for the duration of the operation
-        (scoped in time, not per thread — engines with conflicting
-        dtypes should not run concurrently).
+        under this default dtype, applied as a thread-scoped override
+        (:func:`repro.grad.thread_default_dtype`) that the inference
+        pool carries into its workers.  The process-wide default is
+        never touched, so engines with different dtypes can run
+        concurrently.
     seed:
         When set, ``Engine.from_spec`` seeds the RNG before building,
         so weight initialization is reproducible.
@@ -142,12 +87,7 @@ class EngineConfig:
         :meth:`to_server_config`.
     """
 
-    packed_impl: Optional[str] = None
-    conv_impl: Optional[str] = None
     n_threads: Optional[int] = None
-    bench_dir: Optional[str] = None
-    perf_smoke: Optional[bool] = None
-    update_golden: Optional[bool] = None
 
     dtype: Optional[str] = None
     seed: Optional[int] = None
@@ -200,35 +140,20 @@ class EngineConfig:
                 f"{sorted(_ENV_FIELDS)}")
         return self._sources[name]
 
-    @contextlib.contextmanager
-    def scope(self) -> Iterator[None]:
-        """Apply this config's global overrides for the duration.
-
-        Backend switches are only overridden when the value was set
-        explicitly or through the environment — a plain default defers
-        to whatever the process-global switch currently says, so an
-        ``EngineConfig()`` never stomps a ``set_packed_backend`` call
-        made elsewhere.  ``dtype`` is applied whenever set.
-        """
-        from ..deploy.engine import packed_backend
-        from ..grad import default_dtype
-        from ..grad.conv import conv_backend
-        with contextlib.ExitStack() as stack:
-            if self._sources["packed_impl"] != "default":
-                stack.enter_context(packed_backend(self.packed_impl))
-            if self._sources["conv_impl"] != "default":
-                stack.enter_context(conv_backend(self.conv_impl))
-            if self.dtype is not None:
-                stack.enter_context(default_dtype(self.dtype))
-            yield
+    def scope(self) -> ContextManager[None]:
+        """Run the calling thread under this config's ``dtype`` (when
+        set) for the duration; other threads are unaffected."""
+        if self.dtype is None:
+            return contextlib.nullcontext()
+        return thread_default_dtype(self.dtype)
 
     def to_server_config(self):
         """The :class:`repro.serve.ServerConfig` these knobs map onto.
 
-        ``dtype`` rides along: the server applies it as a thread-scoped
-        override around model loads and flushes, so ``Engine.serve`` is
-        bit-identical to ``Engine.infer`` under a non-default dtype
-        without touching the process-wide default.
+        ``dtype`` rides along: the server applies it as the same
+        thread-scoped override around model loads and flushes, so
+        ``Engine.serve`` is bit-identical to ``Engine.infer`` under a
+        non-default dtype.
         """
         from ..serve.server import ServerConfig
         return ServerConfig(

@@ -32,11 +32,11 @@ always executes through :class:`repro.infer.InferencePipeline`, so a
 facade result is bit-identical to hand-wiring the layers with the same
 knobs (the round-trip tests enforce this).
 
-Every operation runs inside :meth:`EngineConfig.scope`: backend and
-dtype overrides are set-and-restored around the call.  They are still
-the process-global switches while active — scoped in time, not per
-thread — so engines with conflicting explicit backends/dtypes should
-not run concurrently (see the dtype note on :meth:`Engine.serve`).
+Every operation runs inside :meth:`EngineConfig.scope`, which applies
+``config.dtype`` to the calling thread only (the inference pool carries
+it into its workers), so engines with different dtypes can run
+concurrently, each on its own thread, with outputs identical to their
+serial runs.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class Engine:
 
     def infer_many(self, images: Sequence[Union[np.ndarray, InferRequest]]
                    ) -> List[InferResult]:
-        """Run a batch of images through one micro-batched flush.
+        """Run a batch of images through one pipeline flush.
 
         Execution failures resolve as ``status == "error"`` results —
         the same typed outcome a :class:`repro.serve.ModelServer`
@@ -340,11 +340,11 @@ class Engine:
         :class:`InferResult` objects ``Engine.infer`` does.
 
         Note on dtype: ``config.dtype`` is threaded into the server
-        (:meth:`EngineConfig.to_server_config`), which applies it as a
-        thread-scoped override around every model load and flush — so
-        served outputs are bit-identical to direct ``infer`` under a
-        non-default dtype too, without touching the process-wide
-        default (the cross-surface round-trip tests enforce this).
+        (:meth:`EngineConfig.to_server_config`), which applies it as the
+        same thread-scoped override around every model load and flush —
+        so served outputs are bit-identical to direct ``infer`` under a
+        non-default dtype too (the cross-surface round-trip tests
+        enforce this).
         """
         from .serving import ServeSession
         self.capability().require("serve")

@@ -6,17 +6,15 @@ This subpackage is the equivalent substrate for this repo: it compiles a
 *trained* binarized SR network into a form whose binary convolutions and
 linears really do run on ``uint64`` words —
 
-* :mod:`repro.deploy.packing`  — {-1,+1} <-> packed ``uint64`` codecs and
-  vectorized popcounts (hardware ``np.bitwise_count`` when available,
-  SWAR fallback);
-* :mod:`repro.deploy.kernels`  — XNOR-popcount GEMM, the bit-domain
-  conv/linear fast path (bitplane or patch activation layouts), and the
-  retained reference kernels (bit-exact against the float graph,
+* :mod:`repro.deploy.packing`  — {-1,+1} <-> packed ``uint64`` codecs;
+* :mod:`repro.deploy.kernels`  — XNOR-popcount GEMM (hardware
+  ``np.bitwise_count``) and the bit-domain conv/linear kernels (bitplane
+  or patch activation layouts, bit-exact against the float graph
   including zero-padding correction);
 * :mod:`repro.deploy.workspace` — per-thread scratch-buffer arena so
   repeated same-shape calls (tiles, batches) allocate nothing;
 * :mod:`repro.deploy.engine`   — ``compile_model``: walks a trained model
-  and swaps every supported binary layer for its packed twin; batched
+  and swaps every supported binary layer for its packed twin;
   thread-parallel :class:`TiledInference` for bounded-memory full-image
   SR;
 * :mod:`repro.deploy.report`   — memory/operation accounting of a
@@ -39,16 +37,13 @@ graph (same scales, thresholds, re-scaling branches and skips), which the
 test suite verifies end-to-end.
 """
 
-from .packing import (pack_signs, unpack_signs, popcount_u64,
-                      popcount_u64_lut, packed_words, HAS_HW_POPCOUNT)
-from .kernels import (binary_gemm, binary_gemm_reference, packed_conv2d,
-                      packed_linear, pack_weight_conv, pack_weight_linear,
+from .packing import pack_signs, unpack_signs, packed_words
+from .kernels import (binary_gemm, pack_weight_conv, pack_weight_linear,
                       FastConvWeight, FastLinearWeight, packed_conv2d_bits,
                       packed_linear_bits, conv_fast_layout)
 from .workspace import Workspace, workspace, clear_workspace
 from .engine import (PackedBinaryConv2d, PackedBinaryLinear, TiledInference,
-                     compile_model, deployable_layers, get_packed_backend,
-                     packed_backend, set_packed_backend)
+                     compile_model, deployable_layers)
 from .report import DeploymentReport, artifact_report, deployment_report
 from .serialize import (ARTIFACT_FORMAT, ARTIFACT_VERSION,
                         REVISION_STATE_FILE, ArtifactInfo, artifact_key,
@@ -62,16 +57,13 @@ from .registry import (DeployEntry, PlaceholderBinaryLayer, build_entry,
 from .revision import CanaryConfig, CanaryController, RevisionStore
 
 __all__ = [
-    "pack_signs", "unpack_signs", "popcount_u64", "popcount_u64_lut",
-    "packed_words", "HAS_HW_POPCOUNT",
-    "binary_gemm", "binary_gemm_reference", "packed_conv2d", "packed_linear",
-    "pack_weight_conv", "pack_weight_linear",
+    "pack_signs", "unpack_signs", "packed_words",
+    "binary_gemm", "pack_weight_conv", "pack_weight_linear",
     "FastConvWeight", "FastLinearWeight", "packed_conv2d_bits",
     "packed_linear_bits", "conv_fast_layout",
     "Workspace", "workspace", "clear_workspace",
     "PackedBinaryConv2d", "PackedBinaryLinear", "TiledInference",
     "compile_model", "deployable_layers",
-    "get_packed_backend", "packed_backend", "set_packed_backend",
     "DeploymentReport", "artifact_report", "deployment_report",
     "ARTIFACT_FORMAT", "ARTIFACT_VERSION", "REVISION_STATE_FILE",
     "default_artifact_name", "save_artifact", "load_artifact",

@@ -18,30 +18,19 @@ training layer                         packed twin
 ``BiBERTBinaryLinear``                 :class:`PackedBinaryLinear`
 =====================================  =========================
 
-Each packed layer carries two interchangeable forward implementations:
-
-``fast`` (default)
-    Thresholds activations straight into a padded NHWC bit image
-    (compare against ``beta`` — no ``(x - beta) / alpha`` float pass,
-    no float64 conversion), gathers/packs in the bit domain
-    (:func:`repro.deploy.kernels.packed_conv2d_bits`), and folds the
-    integer dots, scales, padding correction and bias in two fused
-    passes.  All staging comes from the per-thread workspace arena.
-
-``reference``
-    The seed path — float sign planes through
-    :func:`repro.deploy.kernels.packed_conv2d` — retained as the
-    bit-exactness oracle and the baseline the end-to-end benchmarks
-    measure against.  Switch with :func:`set_packed_backend`, the
-    :func:`packed_backend` context manager, or ``REPRO_PACKED_IMPL``.
+Each packed layer thresholds activations straight into a padded NHWC
+bit image (compare against ``beta`` — no ``(x - beta) / alpha`` float
+pass, no float64 conversion), gathers/packs in the bit domain
+(:func:`repro.deploy.kernels.packed_conv2d_bits`), and folds the integer
+dots, scales, padding correction and bias in two fused passes.  All
+staging comes from the per-thread workspace arena.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,8 +42,8 @@ from ..grad.tensor import get_default_dtype
 from ..infer.tiling import TileStitcher, iter_tile_batches, plan_tiles
 from ..nn import Module
 from .kernels import (FastConvWeight, FastLinearWeight, _padding_correction,
-                      pack_weight_conv, pack_weight_linear, packed_conv2d,
-                      packed_conv2d_bits, packed_linear, packed_linear_bits)
+                      pack_weight_conv, pack_weight_linear,
+                      packed_conv2d_bits, packed_linear_bits)
 from .workspace import workspace
 
 #: Padding corrections memoized per input geometry on each packed conv.
@@ -63,37 +52,6 @@ from .workspace import workspace
 _CORRECTION_CACHE_SIZE = 8
 
 _MIN_ALPHA = 1e-3  # must match repro.binarize.ste.lsf_binarize
-
-_BACKENDS = ("fast", "reference")
-_packed_backend = os.environ.get("REPRO_PACKED_IMPL", "fast")
-if _packed_backend not in _BACKENDS:
-    raise ValueError(
-        f"REPRO_PACKED_IMPL must be one of {_BACKENDS}, got {_packed_backend!r}")
-
-
-def set_packed_backend(name: str) -> None:
-    """Select the packed-layer forward: ``"fast"`` or ``"reference"``."""
-    global _packed_backend
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown packed backend {name!r}; expected one of {_BACKENDS}")
-    _packed_backend = name
-
-
-def get_packed_backend() -> str:
-    """Name of the active packed-layer forward implementation."""
-    return _packed_backend
-
-
-@contextlib.contextmanager
-def packed_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the packed-layer forward (restores on exit)."""
-    previous = _packed_backend
-    set_packed_backend(name)
-    try:
-        yield
-    finally:
-        set_packed_backend(previous)
 
 
 def _safe_alpha(alpha: np.ndarray) -> np.ndarray:
@@ -161,11 +119,10 @@ class PackedBinaryConv2d(Module):
     4. FP re-scaling branches / BatchNorm / skip exactly as trained.
 
     The layer is weight-stationary: ``sign(w)`` is packed once at
-    construction (in both the reference patch layout and the fast
+    construction (in the artifact's patch layout and in the kernel
     layout, transposed GEMM panel included), and the zero-padding border
     correction — a pure function of (input shape, stride, padding) and
-    the frozen weights — is memoized per input geometry, pre-folded with
-    the scales and bias for the fast path.
+    the frozen weights — is memoized per input geometry as int32 dots.
     """
 
     binary = True
@@ -213,11 +170,11 @@ class PackedBinaryConv2d(Module):
         """Padding correction as int32 ``(H_out*W_out, C_out)``.
 
         The border correction is integer-valued (a convolution of a 0/1
-        mask with ±1 weight signs), so the fast path adds it to the raw
-        int32 dots *before* scaling — one int pass instead of a float64
-        plane add, and the exact ``(dots + corr) * s`` association of
-        the reference path.  Stored position-major to match the GEMM's
-        ``(B*H_out*W_out, C_out)`` dot layout (contiguous adds).
+        mask with ±1 weight signs), so it is added to the raw int32 dots
+        *before* scaling — one int pass instead of a float64 plane add,
+        with the exact ``(dots + corr) * s`` association.  Stored
+        position-major to match the GEMM's ``(B*H_out*W_out, C_out)``
+        dot layout (contiguous adds).
         """
         cached = self._offset_cache.get(shape)
         if cached is None:
@@ -246,27 +203,8 @@ class PackedBinaryConv2d(Module):
                    layer.stride, layer.padding, alpha=None, beta=None,
                    bn=layer.bn, skip=layer.skip)
 
-    def _forward_reference(self, x: Tensor) -> Tensor:
-        """Seed forward: float sign planes + float64 im2col (oracle)."""
-        data = np.asarray(x.data, dtype=np.float64)
-        if self.alpha is not None:
-            u = (data - self.beta) / self.alpha
-            signs = np.where(u >= 0, 1.0, -1.0)
-            act_scale = float(self.alpha.reshape(-1)[0])
-        else:
-            signs = np.where(data >= 0, 1.0, -1.0)
-            act_scale = 1.0
-        correction = self._cached_padding_correction(signs.shape[2:])
-        out = packed_conv2d(signs, self.packed_weight, self.weight_signs,
-                            stride=self.stride, padding=self.padding,
-                            padding_correction=correction)
-        out *= act_scale * self.weight_scale[None, :, None, None]
-        if self.conv_bias is not None:
-            out += self.conv_bias[None, :, None, None]
-        return Tensor(out.astype(data.dtype))
-
-    def _forward_fast(self, x: Tensor) -> Tensor:
-        """Bit-domain forward: threshold -> pack -> GEMM -> fused fold."""
+    def _forward_bits(self, x: Tensor) -> Tensor:
+        """Bit-domain step: threshold -> pack -> GEMM -> fused fold."""
         data = np.asarray(x.data)
         b, c, h, w = data.shape
         p, fw = self.padding, self.fast_weight
@@ -295,15 +233,15 @@ class PackedBinaryConv2d(Module):
         if self.conv_bias is None:
             # Scale straight into the Tensor's dtype: the ufunc computes
             # in float64 (int32 x float64 loop) and casts on store —
-            # bit-identical to the reference's float64 result after its
-            # Tensor cast, without materializing the float64 plane.
+            # bit-identical to scaling in float64 and casting after,
+            # without materializing the float64 plane.
             out = np.empty((b, fw.c_out, out_h, out_w),
                            dtype=get_default_dtype())
             np.multiply(dview, scale[None, :, None],
                         out=out.reshape(b, fw.c_out, -1), casting="unsafe")
         else:
-            # The reference adds the bias in float64 before the single
-            # round-off; match its association exactly.
+            # Add the bias in float64 before the single round-off (the
+            # Tensor cast).
             out = np.empty((b, fw.c_out, out_h, out_w), dtype=np.float64)
             np.multiply(dview, scale[None, :, None],
                         out=out.reshape(b, fw.c_out, -1))
@@ -311,10 +249,7 @@ class PackedBinaryConv2d(Module):
         return Tensor(out)
 
     def forward(self, x: Tensor) -> Tensor:
-        if _packed_backend == "fast":
-            result = self._forward_fast(x)
-        else:
-            result = self._forward_reference(x)
+        result = self._forward_bits(x)
         if self._has_spatial:
             result = result * self.spatial(x)
         if self._has_channel:
@@ -363,22 +298,8 @@ class PackedBinaryLinear(Module):
                    None if layer.bias is None else layer.bias.data,
                    alpha=None, beta=None)
 
-    def _forward_reference(self, x: Tensor) -> Tensor:
-        data = np.asarray(x.data, dtype=np.float64)
-        if self.alpha is not None:
-            u = (data - self.beta) / self.alpha
-            signs = np.where(u >= 0, 1.0, -1.0)
-            act_scale = float(np.asarray(self.alpha).reshape(-1)[0])
-        else:
-            signs = np.where(data >= 0, 1.0, -1.0)
-            act_scale = 1.0
-        out = packed_linear(signs, self.packed_weight, self.in_features)
-        out *= act_scale * self.weight_scale
-        if self.lin_bias is not None:
-            out += self.lin_bias
-        return Tensor(out.astype(data.dtype))
-
-    def _forward_fast(self, x: Tensor) -> Tensor:
+    def _forward_bits(self, x: Tensor) -> Tensor:
+        """Bit-domain step: threshold -> pack -> GEMM -> scale."""
         data = np.asarray(x.data)
         *lead, k = data.shape
         fw = self.fast_weight
@@ -394,14 +315,10 @@ class PackedBinaryLinear(Module):
         np.multiply(dots, (act_scale * self.weight_scale)[None, :], out=out)
         if self.lin_bias is not None:
             out += self.lin_bias
-        # float64 out, matching the reference path's output dtype.
         return Tensor(out.reshape(*lead, -1))
 
     def forward(self, x: Tensor) -> Tensor:
-        if _packed_backend == "fast":
-            result = self._forward_fast(x)
-        else:
-            result = self._forward_reference(x)
+        result = self._forward_bits(x)
         if self._has_spatial:
             result = result * self.spatial(x)
         if self.skip:
@@ -410,7 +327,7 @@ class PackedBinaryLinear(Module):
 
 
 class TiledInference(Module):
-    """Batched overlap-and-stitch wrapper bounding a model's working set.
+    """Overlap-and-stitch wrapper bounding a model's working set.
 
     Full-image SR through the packed engine materializes patch rows and
     packed activation panels proportional to ``H * W``; on large inputs
@@ -424,10 +341,6 @@ class TiledInference(Module):
     the conv/GEMM kernels see a few large-M operands instead of one
     tiny call per tile.
 
-    ``batched=False`` retains the sequential per-tile loop (the seed
-    execution strategy) — the oracle for equivalence tests and the
-    baseline for the end-to-end benchmarks.
-
     The model's scale factor is inferred from the first tile's output
     (it must be an integer multiple of the input tile).  Interior tile
     edges are trimmed by ``overlap // 2`` pixels before placement — tile
@@ -437,8 +350,7 @@ class TiledInference(Module):
     """
 
     def __init__(self, model, tile: int = 48, overlap: int = 8,
-                 batch_size: int = 16, n_threads: Optional[int] = None,
-                 batched: bool = True):
+                 batch_size: int = 16, n_threads: Optional[int] = None):
         super().__init__()
         if isinstance(model, (str, os.PathLike)):
             # Serve straight from a packed deploy artifact: load the bare
@@ -457,7 +369,6 @@ class TiledInference(Module):
         self.overlap = overlap
         self.batch_size = batch_size
         self.n_threads = n_threads
-        self.batched = batched
 
     def _scale_of(self, plan, out_shape: Tuple[int, ...]) -> int:
         tile_h, tile_w = plan.tile_h, plan.tile_w
@@ -476,18 +387,10 @@ class TiledInference(Module):
         if h <= self.tile and w <= self.tile:
             return self.model(x)
         plan = plan_tiles(h, w, self.tile, self.overlap)
-        if self.batched:
-            batches = iter_tile_batches(self.model, data, plan,
-                                        self.batch_size, self.n_threads)
-        else:
-            # The seed execution strategy: one tile per forward.
-            batches = (
-                ([t], np.asarray(self.model(Tensor(
-                    data[:, :, s.y0:s.y0 + plan.tile_h,
-                         s.x0:s.x0 + plan.tile_w])).data))
-                for t, s in enumerate(plan.tiles))
         stitcher = None
-        for indices, out in batches:
+        for indices, out in iter_tile_batches(self.model, data, plan,
+                                              self.batch_size,
+                                              self.n_threads):
             if stitcher is None:
                 scale = self._scale_of(plan, out.shape)
                 stitcher = TileStitcher(plan, scale, batch=b,
@@ -547,7 +450,7 @@ def compile_model(model: Module, tile: Optional[int] = None,
         Overlap in input pixels between neighbouring tiles (only used
         with ``tile``).
     tile_batch_size:
-        Tiles per batched forward inside :class:`TiledInference`.
+        Tiles per stacked forward inside :class:`TiledInference`.
     tile_threads:
         Worker threads for tile batches (default: the global inference
         thread count, see :func:`repro.infer.parallel.get_num_threads`).

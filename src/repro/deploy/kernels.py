@@ -12,10 +12,9 @@ never enter the popcount.
 ``binary_gemm`` is weight-stationary in spirit: it streams the packed
 activations one word-column at a time against the whole packed weight
 panel, accumulating mismatch counts in a single ``(block, N)`` buffer.
-The popcount runs through ``np.bitwise_count`` (hardware POPCNT) when
-this NumPy has it, falling back to the SWAR reduction otherwise, and the
-per-word counts accumulate in ``uint16`` — a quarter of the traffic of
-an ``int64`` accumulator on a loop that is purely memory-bound.
+The popcount runs through ``np.bitwise_count`` (hardware POPCNT), and
+the per-word counts accumulate in ``uint16`` — a quarter of the traffic
+of an ``int64`` accumulator on a loop that is purely memory-bound.
 
 Two activation-side layouts feed the GEMM (``conv_fast_layout`` picks
 per weight geometry):
@@ -34,8 +33,8 @@ per weight geometry):
 
 Scratch panels (XOR, counts, accumulators, staging rows, padded bit
 images) come from the per-thread :mod:`repro.deploy.workspace` arena,
-so repeated same-shape calls — every tile of a batched tiled forward —
-reuse them.  The packed operands themselves (``np.packbits`` outputs)
+so repeated same-shape calls — every tile of a tiled forward — reuse
+them.  The packed operands themselves (``np.packbits`` outputs)
 are still fresh per call: ``packbits`` has no ``out=`` parameter, and
 copying its result into an arena buffer would cost the same pass it
 saves.
@@ -48,14 +47,12 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..grad.conv import _gather_patches, conv2d_output_shape, im2col_rows
-from .packing import (HAS_HW_POPCOUNT, WORD_BITS, packed_words, pack_signs,
-                      popcount_into)
+from ..grad.conv import _window_view, conv2d_output_shape
+from .packing import WORD_BITS, packed_words, pack_signs
 from .workspace import Workspace, workspace
 
 __all__ = [
-    "binary_gemm", "binary_gemm_reference", "packed_conv2d", "packed_linear",
-    "pack_weight_conv", "pack_weight_linear",
+    "binary_gemm", "pack_weight_conv", "pack_weight_linear",
     "FastConvWeight", "packed_conv2d_bits",
     "FastLinearWeight", "packed_linear_bits",
     "conv_fast_layout",
@@ -118,8 +115,6 @@ def binary_gemm(packed_a: np.ndarray, packed_b: np.ndarray, k: int,
     # fall back to int64 for (pathological) wider operands.
     acc_dtype = np.uint16 if n_words * WORD_BITS < (1 << 16) else np.int64
     acc = ws.take("gemm_acc", (rows, n), acc_dtype)
-    swar = (None if HAS_HW_POPCOUNT
-            else ws.take("gemm_swar", (rows, n), np.uint64))
     if b_t is None:
         b_t = ws.take("gemm_bt", (n_words, n), np.uint64)
         np.copyto(b_t, packed_b.T)
@@ -131,8 +126,7 @@ def binary_gemm(packed_a: np.ndarray, packed_b: np.ndarray, k: int,
         for w in range(n_words):
             np.bitwise_xor(packed_a[start:stop, w, None], b_t[w, None, :],
                            out=xor[:r])
-            popcount_into(xor[:r], cnt[:r],
-                          swar[:r] if swar is not None else None)
+            np.bitwise_count(xor[:r], out=cnt[:r])
             a_blk += cnt[:r]
         # out = k - 2 * acc, computed as 2 * (k - acc) - k to stay in
         # int32 without a widening temporary.
@@ -140,48 +134,6 @@ def binary_gemm(packed_a: np.ndarray, packed_b: np.ndarray, k: int,
         np.subtract(np.int32(k), a_blk, out=blk, casting="unsafe")
         blk <<= 1
         blk -= np.int32(k)
-    return out
-
-
-def binary_gemm_reference(packed_a: np.ndarray, packed_b: np.ndarray, k: int,
-                          block: int = 1024) -> np.ndarray:
-    """The seed XNOR-GEMM, frozen as the reference oracle.
-
-    Word-streaming SWAR-popcount loop with per-call buffers — exactly
-    the implementation this repo shipped before the batched pipeline.
-    The reference engine backend (``REPRO_PACKED_IMPL=reference``) runs
-    on it, so end-to-end benchmarks measure the full new path (hardware
-    popcount, uint16 accumulation, workspace reuse, bit-domain im2col)
-    against the true seed, the same way ``repro.grad.conv`` retains its
-    loop-gather reference backend.
-    """
-    from .packing import _popcount_u64_inplace
-
-    packed_a = np.asarray(packed_a, dtype=np.uint64)
-    packed_b = np.asarray(packed_b, dtype=np.uint64)
-    if packed_a.ndim != 2 or packed_b.ndim != 2:
-        raise ValueError("binary_gemm expects 2-D packed operands")
-    if packed_a.shape[1] != packed_b.shape[1]:
-        raise ValueError(
-            f"word-count mismatch: {packed_a.shape[1]} vs {packed_b.shape[1]}")
-    m, n_words = packed_a.shape
-    n = packed_b.shape[0]
-    out = np.empty((m, n), dtype=np.int32)
-    rows = min(block, m)
-    mismatches = np.empty((rows, n), dtype=np.uint64)
-    xor = np.empty((rows, n), dtype=np.uint64)
-    scratch = np.empty((rows, n), dtype=np.uint64)
-    b_t = np.ascontiguousarray(packed_b.T)  # (W, N): unit stride per word
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        r = stop - start
-        acc = mismatches[:r]
-        acc[:] = 0
-        for w in range(n_words):
-            np.bitwise_xor(packed_a[start:stop, w, None], b_t[w, None, :],
-                           out=xor[:r])
-            acc += _popcount_u64_inplace(xor[:r], scratch[:r])
-        out[start:stop] = k - 2 * acc.astype(np.int64)
     return out
 
 
@@ -216,95 +168,19 @@ def _padding_correction(shape: Tuple[int, int], weight_signs: np.ndarray,
     mask[:, :, padding:padding + h, padding:padding + w] = 0.0
     # All input channels share the padding mask: sum weight signs over C_in.
     w_taps = weight_signs.sum(axis=1).reshape(c_out, kh * kw)
-    patches = _gather_patches(mask, kh, kw, stride, stride, out_h, out_w)
-    cols = patches.reshape(kh * kw, out_h * out_w)
+    # (out_h, out_w, kh, kw) windows -> (kh*kw, out_h*out_w) columns.
+    windows = _window_view(mask, kh, kw, stride, stride)[0, 0]
+    cols = windows.transpose(2, 3, 0, 1).reshape(kh * kw, out_h * out_w)
     return (w_taps @ cols).reshape(c_out, out_h, out_w)
-
-
-def packed_conv2d(activation_signs: np.ndarray, packed_weight: np.ndarray,
-                  weight_signs: np.ndarray, stride: int = 1,
-                  padding: int = 0,
-                  padding_correction: Optional[np.ndarray] = None) -> np.ndarray:
-    """Binary convolution on packed weights, bit-exact vs the float graph.
-
-    This is the retained *reference* kernel (float sign planes in,
-    float64 im2col, per-call packing); the batched engine runs
-    :func:`packed_conv2d_bits` instead.  Kept as the seed-path oracle the
-    perf benchmarks measure end-to-end speedups against.
-
-    Parameters
-    ----------
-    activation_signs:
-        ``(B, C_in, H, W)`` array in {-1, +1} (pre-computed activation
-        signs; scaling factors are applied by the caller).
-    packed_weight:
-        ``(C_out, words)`` packed ``sign(w)`` rows over ``C_in*kh*kw`` bits
-        (from :func:`pack_weight_conv`).
-    weight_signs:
-        ``(C_out, C_in, kh, kw)`` float sign tensor — used only for the
-        zero-padding correction (border arithmetic stays cheap and exact).
-    stride, padding:
-        Standard convolution geometry.
-    padding_correction:
-        Optional precomputed ``(C_out, H_out, W_out)`` border correction
-        (see :func:`_padding_correction`).  Pass it when the caller caches
-        the correction per input geometry; ``None`` computes it on the
-        fly.
-
-    Returns
-    -------
-    ``(B, C_out, H_out, W_out)`` float64 array equal to
-    ``conv2d(pad(signs), sign(w))``.
-    """
-    b, c_in, h, w = activation_signs.shape
-    c_out, c_in_w, kh, kw = weight_signs.shape
-    if c_in != c_in_w:
-        raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
-    if padding:
-        padded = np.full((b, c_in, h + 2 * padding, w + 2 * padding), -1.0,
-                         dtype=activation_signs.dtype)
-        padded[:, :, padding:padding + h, padding:padding + w] = activation_signs
-    else:
-        padded = activation_signs
-    out_h, out_w = conv2d_output_shape(padded.shape[2:], (kh, kw), stride, 0)
-    k = c_in * kh * kw
-    rows = im2col_rows(padded, kh, kw, stride, stride, out_h, out_w)
-    packed_cols = pack_signs(rows)
-    dots = binary_gemm_reference(packed_cols, packed_weight, k)
-    out = dots.reshape(b, out_h * out_w, c_out).transpose(0, 2, 1)
-    out = out.reshape(b, c_out, out_h, out_w).astype(np.float64)
-    if padding:
-        if padding_correction is None:
-            padding_correction = _padding_correction((h, w), weight_signs,
-                                                     stride, padding)
-        out += padding_correction
-    return out
-
-
-def packed_linear(activation_signs: np.ndarray,
-                  packed_weight: np.ndarray, k: int) -> np.ndarray:
-    """Binary linear layer ``signs @ sign(w).T`` on packed weights.
-
-    ``activation_signs`` is ``(..., K)`` in {-1, +1}; ``packed_weight`` is
-    ``(out_features, words)``.  Returns ``(..., out_features)`` float64.
-    (Reference kernel — the engine's fast path is
-    :func:`packed_linear_bits`.)
-    """
-    signs = np.asarray(activation_signs)
-    *lead, k_in = signs.shape
-    if k_in != k:
-        raise ValueError(f"activation feature size {k_in} != weight bits {k}")
-    packed_rows = pack_signs(signs.reshape(-1, k))
-    dots = binary_gemm_reference(packed_rows, packed_weight, k)
-    return dots.astype(np.float64).reshape(*lead, -1)
 
 
 def pack_weight_conv(weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Pack a conv weight ``(C_out, C_in, kh, kw)``.
 
     Returns ``(packed_rows, weight_signs)`` where ``packed_rows`` is
-    ``(C_out, words)`` over the flattened ``C_in*kh*kw`` taps in the same
-    order :func:`packed_conv2d` flattens its activation patches.
+    ``(C_out, words)`` over the flattened ``(C_in, kh, kw)`` taps — the
+    artifact's on-disk weight layout — and ``weight_signs`` is the
+    float sign tensor the zero-padding correction is built from.
     """
     weight = np.asarray(weight)
     c_out = weight.shape[0]
@@ -324,7 +200,7 @@ def pack_weight_linear(weight: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 # ----------------------------------------------------------------------
-# Fast bit-domain conv/linear path (the batched engine's kernels)
+# Bit-domain conv/linear (the packed layers' kernels)
 # ----------------------------------------------------------------------
 
 def conv_fast_layout(c_in: int, kh: int, kw: int) -> str:
@@ -390,7 +266,7 @@ class FastConvWeight:
 def packed_conv2d_bits(bits: np.ndarray, fw: FastConvWeight, stride: int = 1,
                        out: Optional[np.ndarray] = None,
                        ws: Optional[Workspace] = None) -> np.ndarray:
-    """Binary conv on an NHWC activation-bit image (fast path).
+    """Binary conv on an NHWC activation-bit image.
 
     Parameters
     ----------

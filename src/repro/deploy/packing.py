@@ -1,4 +1,4 @@
-"""{-1,+1} <-> packed ``uint64`` codecs and a vectorized popcount.
+"""{-1,+1} <-> packed ``uint64`` codecs.
 
 Conventions
 -----------
@@ -20,17 +20,9 @@ Performance notes
 64-bit-aligned buffer and packs with ``np.packbits(..., bitorder
 ="little")`` — no concatenate-for-padding, no per-byte bit reversal, no
 trailing dtype copy (the returned array is a zero-copy view of the
-packed bytes).  ``popcount_u64`` is a branch-free SWAR (mask-and-add)
-reduction; the previous 16-bit-LUT implementation is retained as
-:func:`popcount_u64_lut`, the reference oracle for tests and the perf
-benchmarks.
-
-On NumPy >= 2.0 the hardware popcount ufunc ``np.bitwise_count`` is
-available (POPCNT / AVX512-VPOPCNTDQ under the hood): one memory pass
-instead of the SWAR's ~ten.  :data:`HAS_HW_POPCOUNT` reports whether it
-exists and :func:`popcount_into` dispatches to it, falling back to the
-SWAR reduction on older NumPy — the deploy package keeps working on the
-declared ``numpy>=1.22`` floor.
+packed bytes).  The popcount itself is NumPy's ``np.bitwise_count``
+ufunc (POPCNT / AVX512-VPOPCNTDQ under the hood), called directly by
+the GEMM.
 """
 
 from __future__ import annotations
@@ -39,24 +31,6 @@ import numpy as np
 
 #: Number of bits per packed word.
 WORD_BITS = 64
-
-#: True when this NumPy ships the hardware popcount ufunc (>= 2.0).
-HAS_HW_POPCOUNT = hasattr(np, "bitwise_count")
-
-#: 16-bit popcount lookup table (64 KiB) — 4 lookups per uint64.  Used
-#: only by the reference :func:`popcount_u64_lut`.
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)],
-                       dtype=np.uint8)
-
-# SWAR popcount constants (Hacker's Delight, fig. 5-2).
-_M1 = np.uint64(0x5555555555555555)   # pairs of bits
-_M2 = np.uint64(0x3333333333333333)   # nibbles
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)   # bytes
-_H01 = np.uint64(0x0101010101010101)  # byte-sum via multiply-high
-_S1 = np.uint64(1)
-_S2 = np.uint64(2)
-_S4 = np.uint64(4)
-_S56 = np.uint64(56)
 
 
 def packed_words(n_bits: int) -> int:
@@ -110,71 +84,3 @@ def unpack_signs(packed: np.ndarray, n_bits: int) -> np.ndarray:
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n_bits]
     signs = np.where(bits > 0, 1.0, -1.0)
     return signs.reshape(*lead, n_bits)
-
-
-def popcount_u64(words: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a ``uint64`` array (vectorized SWAR).
-
-    Branch-free mask-and-add: fold bit pairs, nibbles and bytes in
-    parallel inside each word, then sum the eight byte-counts with a
-    multiply-high.  Roughly 2-3x faster than the 16-bit-LUT gather
-    (:func:`popcount_u64_lut`) because it streams through the data with
-    cheap elementwise ops instead of four gather passes.
-    """
-    v = np.array(words, dtype=np.uint64, copy=True)
-    return _popcount_u64_inplace(v, np.empty_like(v)).astype(np.uint32)
-
-
-def _popcount_u64_inplace(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """SWAR popcount that clobbers ``v`` (and ``scratch``) — no allocs.
-
-    ``v`` ends up holding the per-word popcount (values 0..64) as
-    ``uint64``; the same array is returned.  Used by
-    :func:`repro.deploy.kernels.binary_gemm` on its XOR workspace.
-    """
-    t = scratch
-    np.right_shift(v, _S1, out=t)
-    t &= _M1
-    v -= t                      # v = pairs-of-bits counts
-    np.right_shift(v, _S2, out=t)
-    t &= _M2
-    v &= _M2
-    v += t                      # v = nibble counts
-    np.right_shift(v, _S4, out=t)
-    v += t
-    v &= _M4                    # v = byte counts
-    v *= _H01                   # top byte = sum of all byte counts
-    v >>= _S56
-    return v
-
-
-def popcount_into(words: np.ndarray, out: np.ndarray,
-                  scratch: np.ndarray) -> np.ndarray:
-    """Popcount ``words`` into the ``uint8`` array ``out`` (no allocs).
-
-    Dispatches to ``np.bitwise_count`` when available; otherwise runs the
-    SWAR reduction in ``scratch`` (a ``uint64`` array of ``words``'s
-    shape, clobbered) and narrows into ``out``.  ``words`` itself is
-    never modified.  Returns ``out``.
-    """
-    if HAS_HW_POPCOUNT:
-        return np.bitwise_count(words, out=out)
-    np.copyto(scratch, words)
-    swar = _popcount_u64_inplace(scratch, np.empty_like(scratch))
-    np.copyto(out, swar, casting="unsafe")
-    return out
-
-
-def popcount_u64_lut(words: np.ndarray) -> np.ndarray:
-    """Reference popcount (16-bit LUT, 4 gathers per uint64).
-
-    The seed implementation, kept as the exactness oracle for
-    :func:`popcount_u64` and as the baseline the perf benchmarks measure
-    the SWAR speedup against.
-    """
-    words = np.asarray(words, dtype=np.uint64)
-    mask = np.uint64(0xFFFF)
-    counts = _POPCOUNT16[(words & mask).astype(np.uint16)].astype(np.uint32)
-    for shift in (16, 32, 48):
-        counts += _POPCOUNT16[((words >> np.uint64(shift)) & mask).astype(np.uint16)]
-    return counts

@@ -41,10 +41,7 @@ from .conv import (
     conv1d,
     conv2d,
     conv2d_output_shape,
-    conv_backend,
-    get_conv_backend,
     global_avg_pool2d,
-    set_conv_backend,
 )
 
 __all__ = [
@@ -56,6 +53,6 @@ __all__ = [
     "maxval", "mean", "minval", "sum", "var",
     "broadcast_to", "concat", "pad2d", "pixel_shuffle", "pixel_unshuffle",
     "reshape", "roll", "stack", "swapaxes", "transpose",
-    "avg_pool2d", "conv1d", "conv2d", "conv2d_output_shape", "conv_backend",
-    "get_conv_backend", "global_avg_pool2d", "set_conv_backend",
+    "avg_pool2d", "conv1d", "conv2d", "conv2d_output_shape",
+    "global_avg_pool2d",
 ]

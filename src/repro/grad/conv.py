@@ -2,33 +2,16 @@
 
 ``conv2d`` is the computational core of every CNN-based SR network in the
 paper (SRResNet/EDSR/RDN/RCAN) and of the binary convolution layers.  It is
-implemented as im2col + GEMM with two interchangeable backends:
-
-``fast`` (default)
-    Zero-copy patch extraction via
-    ``np.lib.stride_tricks.sliding_window_view`` followed by a single
-    BLAS-backed batched matmul.  The window view never materializes the
-    ``(B, C, kh, kw, H_out, W_out)`` patch tensor; the only copy is the
-    one packing the strided view into the GEMM operand layout.
-
-``reference``
-    The original explicit Python-loop patch gather/scatter
-    (:func:`_gather_patches` / :func:`_scatter_patches`) and einsum
-    contraction.  Kept as the bit-exactness oracle for tests and
-    benchmarks.
-
-Switch backends globally with :func:`set_conv_backend`, temporarily with
-the :func:`conv_backend` context manager, or at process start with the
-``REPRO_CONV_IMPL`` environment variable (``fast`` or ``reference``).
-Both backends share identical shape/padding handling, so they agree to
-floating-point-exact results on every geometry.
+implemented as im2col + GEMM: zero-copy patch extraction via
+``np.lib.stride_tricks.sliding_window_view`` followed by a single
+BLAS-backed matmul over the batch.  The window view never materializes
+the ``(B, C, kh, kw, H_out, W_out)`` patch tensor; the only copy is the
+one packing the strided view into the GEMM operand layout.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,36 +19,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor
 
 IntPair = Union[int, Tuple[int, int]]
-
-_BACKENDS = ("fast", "reference")
-_conv_backend = os.environ.get("REPRO_CONV_IMPL", "fast")
-if _conv_backend not in _BACKENDS:
-    raise ValueError(
-        f"REPRO_CONV_IMPL must be one of {_BACKENDS}, got {_conv_backend!r}")
-
-
-def set_conv_backend(name: str) -> None:
-    """Select the convolution implementation: ``"fast"`` or ``"reference"``."""
-    global _conv_backend
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown conv backend {name!r}; expected one of {_BACKENDS}")
-    _conv_backend = name
-
-
-def get_conv_backend() -> str:
-    """Name of the active convolution backend."""
-    return _conv_backend
-
-
-@contextlib.contextmanager
-def conv_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the convolution backend (restores on exit)."""
-    previous = _conv_backend
-    set_conv_backend(name)
-    try:
-        yield
-    finally:
-        set_conv_backend(previous)
 
 
 def _pair(value: IntPair) -> Tuple[int, int]:
@@ -90,25 +43,11 @@ def conv2d_output_shape(
     return out_h, out_w
 
 
-def _gather_patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-                    out_h: int, out_w: int) -> np.ndarray:
-    """Gather conv patches into shape (B, C, kh, kw, out_h, out_w).
-
-    Reference (loop) implementation; the fast path uses
-    :func:`_window_view` instead.
-    """
-    b, c = x.shape[:2]
-    patches = np.empty((b, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patches[:, :, i, j] = x[:, :, i:i + out_h * sh:sh, j:j + out_w * sw:sw]
-    return patches
-
-
 def _scatter_patches(grad_patches: np.ndarray, x_shape: Tuple[int, ...],
                      kh: int, kw: int, sh: int, sw: int,
                      out_h: int, out_w: int) -> np.ndarray:
-    """Inverse of :func:`_gather_patches` (col2im, overlapping add)."""
+    """col2im: overlap-add ``(B, C, kh, kw, out_h, out_w)`` patch
+    gradients back onto the ``x_shape`` input."""
     gx = np.zeros(x_shape, dtype=grad_patches.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -126,41 +65,13 @@ def _window_view(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarra
 
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
             out_h: int, out_w: int) -> np.ndarray:
-    """Patch matrix of shape (B, C*kh*kw, out_h*out_w) for GEMM.
-
-    Fast backend: zero-copy window view, packed into the column layout
-    with a single vectorized copy.  Reference backend: explicit loop
-    gather (the reshape is free because the patch buffer is contiguous).
-    """
+    """Patch matrix of shape (B, C*kh*kw, out_h*out_w) for GEMM: the
+    zero-copy window view, packed into the column layout with a single
+    vectorized copy."""
     b, c = x.shape[:2]
-    if _conv_backend == "fast":
-        view = _window_view(x, kh, kw, sh, sw)
-        cols = view.transpose(0, 1, 4, 5, 2, 3).reshape(
-            b, c * kh * kw, out_h * out_w)
-    else:
-        patches = _gather_patches(x, kh, kw, sh, sw, out_h, out_w)
-        cols = patches.reshape(b, c * kh * kw, out_h * out_w)
-    return cols
-
-
-def im2col_rows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-                out_h: int, out_w: int) -> np.ndarray:
-    """Patch-major rows of shape (B * out_h * out_w, C*kh*kw).
-
-    Row ``b * (out_h*out_w) + (y * out_w + x)`` holds the flattened
-    receptive field at output position (y, x) of batch item ``b`` — the
-    activation layout :func:`repro.deploy.kernels.packed_conv2d` packs
-    into ``uint64`` words.  Built from the zero-copy window view with one
-    packing copy (fast backend) or the loop gather (reference backend).
-    """
-    b, c = x.shape[:2]
-    k = c * kh * kw
-    if _conv_backend == "fast":
-        view = _window_view(x, kh, kw, sh, sw)
-        return view.transpose(0, 2, 3, 1, 4, 5).reshape(b * out_h * out_w, k)
-    patches = _gather_patches(x, kh, kw, sh, sw, out_h, out_w)
-    cols = patches.reshape(b, k, out_h * out_w)
-    return np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(-1, k)
+    view = _window_view(x, kh, kw, sh, sw)
+    return view.transpose(0, 1, 4, 5, 2, 3).reshape(
+        b, c * kh * kw, out_h * out_w)
 
 
 def conv2d(
@@ -173,9 +84,7 @@ def conv2d(
     """2-D convolution (cross-correlation) over NCHW input.
 
     Parameters mirror ``torch.nn.functional.conv2d`` (no dilation/groups,
-    which the paper's networks do not use).  The heavy lifting runs on the
-    backend selected by :func:`set_conv_backend` — see the module
-    docstring; both backends produce identical values and gradients.
+    which the paper's networks do not use).
     """
     b, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
@@ -190,11 +99,7 @@ def conv2d(
     x_pad = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     cols = _im2col(x_pad, kh, kw, sh, sw, out_h, out_w)
     w_mat = weight.data.reshape(c_out, c_in * kh * kw)
-    if _conv_backend == "fast":
-        out = np.matmul(w_mat, cols)
-    else:
-        out = np.einsum("ok,bkl->bol", w_mat, cols, optimize=True)
-    out = out.reshape(b, c_out, out_h, out_w)
+    out = np.matmul(w_mat, cols).reshape(b, c_out, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
 
@@ -202,12 +107,8 @@ def conv2d(
 
     def backward(grad, send):
         grad_mat = grad.reshape(b, c_out, out_h * out_w)
-        if _conv_backend == "fast":
-            gw = np.tensordot(grad_mat, cols, axes=([0, 2], [0, 2]))
-            gcols = np.matmul(w_mat.T, grad_mat)
-        else:
-            gw = np.einsum("bol,bkl->ok", grad_mat, cols, optimize=True)
-            gcols = np.einsum("ok,bol->bkl", w_mat, grad_mat, optimize=True)
+        gw = np.tensordot(grad_mat, cols, axes=([0, 2], [0, 2]))
+        gcols = np.matmul(w_mat.T, grad_mat)
         send(weight, gw.reshape(weight.shape))
         gpatches = gcols.reshape(b, c_in, kh, kw, out_h, out_w)
         gx_pad = _scatter_patches(gpatches, x_pad.shape, kh, kw, sh, sw, out_h, out_w)
@@ -232,8 +133,7 @@ def conv1d(
     """1-D convolution over (B, C, L) input.
 
     Used by the channel-wise re-scaling module of SCALES (Fig. 7), which
-    applies a Conv1d with kernel size 5 across the channel axis.  Follows
-    the same fast/reference backend switch as :func:`conv2d`.
+    applies a Conv1d with kernel size 5 across the channel axis.
     """
     b, c_in, length = x.shape
     c_out, c_in_w, k = weight.shape
@@ -244,34 +144,21 @@ def conv1d(
         raise ValueError("conv1d output would be empty")
 
     x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    if _conv_backend == "fast":
-        view = sliding_window_view(x_pad, k, axis=2)
-        if stride != 1:
-            view = view[:, :, ::stride]
-        # (B, C, out_l, k) -> (B, C*k, out_l); single packing copy.
-        cols = view.transpose(0, 1, 3, 2).reshape(b, c_in * k, out_l)
-    else:
-        patches = np.empty((b, c_in, k, out_l), dtype=x.data.dtype)
-        for i in range(k):
-            patches[:, :, i] = x_pad[:, :, i:i + out_l * stride:stride]
-        cols = patches.reshape(b, c_in * k, out_l)
+    view = sliding_window_view(x_pad, k, axis=2)
+    if stride != 1:
+        view = view[:, :, ::stride]
+    # (B, C, out_l, k) -> (B, C*k, out_l); single packing copy.
+    cols = view.transpose(0, 1, 3, 2).reshape(b, c_in * k, out_l)
     w_mat = weight.data.reshape(c_out, c_in * k)
-    if _conv_backend == "fast":
-        out = np.matmul(w_mat, cols)
-    else:
-        out = np.einsum("ok,bkl->bol", w_mat, cols, optimize=True)
+    out = np.matmul(w_mat, cols)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad, send):
-        if _conv_backend == "fast":
-            gw = np.tensordot(grad, cols, axes=([0, 2], [0, 2]))
-            gcols = np.matmul(w_mat.T, grad)
-        else:
-            gw = np.einsum("bol,bkl->ok", grad, cols, optimize=True)
-            gcols = np.einsum("ok,bol->bkl", w_mat, grad, optimize=True)
+        gw = np.tensordot(grad, cols, axes=([0, 2], [0, 2]))
+        gcols = np.matmul(w_mat.T, grad)
         send(weight, gw.reshape(weight.shape))
         gpatches = gcols.reshape(b, c_in, k, out_l)
         gx_pad = np.zeros(x_pad.shape, dtype=grad.dtype)
@@ -302,19 +189,15 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> Tensor:
     """Average pooling (no padding).
 
-    The fast backend reduces directly over the zero-copy window view, so
-    no patch tensor is ever materialized.
+    Reduces directly over the zero-copy window view, so no patch tensor
+    is ever materialized.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride if stride is not None else kernel)
     b, c, h, w = x.shape
     out_h = (h - kh) // sh + 1
     out_w = (w - kw) // sw + 1
-    if _conv_backend == "fast":
-        data = _window_view(x.data, kh, kw, sh, sw).mean(axis=(4, 5))
-    else:
-        patches = _gather_patches(x.data, kh, kw, sh, sw, out_h, out_w)
-        data = patches.mean(axis=(2, 3))
+    data = _window_view(x.data, kh, kw, sh, sw).mean(axis=(4, 5))
 
     def backward(grad, send):
         gpatches = np.broadcast_to(

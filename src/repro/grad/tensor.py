@@ -22,17 +22,19 @@ import numpy as np
 Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 
-# Grad mode is *thread-local* (as in PyTorch): the batched inference
-# pipeline and the model server run no_grad forwards on worker/scheduler
+# Grad mode is *thread-local* (as in PyTorch): the inference pipeline
+# and the model server run no_grad forwards on worker/scheduler
 # threads concurrently with the caller, and a shared global would let
 # two interleaved save/restore pairs leave gradients switched off for
 # the whole process (observed as "training silently stops learning").
 # Each thread starts with gradients enabled.
 _grad_state = threading.local()
 _default_dtype = np.float64
-# Per-thread dtype override (see thread_default_dtype): lets a worker
-# thread build tensors in a specific dtype (e.g. an artifact load on a
-# server thread) without a racy save/restore on the shared global.
+# Per-thread dtype override (see thread_default_dtype): lets a thread
+# build tensors in a specific dtype (an engine call, an artifact load on
+# a server thread) without a racy save/restore on the shared global.
+# The inference pool (repro.infer.parallel) carries the caller's
+# effective dtype into its workers, as it does grad mode.
 _dtype_override = threading.local()
 
 
@@ -58,12 +60,11 @@ def get_default_dtype():
 def default_dtype(dtype):
     """Temporarily switch the *process-wide* default tensor dtype.
 
-    The setting is global so worker threads spawned under the context
-    (batched tile inference, the serving pipeline) build tensors in the
-    same dtype as the caller.  Concurrent *differing* contexts on
-    several threads would race on the restore; a thread that only needs
-    the dtype for its own work (an artifact load on a server thread)
-    should use :func:`thread_default_dtype` instead.
+    Every thread without its own override sees the change, which suits
+    scripts and test fixtures.  Concurrent *differing* contexts on
+    several threads would race on the restore; code that scopes the
+    dtype to one operation (an engine call, an artifact load on a
+    server thread) uses :func:`thread_default_dtype` instead.
     """
     previous = _default_dtype
     set_default_dtype(dtype)
@@ -78,9 +79,12 @@ def thread_default_dtype(dtype):
     """Override the default tensor dtype on this thread only.
 
     Unlike :func:`default_dtype` this never writes shared state, so any
-    number of threads can hold different overrides concurrently — the
-    model server uses it to deserialize artifacts on scheduler threads
-    while the rest of the process keeps its own dtype.
+    number of threads can hold different overrides concurrently — each
+    engine scopes its configured dtype this way, and the model server
+    uses it around artifact loads and flushes.  Work handed to the
+    inference pool (:func:`repro.infer.parallel_map`,
+    :func:`repro.infer.submit_task`) runs under the submitting
+    thread's effective dtype.
     """
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):

@@ -12,8 +12,8 @@ provides:
   super-resolve each and blend, bounding peak memory so full-resolution
   images fit through NumPy inference.
 
-Both now execute batched: tiles / transform variants are stacked into
-NCHW batches and fanned out over a thread pool (:func:`set_num_threads`
+Both stack tiles / transform variants into NCHW batches and fan them
+out over a thread pool (:func:`set_num_threads`
 / ``REPRO_NUM_THREADS`` control the width; NumPy kernels release the
 GIL).  :class:`InferencePipeline` is the serving-layer entry point —
 submit images, run them as micro-batches, read results.

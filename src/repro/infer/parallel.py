@@ -1,4 +1,4 @@
-"""Thread-pool plumbing for batched inference.
+"""Thread-pool plumbing for inference.
 
 NumPy ufuncs and BLAS kernels release the GIL on their inner loops, so a
 plain :class:`~concurrent.futures.ThreadPoolExecutor` gives real
@@ -15,7 +15,10 @@ choice for benchmarking single-core behaviour.
 
 Results are always returned in submission order, and callers stitch /
 reduce them on the calling thread afterwards, so outputs are identical
-for every thread count.
+for every thread count.  Work handed to the pool runs under the
+submitting thread's grad mode and effective default dtype (both are
+thread-scoped in :mod:`repro.grad`), so a worker computes exactly what
+the caller would have computed inline.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
-from ..grad import is_grad_enabled, no_grad
+from ..grad import (get_default_dtype, is_grad_enabled, no_grad,
+                    thread_default_dtype)
 
 __all__ = ["get_num_threads", "set_num_threads", "num_threads",
            "parallel_map", "submit_task"]
@@ -95,6 +99,27 @@ def num_threads(n: int) -> Iterator[None]:
         _num_threads = previous
 
 
+def _in_caller_context(fn: Callable[..., R]) -> Callable[..., R]:
+    """Wrap ``fn`` to run in a pool worker under the calling thread's
+    grad mode and effective dtype, flagged as a worker (nested pool
+    calls then run inline instead of deadlocking the pool)."""
+    grad_enabled = is_grad_enabled()
+    dtype = get_default_dtype()
+
+    def guarded(*args, **kwargs) -> R:
+        _in_worker.active = True
+        try:
+            with thread_default_dtype(dtype):
+                if grad_enabled:
+                    return fn(*args, **kwargs)
+                with no_grad():
+                    return fn(*args, **kwargs)
+        finally:
+            _in_worker.active = False
+
+    return guarded
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T],
                  n_threads: Optional[int] = None) -> List[R]:
     """``[fn(item) for item in items]``, fanned out over worker threads.
@@ -113,20 +138,11 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     if workers <= 1 or getattr(_in_worker, "active", False):
         return [fn(item) for item in items]
 
-    # Grad mode is thread-local (repro.grad): a no_grad() on the calling
-    # thread must extend into the pool, or threaded inference would
-    # silently build autograd graphs in every worker forward.
-    grad_disabled = not is_grad_enabled()
-
-    def guarded(item: T) -> R:
-        _in_worker.active = True
-        try:
-            if grad_disabled:
-                with no_grad():
-                    return fn(item)
-            return fn(item)
-        finally:
-            _in_worker.active = False
+    # Grad mode and dtype are thread-local (repro.grad): a no_grad() or
+    # a float32 engine scope on the calling thread must extend into the
+    # pool, or workers would build autograd graphs / compute in the
+    # process-default dtype.
+    guarded = _in_caller_context(fn)
 
     # Submit in waves of `workers` items: the shared pool only grows, so
     # the pool width cannot be trusted to bound concurrency when the
@@ -153,21 +169,9 @@ def submit_task(fn: Callable[..., R], *args, **kwargs) -> "Future[R]":
     returned future is already resolved — the deterministic single
     -core behaviour, with no second pool and no extra threads.
 
-    The caller's (thread-local) grad mode is carried into the worker,
-    matching :func:`parallel_map`.
+    The caller's (thread-local) grad mode and dtype are carried into
+    the worker, matching :func:`parallel_map`.
     """
-    grad_disabled = not is_grad_enabled()
-
-    def guarded() -> R:
-        _in_worker.active = True
-        try:
-            if grad_disabled:
-                with no_grad():
-                    return fn(*args, **kwargs)
-            return fn(*args, **kwargs)
-        finally:
-            _in_worker.active = False
-
     if get_num_threads() <= 1 or getattr(_in_worker, "active", False):
         future: "Future[R]" = Future()
         try:
@@ -175,4 +179,5 @@ def submit_task(fn: Callable[..., R], *args, **kwargs) -> "Future[R]":
         except BaseException as exc:  # mirrored onto the returned future
             future.set_exception(exc)
         return future
-    return _executor(get_num_threads()).submit(guarded)
+    return _executor(get_num_threads()).submit(
+        _in_caller_context(fn), *args, **kwargs)

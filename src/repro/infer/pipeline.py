@@ -6,7 +6,7 @@ through one SR model the way a serving process would: callers
 groups pending images by shape, stacks each group into NCHW batches of
 ``batch_size``, and fans the batches out over the inference thread pool
 (:mod:`repro.infer.parallel`).  Large inputs can be routed through the
-batched tiled path (:func:`repro.infer.tiling.tiled_super_resolve`)
+tiled path (:func:`repro.infer.tiling.tiled_super_resolve`)
 instead, bounding peak memory by the tile size.
 
 The batching is purely an execution-strategy change: convolution
@@ -55,7 +55,7 @@ class PipelineHooks:
     layer (:mod:`repro.serve`) uses these to record batch occupancy and
     batch latency without the pipeline knowing telemetry exists.
 
-    ``on_batch`` fires once per executed model forward on the batched
+    ``on_batch`` fires once per executed model forward on the untiled
     path (it may fire from a worker thread); ``on_flush`` fires once
     per ``flush()`` that processed at least one image, from the thread
     driving the flush.
@@ -126,7 +126,7 @@ class InferencePipeline:
         Images per model forward when micro-batching same-shape images
         (also the tile batch size on the tiled path).
     tile / tile_overlap:
-        When ``tile`` is given, every image runs through the batched
+        When ``tile`` is given, every image runs through the
         tiled path instead of a whole-image forward; ``scale`` is then
         required (tile placement needs the upsampling factor up front).
     scale:
@@ -254,7 +254,7 @@ class InferencePipeline:
             if self.tile is not None:
                 self._flush_tiled(taken)
             else:
-                self._flush_batched(taken)
+                self._flush_stacked(taken)
         finally:
             unprocessed = [entry for entry in taken if not entry[1]._ready]
             if unprocessed:
@@ -273,7 +273,7 @@ class InferencePipeline:
             handle._set(sr)
             self.stats["completed"] += 1
 
-    def _flush_batched(self, taken) -> None:
+    def _flush_stacked(self, taken) -> None:
         groups: Dict[Tuple[int, ...], List[Tuple[np.ndarray, PendingResult]]] = {}
         for image, handle, _ in taken:
             groups.setdefault(image.shape, []).append((image, handle))

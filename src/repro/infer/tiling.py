@@ -6,7 +6,7 @@ engine's :class:`repro.deploy.engine.TiledInference`): overlapping tiles
 with a flush-right final tile, interior edges trimmed by ``trim`` pixels
 before placement, remaining overlap averaged.
 
-The execution strategy is batched and streaming: tiles run through the
+The execution strategy is chunked and streaming: tiles run through the
 model in NCHW chunks of ``batch_size`` tiles, so the conv/GEMM kernels
 see a few large-M operands instead of dozens of tiny ones; chunks fan
 out over :func:`repro.infer.parallel.parallel_map` worker threads one

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..grad import Tensor, no_grad
 from ..nn import Module
-from ..train import super_resolve
 from .parallel import parallel_map
 
 Transform = Tuple[Callable[[np.ndarray], np.ndarray],
@@ -31,7 +30,7 @@ DIHEDRAL_TRANSFORMS: List[Transform] = (
 
 
 def self_ensemble(model: Module, lr_image: np.ndarray,
-                  n_transforms: int = 8, batched: bool = True,
+                  n_transforms: int = 8,
                   n_threads: Optional[int] = None) -> np.ndarray:
     """Super-resolve ``lr_image`` averaged over dihedral transforms.
 
@@ -44,30 +43,22 @@ def self_ensemble(model: Module, lr_image: np.ndarray,
     n_transforms:
         How many of the 8 dihedral transforms to use (1 disables the
         ensemble; 4 is rotations only; 8 is the full "+'' protocol).
-    batched:
-        Stack transform variants of equal shape — the unrotated and the
-        90/270-degree views, two groups of up to 4 — into single NCHW
-        forwards dispatched over the inference thread pool, instead of
-        eight separate model calls.  Accumulation happens in transform
-        order on the calling thread, so the result matches the
-        sequential path (``batched=False``, the retained seed loop).
     n_threads:
         Worker threads for the shape groups (default: the global
         setting, see :func:`repro.infer.parallel.get_num_threads`).
+
+    Transform variants of equal shape — the unrotated and the
+    90/270-degree views, two groups of up to 4 — are stacked into single
+    NCHW forwards dispatched over the inference thread pool, instead of
+    eight separate model calls.  Accumulation happens in transform order
+    on the calling thread, so the result matches averaging one
+    :func:`repro.train.super_resolve` call per transform.
 
     Note: models with a square-window constraint (SwinIR/HAT) accept the
     rotated inputs as long as H and W are both window multiples.
     """
     if not 1 <= n_transforms <= 8:
         raise ValueError(f"n_transforms must be in [1, 8], got {n_transforms}")
-    if not batched:
-        accumulated: Optional[np.ndarray] = None
-        for forward_t, inverse_t in DIHEDRAL_TRANSFORMS[:n_transforms]:
-            sr = super_resolve(model, np.ascontiguousarray(forward_t(lr_image)))
-            sr = inverse_t(sr)
-            accumulated = sr if accumulated is None else accumulated + sr
-        return np.clip(accumulated / n_transforms, 0.0, 1.0)
-
     variants = [np.ascontiguousarray(forward_t(lr_image))
                 for forward_t, _ in DIHEDRAL_TRANSFORMS[:n_transforms]]
     groups: Dict[Tuple[int, ...], List[int]] = {}
@@ -87,7 +78,7 @@ def self_ensemble(model: Module, lr_image: np.ndarray,
         model.train(was_training)
 
     # Undo transforms and accumulate in transform order — identical
-    # float summation order to the sequential loop.
+    # float summation order to one call per transform.
     sr_by_index: Dict[int, np.ndarray] = {}
     for indices, out in zip(groups.values(), outputs):
         for j, i in enumerate(indices):

@@ -8,10 +8,9 @@ Two small pieces every perf-sensitive change builds on:
   trajectory files that make speedups auditable across PRs.
 
 ``benchmarks/test_perf_hotpaths.py`` is the canonical consumer: it times
-the conv im2col fast path against the retained reference implementation
-and the SWAR packed GEMM against the seed LUT version, asserts
-bit-exactness and the measured speedup, and appends both to the
-trajectory.
+the conv im2col path and the packed GEMM against their seed
+implementations (test-side oracles), asserts bit-exactness and the
+measured speedup, and appends both to the trajectory.
 """
 
 from .timing import BenchStats, bench, speedup

@@ -1,7 +1,7 @@
 """Deadline-aware micro-batch scheduling policy.
 
 The serving trade-off: every queued request gets *cheaper* to run the
-longer it waits (more same-model work to coalesce into one batched
+longer it waits (more same-model work to coalesce into one stacked
 forward) and *later* the longer it waits.  The scheduler resolves it
 with a per-request deadline: a model's queue becomes *due* the moment
 its oldest deadline arrives — flushing a partial batch rather than

@@ -219,7 +219,8 @@ class ServerConfig:
     background:
         Run the scheduler loop on a daemon thread (the serving mode).
         ``False`` is manual mode: the caller drives ``poll()`` /
-        ``drain()`` — what the deterministic scheduler tests use.
+        ``drain()`` and each flush runs inline on the calling thread —
+        what the deterministic scheduler tests use.
     poll_interval_s:
         Idle wake-up period of the background loop (responsiveness
         floor when no deadline is pending).
@@ -759,9 +760,12 @@ class ModelServer:
     def poll(self, now: Optional[float] = None, force: bool = False) -> int:
         """Dispatch every due model's flush once; returns the count.
 
-        The background loop calls this continuously; in manual mode
+        The background loop calls this continuously and hands each
+        flush to the inference pool.  In manual mode
         (``background=False``) the test/caller drives it, optionally
-        with a simulated ``now``.  ``force`` ignores deadlines (drain).
+        with a simulated ``now``, and each flush runs inline: the
+        dispatched work has settled when ``poll`` returns, whatever the
+        thread count.  ``force`` ignores deadlines (drain).
         """
         now = self._clock() if now is None else now
         dispatched = 0
@@ -770,7 +774,10 @@ class ModelServer:
             if not taken:
                 continue  # another poll got here first; nothing in flight
             self.telemetry.count(f"flush_{reason}")
-            submit_task(self._run_flush, key, taken)
+            if self.config.background:
+                submit_task(self._run_flush, key, taken)
+            else:
+                self._run_flush(key, taken)
             dispatched += 1
         return dispatched
 

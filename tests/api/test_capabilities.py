@@ -29,11 +29,6 @@ class TestCapability:
         assert cap.coverage == "partial"
         assert cap.can_serve
 
-    def test_backend_switches_are_merged_in(self):
-        cap = capability(ModelSpec("srresnet"))
-        assert cap.packed_backends == ("fast", "reference")
-        assert cap.conv_backends == ("fast", "reference")
-
     def test_unknown_action(self):
         with pytest.raises(KeyError):
             capability(ModelSpec("srresnet")).require("fly")

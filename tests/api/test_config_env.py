@@ -1,20 +1,15 @@
 """EngineConfig: the documented precedence — explicit arg > env > default."""
 
+import threading
+
+import numpy as np
 import pytest
 
 from repro.api import EngineConfig
 
 ENV_CASES = [
     # (field, variable, env value, parsed env value, explicit, default)
-    ("packed_impl", "REPRO_PACKED_IMPL", "reference", "reference", "fast",
-     "fast"),
-    ("conv_impl", "REPRO_CONV_IMPL", "reference", "reference", "fast",
-     "fast"),
     ("n_threads", "REPRO_NUM_THREADS", "3", 3, 2, None),
-    ("bench_dir", "REPRO_BENCH_DIR", "/tmp/bench", "/tmp/bench", "/x",
-     None),
-    ("perf_smoke", "REPRO_PERF_SMOKE", "1", True, False, False),
-    ("update_golden", "REPRO_UPDATE_GOLDEN", "1", True, False, False),
 ]
 
 
@@ -44,30 +39,15 @@ class TestPrecedence:
         assert config.source(field) == "arg"
 
 
-class TestFlagGrammars:
-    def test_perf_smoke_any_nonempty_value_enables(self, monkeypatch):
-        # mirrors bool(os.environ.get(...)) in the perf harness:
-        # REPRO_PERF_SMOKE=0 *is* smoke mode
-        monkeypatch.setenv("REPRO_PERF_SMOKE", "0")
-        assert EngineConfig().perf_smoke is True
-
-    def test_update_golden_requires_literal_1(self, monkeypatch):
-        # mirrors os.environ.get(...) == "1" in the conformance suite
-        monkeypatch.setenv("REPRO_UPDATE_GOLDEN", "0")
-        assert EngineConfig().update_golden is False
-        monkeypatch.setenv("REPRO_UPDATE_GOLDEN", "1")
-        assert EngineConfig().update_golden is True
-
-
 class TestValidation:
     def test_invalid_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED_IMPL", "turbo")
-        with pytest.raises(ValueError, match="REPRO_PACKED_IMPL"):
+        monkeypatch.setenv("REPRO_NUM_THREADS", "many")
+        with pytest.raises(ValueError, match="REPRO_NUM_THREADS"):
             EngineConfig()
 
     def test_invalid_explicit_value(self):
-        with pytest.raises(ValueError, match="packed_impl"):
-            EngineConfig(packed_impl="turbo")
+        with pytest.raises(ValueError, match="n_threads"):
+            EngineConfig(n_threads=0)
 
     def test_invalid_thread_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "0")
@@ -84,39 +64,19 @@ class TestValidation:
 
 
 class TestScopeAndMapping:
-    def test_scope_applies_explicit_backend(self):
-        from repro.deploy import get_packed_backend
-        from repro.grad.conv import get_conv_backend
-        config = EngineConfig(packed_impl="reference", conv_impl="reference")
-        with config.scope():
-            assert get_packed_backend() == "reference"
-            assert get_conv_backend() == "reference"
-        assert get_packed_backend() == "fast"
-        assert get_conv_backend() == "fast"
-
-    def test_scope_default_defers_to_global_switch(self, monkeypatch):
-        # an EngineConfig() whose backend resolved from the *default*
-        # must not stomp a set_packed_backend made elsewhere
-        monkeypatch.delenv("REPRO_PACKED_IMPL", raising=False)
-        from repro.deploy import (get_packed_backend, packed_backend)
-        config = EngineConfig()
-        with packed_backend("reference"):
-            with config.scope():
-                assert get_packed_backend() == "reference"
-
-    def test_scope_env_value_is_applied(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED_IMPL", "reference")
-        from repro.deploy import get_packed_backend
-        with EngineConfig().scope():
-            assert get_packed_backend() == "reference"
-        assert get_packed_backend() == "fast"
-
     def test_scope_dtype(self):
+        # the dtype applies to the calling thread only: another thread
+        # keeps the process default while the scope is active
         from repro.grad import get_default_dtype
         ambient = get_default_dtype()
+        seen = []
         with EngineConfig(dtype="float32").scope():
-            import numpy as np
             assert get_default_dtype() == np.float32
+            other = threading.Thread(
+                target=lambda: seen.append(get_default_dtype()))
+            other.start()
+            other.join()
+        assert seen == [ambient]
         assert get_default_dtype() == ambient
 
     def test_to_server_config(self):
@@ -134,5 +94,7 @@ class TestScopeAndMapping:
 
     def test_describe_mentions_provenance(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "3")
-        text = EngineConfig(packed_impl="fast").describe()
-        assert "(arg)" in text and "(env)" in text and "(default)" in text
+        assert "(env)" in EngineConfig().describe()
+        assert "(arg)" in EngineConfig(n_threads=2).describe()
+        monkeypatch.delenv("REPRO_NUM_THREADS")
+        assert "(default)" in EngineConfig().describe()

@@ -1,10 +1,10 @@
-"""Fast (bit-domain) packed forward vs the retained reference path.
+"""Bit-domain packed forward vs the seed forward (``tests.oracles``).
 
-The fast path must be *bit-exact* against the seed implementation for
-every supported geometry — both activation layouts (patch / bitplane),
-strides, paddings, LSF thresholds including negative alpha, linears —
-because binarized networks amplify any last-bit difference into flipped
-sign bits downstream.
+The packed layers must be *bit-exact* against the seed implementation
+for every supported geometry — both activation layouts (patch /
+bitplane), strides, paddings, LSF thresholds including negative alpha,
+linears — because binarized networks amplify any last-bit difference
+into flipped sign bits downstream.
 """
 
 import numpy as np
@@ -13,12 +13,13 @@ import pytest
 from repro import grad as G
 from repro.binarize import SCALESBinaryConv2d, SCALESBinaryLinear
 from repro.binarize.baselines import BiBERTBinaryLinear, E2FIFBinaryConv2d
-from repro.deploy import (FastConvWeight, binary_gemm, binary_gemm_reference,
-                          compile_model, conv_fast_layout, get_packed_backend,
-                          pack_signs, packed_backend, set_packed_backend)
+from repro.deploy import (FastConvWeight, binary_gemm, compile_model,
+                          conv_fast_layout, pack_signs)
 from repro.deploy.engine import PackedBinaryConv2d, PackedBinaryLinear
 from repro.grad import Tensor, no_grad
 from repro.nn import init
+
+from ..oracles import binary_gemm_reference, reference_packed
 
 
 @pytest.fixture(autouse=True)
@@ -33,26 +34,12 @@ def _forward(model, x):
         return model(Tensor(x)).data
 
 
-def _both_backends(packed, x):
-    with packed_backend("reference"):
+def _reference_and_packed(packed, x):
+    """(seed forward, production forward) of ``packed`` on ``x``."""
+    with reference_packed():
         ref = _forward(packed, x)
-    with packed_backend("fast"):
-        fast = _forward(packed, x)
+    fast = _forward(packed, x)
     return ref, fast
-
-
-class TestBackendSwitch:
-    def test_default_is_fast(self):
-        assert get_packed_backend() == "fast"
-
-    def test_context_manager_restores(self):
-        with packed_backend("reference"):
-            assert get_packed_backend() == "reference"
-        assert get_packed_backend() == "fast"
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError):
-            set_packed_backend("turbo")
 
 
 class TestGemmEquivalence:
@@ -100,7 +87,7 @@ class TestConvLayouts:
         packed = PackedBinaryConv2d.from_e2fif(layer)
         x = np.random.default_rng(1).normal(
             size=(2, c_in, 11, 9)).astype(np.float32)
-        ref, fast = _both_backends(packed, x)
+        ref, fast = _reference_and_packed(packed, x)
         np.testing.assert_array_equal(fast, ref)
 
     def test_fast_weight_layouts_agree_on_dots(self):
@@ -132,7 +119,7 @@ class TestConvLayouts:
         compiled = compile_model(model)
         x = np.random.default_rng(31).normal(
             size=(1, 128, 6, 6)).astype(np.float32)
-        with packed_backend("reference"):
+        with reference_packed():
             ref = _forward(compiled, x)
         fast = _forward(compiled, x)
         np.testing.assert_array_equal(fast, ref)
@@ -148,7 +135,7 @@ class TestThresholds:
             size=layer.binarizer.beta.data.shape).astype(np.float32) * 0.1
         packed = PackedBinaryConv2d.from_scales(layer)
         x = np.random.default_rng(3).normal(size=(1, 8, 9, 9)).astype(np.float32)
-        ref, fast = _both_backends(packed, x)
+        ref, fast = _reference_and_packed(packed, x)
         np.testing.assert_array_equal(fast, ref)
         np.testing.assert_allclose(fast, _forward(layer, x), rtol=0, atol=1e-5)
 
@@ -158,7 +145,7 @@ class TestThresholds:
         layer.binarizer.alpha.data[...] = -0.5
         packed = PackedBinaryConv2d.from_scales(layer)
         x = np.random.default_rng(4).normal(size=(1, 4, 6, 6)).astype(np.float32)
-        ref, fast = _both_backends(packed, x)
+        ref, fast = _reference_and_packed(packed, x)
         np.testing.assert_array_equal(fast, ref)
 
     def test_values_exactly_at_threshold(self):
@@ -170,7 +157,7 @@ class TestThresholds:
         # beta and 0.25 are exactly representable: x == beta must binarize
         # to +1 on both paths.
         x = np.full((1, 4, 6, 6), 0.25, dtype=np.float32)
-        ref, fast = _both_backends(packed, x)
+        ref, fast = _reference_and_packed(packed, x)
         np.testing.assert_array_equal(fast, ref)
 
 
@@ -181,7 +168,7 @@ class TestLinear:
         layer.binarizer.beta.data[...] = 0.05
         packed = PackedBinaryLinear.from_scales(layer)
         x = np.random.default_rng(5).normal(size=(2, 5, 12)).astype(np.float32)
-        ref, fast = _both_backends(packed, x)
+        ref, fast = _reference_and_packed(packed, x)
         np.testing.assert_array_equal(fast, ref)
 
     def test_bibert_linear_bit_exact(self):
@@ -189,7 +176,7 @@ class TestLinear:
         layer = BiBERTBinaryLinear(10, 14)
         packed = PackedBinaryLinear.from_bibert(layer)
         x = np.random.default_rng(6).normal(size=(3, 10)).astype(np.float32)
-        ref, fast = _both_backends(packed, x)
+        ref, fast = _reference_and_packed(packed, x)
         np.testing.assert_array_equal(fast, ref)
 
 
@@ -204,7 +191,7 @@ class TestBatchNormTail:
         layer.bn.bias.data[:] = [0.05, -0.05, 0.0, 0.1]
         packed = PackedBinaryConv2d.from_e2fif(layer)
         x = np.random.default_rng(7).normal(size=(1, 4, 6, 6)).astype(np.float32)
-        ref, fast = _both_backends(packed, x)
+        ref, fast = _reference_and_packed(packed, x)
         np.testing.assert_array_equal(fast, ref)
         np.testing.assert_allclose(fast, _forward(layer, x), rtol=0, atol=1e-5)
 
@@ -219,7 +206,7 @@ class TestCompiledModels:
         model = build_model(arch, scale=2, scheme=scheme, preset="tiny")
         compiled = compile_model(model)
         x = np.random.default_rng(8).random((1, 3, 8, 8)).astype(np.float32)
-        with packed_backend("reference"):
+        with reference_packed():
             ref = _forward(compiled, x)
         fast = _forward(compiled, x)
         np.testing.assert_array_equal(fast, ref)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro import grad as G
 from repro.deploy import (binary_gemm, pack_signs, pack_weight_conv,
-                          pack_weight_linear, packed_conv2d, packed_linear)
+                          pack_weight_linear)
 from repro.grad import Tensor
+
+from ..oracles import binary_gemm_reference, packed_conv2d, packed_linear
 
 
 def _random_signs(rng, shape):
@@ -131,7 +133,6 @@ class TestGemmFastVsReferenceSweep:
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_matches_reference_and_float(self, m, n, k):
-        from repro.deploy import binary_gemm_reference
         rng = np.random.default_rng(k * 1000 + m * 10 + n)
         a = _random_signs(rng, (m, k))
         b = _random_signs(rng, (n, k))
@@ -143,7 +144,6 @@ class TestGemmFastVsReferenceSweep:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_geometry_with_bt_and_out(self, seed):
-        from repro.deploy import binary_gemm_reference
         rng = np.random.default_rng(seed)
         m, n, k = (int(rng.integers(1, 200)), int(rng.integers(1, 40)),
                    int(rng.integers(1, 260)))
@@ -158,7 +158,6 @@ class TestGemmFastVsReferenceSweep:
         np.testing.assert_array_equal(out, binary_gemm_reference(pa, pb, k))
 
     def test_wide_k_int64_accumulator_fallback(self):
-        from repro.deploy import binary_gemm_reference
         # >= 2**16 bits per row forces the int64 accumulator branch.
         k = (1 << 16) + 64
         rng = np.random.default_rng(2024)
@@ -174,7 +173,6 @@ class TestPackedConv2dStridePadding:
 
     @pytest.mark.parametrize("stride,padding", [(2, 1), (2, 2), (3, 1)])
     def test_matches_float_conv_strided_padded(self, stride, padding):
-        from repro.deploy import pack_weight_conv, packed_conv2d
         rng = np.random.default_rng(77)
         x = _random_signs(rng, (2, 3, 11, 10))
         w = rng.normal(size=(5, 3, 3, 3))
@@ -187,7 +185,6 @@ class TestPackedConv2dStridePadding:
         np.testing.assert_allclose(out, expected, atol=1e-9)
 
     def test_precomputed_padding_correction_matches(self):
-        from repro.deploy import pack_weight_conv, packed_conv2d
         from repro.deploy.kernels import _padding_correction
         rng = np.random.default_rng(78)
         x = _random_signs(rng, (1, 4, 9, 9))

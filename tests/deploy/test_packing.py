@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deploy import pack_signs, packed_words, popcount_u64, unpack_signs
+from repro.deploy import pack_signs, packed_words, unpack_signs
 from repro.deploy.packing import WORD_BITS
+
+from ..oracles import popcount_u64, popcount_u64_lut
 
 
 class TestPackedWords:
@@ -169,7 +171,7 @@ class TestSeededRoundTripSweep:
         # All-ones rows: every bit beyond k must stay 0 so both GEMM
         # operands pad identically.
         packed = pack_signs(np.ones((2, k)))
-        total = int(popcount_u64(packed).sum())
+        total = int(np.bitwise_count(packed).sum())
         assert total == 2 * k
 
     @pytest.mark.parametrize("seed", range(5))
@@ -182,16 +184,19 @@ class TestSeededRoundTripSweep:
 
 
 class TestSwarPopcountOracle:
+    """The popcount ``binary_gemm`` runs (``np.bitwise_count``) and the
+    SWAR oracle agree with the seed LUT oracle."""
+
     def test_matches_lut_reference(self):
-        from repro.deploy import popcount_u64_lut
         rng = np.random.default_rng(13)
         words = rng.integers(0, 2**64, size=(64, 33), dtype=np.uint64)
-        np.testing.assert_array_equal(popcount_u64(words),
-                                      popcount_u64_lut(words))
+        expected = popcount_u64_lut(words)
+        np.testing.assert_array_equal(popcount_u64(words), expected)
+        np.testing.assert_array_equal(np.bitwise_count(words), expected)
 
     def test_extremes(self):
-        from repro.deploy import popcount_u64_lut
         words = np.array([0, 2**64 - 1, 0xAAAAAAAAAAAAAAAA,
                           0x5555555555555555], dtype=np.uint64)
         np.testing.assert_array_equal(popcount_u64(words), [0, 64, 32, 32])
         np.testing.assert_array_equal(popcount_u64_lut(words), [0, 64, 32, 32])
+        np.testing.assert_array_equal(np.bitwise_count(words), [0, 64, 32, 32])

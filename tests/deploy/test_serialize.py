@@ -6,13 +6,15 @@ import pytest
 from repro import grad as G
 from repro.binarize.baselines import E2FIFBinaryConv2d
 from repro.deploy import (TiledInference, artifact_report, compile_model,
-                          deployment_report, load_artifact, packed_backend,
+                          deployment_report, load_artifact,
                           read_artifact_meta, save_artifact)
 from repro.grad import Tensor, no_grad
 from repro.infer import InferencePipeline
 from repro.models import build_model
 from repro.nn import Sequential, init
 from repro.train import super_resolve
+
+from ..oracles import reference_packed
 
 
 @pytest.fixture(autouse=True)
@@ -47,7 +49,7 @@ class TestSaveLoadRoundTrip:
         path = save_artifact(compiled, tmp_path / "m.rbd.npz")
         loaded = load_artifact(path)
         x = np.random.default_rng(1).random((1, 3, 8, 8)).astype(np.float32)
-        with packed_backend("reference"):
+        with reference_packed():
             np.testing.assert_array_equal(_forward(loaded, x),
                                           _forward(compiled, x))
 

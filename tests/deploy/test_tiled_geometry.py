@@ -17,6 +17,8 @@ from repro.grad import Tensor, no_grad
 from repro.infer import plan_tiles
 from repro.nn import Sequential, init
 
+from ..oracles import SequentialTiledInference
+
 
 @pytest.fixture(autouse=True)
 def _float32():
@@ -63,9 +65,11 @@ class TestZeroOverlap:
     @pytest.mark.parametrize("shape", [(16, 16), (17, 23), (8, 40)])
     @pytest.mark.parametrize("batched", [True, False])
     def test_bit_identical_stitching(self, shape, batched):
+        # batched=False runs the seed one-tile-per-forward oracle.
         model = _local_model()
-        tiled = TiledInference(model, tile=8, overlap=0, batch_size=3,
-                               batched=batched)
+        tiled = (TiledInference(model, tile=8, overlap=0, batch_size=3)
+                 if batched else
+                 SequentialTiledInference(model, tile=8, overlap=0))
         h, w = shape
         x = np.random.default_rng(h + w).normal(
             size=(2, 3, h, w)).astype(np.float32)
@@ -129,7 +133,6 @@ class TestOverlapAveragingIsExact:
         model = compile_model(Sequential(E2FIFBinaryConv2d(3, 3, 3),
                                          E2FIFBinaryConv2d(3, 3, 3)))
         x = np.random.default_rng(14).normal(size=(1, 3, 30, 29)).astype(np.float32)
-        seq = TiledInference(model, tile=12, overlap=6, batched=False)
-        bat = TiledInference(model, tile=12, overlap=6, batch_size=3,
-                             batched=True)
+        seq = SequentialTiledInference(model, tile=12, overlap=6)
+        bat = TiledInference(model, tile=12, overlap=6, batch_size=3)
         np.testing.assert_array_equal(_forward(bat, x), _forward(seq, x))

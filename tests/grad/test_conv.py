@@ -1,5 +1,5 @@
-"""Tests for convolution and pooling ops, including a direct-convolution
-reference implementation and hypothesis property tests."""
+"""Tests for convolution and pooling ops against the direct-convolution
+oracle (``tests.oracles``), plus hypothesis property tests."""
 
 import numpy as np
 import pytest
@@ -10,26 +10,8 @@ from repro import grad as G
 from repro.grad import Tensor, conv2d_output_shape
 
 from ..helpers import check_gradients, rng
-
-
-def reference_conv2d(x, w, b=None, stride=1, padding=0):
-    """Naive direct convolution for cross-checking the im2col version."""
-    bsz, cin, h, ww = x.shape
-    cout, _, kh, kw = w.shape
-    x_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (ww + 2 * padding - kw) // stride + 1
-    out = np.zeros((bsz, cout, oh, ow))
-    for n in range(bsz):
-        for co in range(cout):
-            for i in range(oh):
-                for j in range(ow):
-                    patch = x_pad[n, :, i * stride:i * stride + kh,
-                                  j * stride:j * stride + kw]
-                    out[n, co, i, j] = np.sum(patch * w[co])
-            if b is not None:
-                out[n, co] += b[co]
-    return out
+from ..oracles import (_gather_patches, im2col_rows, reference_conv2d,
+                       reference_conv2d_backward)
 
 
 class TestConv2d:
@@ -132,20 +114,8 @@ class TestPooling:
 
 
 class TestConvBackendSwitch:
-    """The fast (sliding_window_view + BLAS) and reference (loop gather)
-    backends must agree on values and gradients for every geometry."""
-
-    def test_default_is_fast(self):
-        assert G.get_conv_backend() == "fast"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            G.set_conv_backend("blas")
-
-    def test_context_manager_restores(self):
-        with G.conv_backend("reference"):
-            assert G.get_conv_backend() == "reference"
-        assert G.get_conv_backend() == "fast"
+    """``conv2d`` / ``conv1d`` / ``avg_pool2d`` against the direct-loop
+    oracle on values and gradients, for every geometry."""
 
     @pytest.mark.parametrize("stride,padding,k", [
         (1, 0, 3), (1, 1, 3), (2, 1, 3), (2, 0, 3), (1, 0, 1), (3, 2, 5),
@@ -155,16 +125,16 @@ class TestConvBackendSwitch:
         x = rng(20).normal(size=(2, 3, 9, 8))
         w = rng(21).normal(size=(4, 3, k, k))
         b = rng(22).normal(size=(4,))
-        results = {}
-        for backend in ("fast", "reference"):
-            with G.conv_backend(backend):
-                xt = Tensor(x.copy(), requires_grad=True)
-                wt = Tensor(w.copy(), requires_grad=True)
-                bt = Tensor(b.copy(), requires_grad=True)
-                out = G.conv2d(xt, wt, bt, stride=stride, padding=padding)
-                G.sum(out * out).backward()
-                results[backend] = (out.data, xt.grad, wt.grad, bt.grad)
-        for fast_arr, ref_arr in zip(results["fast"], results["reference"]):
+        xt = Tensor(x.copy(), requires_grad=True)
+        wt = Tensor(w.copy(), requires_grad=True)
+        bt = Tensor(b.copy(), requires_grad=True)
+        out = G.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        G.sum(out * out).backward()
+        ref_out = reference_conv2d(x, w, b, stride, padding)
+        ref_grads = reference_conv2d_backward(x, w, 2 * ref_out, stride,
+                                              padding)
+        for fast_arr, ref_arr in zip((out.data, xt.grad, wt.grad, bt.grad),
+                                     (ref_out, *ref_grads)):
             np.testing.assert_allclose(fast_arr, ref_arr, rtol=1e-10,
                                        atol=1e-10)
 
@@ -172,41 +142,35 @@ class TestConvBackendSwitch:
     def test_conv1d_agrees(self, stride, padding):
         x = rng(23).normal(size=(2, 3, 11))
         w = rng(24).normal(size=(4, 3, 5))
-        results = {}
-        for backend in ("fast", "reference"):
-            with G.conv_backend(backend):
-                xt = Tensor(x.copy(), requires_grad=True)
-                wt = Tensor(w.copy(), requires_grad=True)
-                out = G.conv1d(xt, wt, stride=stride, padding=padding)
-                G.sum(out * out).backward()
-                results[backend] = (out.data, xt.grad, wt.grad)
-        for fast_arr, ref_arr in zip(results["fast"], results["reference"]):
-            np.testing.assert_allclose(fast_arr, ref_arr, rtol=1e-10,
+        xt = Tensor(x.copy(), requires_grad=True)
+        wt = Tensor(w.copy(), requires_grad=True)
+        out = G.conv1d(xt, wt, stride=stride, padding=padding)
+        G.sum(out * out).backward()
+        # conv1d is conv2d over a height-1 image.
+        ref_out = reference_conv2d(x[:, :, None], w[:, :, None],
+                                   stride=(1, stride), padding=(0, padding))
+        ref_gx, ref_gw, _ = reference_conv2d_backward(
+            x[:, :, None], w[:, :, None], 2 * ref_out, stride=(1, stride),
+            padding=(0, padding))
+        for fast_arr, ref_arr in zip((out.data, xt.grad, wt.grad),
+                                     (ref_out, ref_gx, ref_gw)):
+            np.testing.assert_allclose(fast_arr, ref_arr[:, :, 0], rtol=1e-10,
                                        atol=1e-10)
 
     @pytest.mark.parametrize("kernel,stride", [(2, None), (3, 1), (2, 2)])
     def test_avg_pool_agrees(self, kernel, stride):
         x = rng(25).normal(size=(2, 3, 8, 7))
-        outs = {}
-        for backend in ("fast", "reference"):
-            with G.conv_backend(backend):
-                outs[backend] = G.avg_pool2d(Tensor(x), kernel,
-                                             stride=stride).data
-        np.testing.assert_allclose(outs["fast"], outs["reference"],
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_reference_backend_matches_direct_conv(self):
-        x = rng(26).normal(size=(1, 2, 6, 6))
-        w = rng(27).normal(size=(3, 2, 3, 3))
-        with G.conv_backend("reference"):
-            out = G.conv2d(Tensor(x), Tensor(w), padding=1).data
-        np.testing.assert_allclose(out, reference_conv2d(x, w, padding=1),
-                                   atol=1e-10)
+        step = kernel if stride is None else stride
+        oh, ow = (8 - kernel) // step + 1, (7 - kernel) // step + 1
+        expected = _gather_patches(x, kernel, kernel, step, step, oh,
+                                   ow).mean(axis=(2, 3))
+        np.testing.assert_allclose(G.avg_pool2d(Tensor(x), kernel,
+                                                stride=stride).data,
+                                   expected, rtol=1e-12, atol=1e-12)
 
 
 class TestIm2colRows:
     def test_rows_layout_matches_loop_gather(self):
-        from repro.grad.conv import _gather_patches, im2col_rows
         x = rng(28).normal(size=(2, 3, 7, 6))
         kh = kw = 3
         oh, ow = 5, 4
@@ -217,7 +181,6 @@ class TestIm2colRows:
         np.testing.assert_array_equal(rows, expected)
 
     def test_strided(self):
-        from repro.grad.conv import im2col_rows
         x = rng(29).normal(size=(1, 2, 8, 8))
         rows = im2col_rows(x, 3, 3, 2, 2, 3, 3)
         assert rows.shape == (9, 18)

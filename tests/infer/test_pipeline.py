@@ -1,10 +1,10 @@
 """Batched/parallel inference pipeline: equivalence and plumbing.
 
-The batched tile pipeline, the thread pool, and the micro-batching
+The stacked tile pipeline, the thread pool, and the micro-batching
 serving API must all be execution-strategy changes only: outputs are
-required to match the sequential per-tile / per-image path bit-for-bit
-(packed models) or to float tolerance (float models), across odd image
-sizes, tiles that do not divide the image, and thread counts.
+required to match the sequential per-tile / per-image oracles
+bit-for-bit (packed models) or to float tolerance (float models), across
+odd image sizes, tiles that do not divide the image, and thread counts.
 """
 
 
@@ -21,6 +21,8 @@ from repro.infer import (DiscardedError, InferencePipeline, get_num_threads,
 from repro.models import build_model
 from repro.nn import Module, Sequential, init
 from repro.train import super_resolve
+
+from ..oracles import SequentialTiledInference
 
 
 class _Upscale2x(Module):
@@ -129,9 +131,9 @@ class TestTiledEquivalence:
             model = self._packed_model()
             h, w = shape
             x = np.random.default_rng(1).normal(size=(1, 3, h, w)).astype(np.float32)
-            seq = TiledInference(model, tile=tile, overlap=overlap, batched=False)
+            seq = SequentialTiledInference(model, tile=tile, overlap=overlap)
             bat = TiledInference(model, tile=tile, overlap=overlap,
-                                 batched=True, batch_size=5)
+                                 batch_size=5)
             np.testing.assert_array_equal(_forward(bat, x), _forward(seq, x))
 
     @pytest.mark.parametrize("threads", [1, 4])
@@ -139,8 +141,8 @@ class TestTiledEquivalence:
         with G.default_dtype("float32"):
             model = self._packed_model()
             x = np.random.default_rng(2).normal(size=(1, 3, 45, 39)).astype(np.float32)
-            seq = TiledInference(model, tile=16, overlap=8, batched=False)
-            bat = TiledInference(model, tile=16, overlap=8, batched=True,
+            seq = SequentialTiledInference(model, tile=16, overlap=8)
+            bat = TiledInference(model, tile=16, overlap=8,
                                  batch_size=3, n_threads=threads)
             np.testing.assert_array_equal(_forward(bat, x), _forward(seq, x))
 
@@ -148,8 +150,8 @@ class TestTiledEquivalence:
         with G.default_dtype("float32"):
             model = self._packed_model()
             x = np.random.default_rng(3).normal(size=(3, 3, 40, 24)).astype(np.float32)
-            seq = TiledInference(model, tile=16, overlap=8, batched=False)
-            bat = TiledInference(model, tile=16, overlap=8, batched=True,
+            seq = SequentialTiledInference(model, tile=16, overlap=8)
+            bat = TiledInference(model, tile=16, overlap=8,
                                  batch_size=4)
             np.testing.assert_array_equal(_forward(bat, x), _forward(seq, x))
 

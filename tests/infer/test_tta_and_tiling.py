@@ -13,6 +13,8 @@ from repro.models import build_model
 from repro.nn import Module, init
 from repro.train import super_resolve
 
+from ..oracles import self_ensemble_reference
+
 
 class _Bilinear(Module):
     """Deterministic stand-in model: nearest-neighbour x2 upscale."""
@@ -151,8 +153,8 @@ class TestBatchedSelfEnsemble:
                                 preset="tiny")
             img = np.random.default_rng(6).random((8, 8, 3)).astype(np.float32)
             for n in (1, 4, 8):
-                seq = self_ensemble(model, img, n, batched=False)
-                bat = self_ensemble(model, img, n, batched=True)
+                seq = self_ensemble_reference(model, img, n)
+                bat = self_ensemble(model, img, n)
                 np.testing.assert_allclose(bat, seq, atol=1e-6)
 
     def test_batched_with_threads(self):
@@ -161,8 +163,8 @@ class TestBatchedSelfEnsemble:
             model = build_model("srresnet", scale=2, scheme="e2fif",
                                 preset="tiny")
             img = np.random.default_rng(7).random((10, 8, 3)).astype(np.float32)
-            seq = self_ensemble(model, img, 8, batched=False)
-            bat = self_ensemble(model, img, 8, batched=True, n_threads=4)
+            seq = self_ensemble_reference(model, img, 8)
+            bat = self_ensemble(model, img, 8, n_threads=4)
             np.testing.assert_allclose(bat, seq, atol=1e-6)
 
     def test_rectangular_image_groups_shapes(self):
@@ -170,8 +172,8 @@ class TestBatchedSelfEnsemble:
         model = _Bilinear()
         rng = np.random.default_rng(8)
         img = rng.random((6, 10, 3)).astype(np.float32)
-        seq = self_ensemble(model, img, 8, batched=False)
-        bat = self_ensemble(model, img, 8, batched=True)
+        seq = self_ensemble_reference(model, img, 8)
+        bat = self_ensemble(model, img, 8)
         np.testing.assert_allclose(bat, seq, atol=1e-6)
 
 
