@@ -74,9 +74,10 @@ class EngineConfig:
         When set, ``Engine.from_spec`` seeds the RNG before building,
         so weight initialization is reproducible.
     batch_size:
-        Images per micro-batch on the inference path; also the serving
-        ``max_batch``.
-    tile / tile_overlap / tile_batch_size:
+        Images per micro-batch on the inference path, the most tiles
+        per forward on the tiled path (also recorded by ``export``);
+        also the serving ``max_batch``.
+    tile / tile_overlap:
         When ``tile`` is set, engine inference runs the bounded-memory
         tiled path with this LR tile size.
     clip:
@@ -94,7 +95,6 @@ class EngineConfig:
     batch_size: int = 8
     tile: Optional[int] = None
     tile_overlap: int = 8
-    tile_batch_size: int = 16
     clip: bool = True
 
     latency_budget_s: float = 0.02

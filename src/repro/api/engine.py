@@ -209,7 +209,9 @@ class Engine:
 
         ``path`` defaults to the spec's canonical artifact name in the
         current directory.  When ``config.tile`` is set the tiling
-        configuration is recorded in the artifact.  Returns the written
+        configuration is recorded in the artifact, with
+        ``config.batch_size`` as its tile batch (the one ``infer``
+        runs).  Returns the written
         path (also kept as ``.artifact_path``).
         """
         self.capability().require("export")
@@ -221,7 +223,7 @@ class Engine:
             target = TiledInference(
                 self.compiled, tile=self.config.tile,
                 overlap=self.config.tile_overlap,
-                batch_size=self.config.tile_batch_size,
+                batch_size=self.config.batch_size,
                 n_threads=self.config.n_threads)
         with self.config.scope():
             written = save_artifact(target, path, recipe=self.spec.to_recipe())

@@ -333,10 +333,12 @@ class TiledInference(Module):
     packed activation panels proportional to ``H * W``; on large inputs
     that dwarfs the model itself.  This wrapper cuts the NCHW input into
     overlapping ``tile x tile`` crops (:func:`repro.infer.tiling
-    .plan_tiles`) and runs the wrapped model in chunks of ``batch_size``
-    tiles, streamed one thread-pool wave at a time and stitched as each
-    wave completes.  Peak memory is bounded by one wave (``batch_size *
-    n_threads`` tiles) plus the output canvas regardless of input size,
+    .plan_tiles`) and runs the wrapped model in chunks of at most
+    ``batch_size`` tiles, split evenly over whole thread-pool waves
+    (:func:`repro.infer.tiling.iter_tile_batches`), streamed one wave
+    at a time and stitched as each wave completes.  Peak memory is
+    bounded by one wave (at most ``batch_size * n_threads`` tiles) plus
+    the output canvas regardless of input size,
     every packed layer's geometry caches see a single tile shape, and
     the conv/GEMM kernels see a few large-M operands instead of one
     tiny call per tile.

@@ -6,6 +6,15 @@ parallel speedups on multi-core hosts without any pickling or shared
 -memory machinery — the packed engine's per-thread workspace arena
 (:mod:`repro.deploy.workspace`) keeps the scratch buffers disjoint.
 
+The pool is the process's one level of parallelism.  When it is created
+(which needs two or more workers) it sets every OpenBLAS loaded in the
+process to one thread, for the rest of the process: the FP convolutions
+call BLAS every few milliseconds, and an OpenBLAS worker thread
+busy-waits between calls, holding a core the pool threads need.  BLAS
+computes the same bits at any thread count, so outputs are unchanged.
+A thread count of ``1`` never creates the pool and leaves the cores to
+BLAS instead.
+
 The thread count resolves, in order: an explicit argument, the value set
 via :func:`set_num_threads` (or the :func:`num_threads` context
 manager), the ``REPRO_NUM_THREADS`` environment variable, and finally
@@ -24,6 +33,7 @@ the caller would have computed inline.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -48,6 +58,42 @@ _pool_width = 0
 _pool_lock = threading.Lock()
 _in_worker = threading.local()
 
+#: Thread-count setters of the OpenBLAS builds NumPy and SciPy bundle
+#: (64- and 32-bit integer interfaces), then of a plain OpenBLAS.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_",
+                     "openblas_set_num_threads")
+
+
+def _pin_openblas_to_one_thread(maps: str = "/proc/self/maps") -> None:
+    """Set every OpenBLAS mapped into this process to one thread.
+
+    The libraries are found by name in ``maps``; without it (no
+    ``/proc``), or for a library exporting none of the setters, nothing
+    happens.
+    """
+    try:
+        with open(maps) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return
+    paths = {parts[5] for parts in (line.split(None, 5) for line in lines)
+             if len(parts) == 6
+             and "openblas" in os.path.basename(parts[5]).lower()}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
 
 def _executor(workers: int) -> ThreadPoolExecutor:
     global _pool, _pool_width
@@ -57,6 +103,10 @@ def _executor(workers: int) -> ThreadPoolExecutor:
             # threads wind down; new submissions go to the wider pool.
             if _pool is not None:
                 _pool.shutdown(wait=False)
+            else:
+                # The first pool becomes the process's only level of
+                # parallelism (see the module docstring).
+                _pin_openblas_to_one_thread()
             _pool = ThreadPoolExecutor(
                 max_workers=workers,
                 thread_name_prefix="repro-infer")

@@ -7,13 +7,15 @@ with a flush-right final tile, interior edges trimmed by ``trim`` pixels
 before placement, remaining overlap averaged.
 
 The execution strategy is chunked and streaming: tiles run through the
-model in NCHW chunks of ``batch_size`` tiles, so the conv/GEMM kernels
-see a few large-M operands instead of dozens of tiny ones; chunks fan
-out over :func:`repro.infer.parallel.parallel_map` worker threads one
-wave at a time and are stitched (then freed) as each wave completes,
-keeping peak memory bounded by a wave rather than the input.  Stitching
-happens on the calling thread in plan order, so results are identical
-for every (batch size, thread count) combination.
+model in NCHW chunks of at most ``batch_size`` tiles, so the conv/GEMM
+kernels see a few large-M operands instead of dozens of tiny ones;
+chunks fan out over :func:`repro.infer.parallel.parallel_map` worker
+threads one wave at a time and are stitched (then freed) as each wave
+completes, keeping peak memory bounded by a wave rather than the input.
+The plan is cut into whole waves of near-equal chunks, so no thread
+idles in the last wave.  Stitching happens on the calling thread in
+plan order, so results are identical for every (batch size, thread
+count) combination.
 """
 
 from __future__ import annotations
@@ -124,21 +126,29 @@ def iter_tile_batches(model, data: np.ndarray, plan: TilePlan,
                       batch_size: int, n_threads: Optional[int] = None):
     """Yield ``(tile_indices, outputs)`` for a ``(B, C, H, W)`` input.
 
-    Tiles run through ``model`` in chunks of ``batch_size`` tiles (each
-    chunk is one NCHW forward of ``len(indices) * B`` rows, tile-major),
-    dispatched over the thread pool one *wave* of ``n_threads`` chunks
-    at a time.  Chunks are gathered from ``data`` only when their wave
-    runs and outputs are yielded (and can be stitched and dropped) as
-    each wave completes, so peak memory is bounded by one wave — not by
-    the input size.  Yield order is plan order for every thread count.
+    Tiles run through ``model`` in chunks (each chunk is one NCHW
+    forward of ``len(indices) * B`` rows, tile-major), dispatched over
+    the thread pool one *wave* of ``n_threads`` chunks at a time.  The
+    plan is cut into ``ceil(len(plan) / batch_size)`` contiguous chunks,
+    rounded up to a whole number of waves and capped at the tile count,
+    whose sizes differ by at most one: each holds at most ``batch_size``
+    tiles and every wave keeps all its threads busy (25 tiles at batch
+    8 on 2 threads run as [7, 6] then [6, 6], not [8, 8] then [8, 1]).
+    Chunks are gathered from ``data`` only when their wave runs and
+    outputs are yielded (and can be stitched and dropped) as each wave
+    completes, so peak memory is bounded by one wave — not by the input
+    size.  Yield order is plan order for every thread count.
 
     The caller manages eval mode and ``no_grad``.
     """
     b, c = data.shape[:2]
     th, tw = plan.tile_h, plan.tile_w
-    batch_size = max(1, batch_size)
-    chunks = [list(range(i, min(i + batch_size, len(plan))))
-              for i in range(0, len(plan), batch_size)]
+    wave = max(1, get_num_threads() if n_threads is None else int(n_threads))
+    n_chunks = -(-len(plan) // max(1, batch_size))
+    n_chunks = min(-(-n_chunks // wave) * wave, len(plan))
+    size, extra = divmod(len(plan), n_chunks)
+    bounds = [i * size + min(i, extra) for i in range(n_chunks + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def run(indices):
         tiles = np.empty((len(indices) * b, c, th, tw), dtype=data.dtype)
@@ -148,7 +158,6 @@ def iter_tile_batches(model, data: np.ndarray, plan: TilePlan,
                                             s.x0:s.x0 + tw]
         return np.asarray(model(Tensor(tiles)).data)
 
-    wave = max(1, get_num_threads() if n_threads is None else int(n_threads))
     for i in range(0, len(chunks), wave):
         group = chunks[i:i + wave]
         for indices, out in zip(group, parallel_map(run, group, n_threads)):
@@ -197,11 +206,12 @@ def tiled_super_resolve(model: Module, lr_image: np.ndarray, scale: int,
                         n_threads: Optional[int] = None) -> np.ndarray:
     """Super-resolve ``lr_image`` tile by tile ("chop forward").
 
-    Tiles run as NCHW batches of ``batch_size`` (in parallel over
-    ``n_threads`` worker threads), stitched as each wave of batches
-    completes — identical outputs to the sequential per-tile loop at a
-    fraction of the per-call overhead, with peak memory bounded by one
-    wave plus the output canvas.
+    Tiles run as NCHW batches of at most ``batch_size``, split evenly
+    over whole waves of ``n_threads`` worker threads (see
+    :func:`iter_tile_batches`), stitched as each wave completes —
+    identical outputs to the sequential per-tile loop at a fraction of
+    the per-call overhead, with peak memory bounded by one wave plus
+    the output canvas.
 
     Parameters
     ----------
@@ -224,8 +234,9 @@ def tiled_super_resolve(model: Module, lr_image: np.ndarray, scale: int,
         ``2 * trim <= overlap`` so trimmed tiles still cover the canvas.
         Remaining overlapped pixels are averaged.
     batch_size:
-        Tiles per model forward — bounds peak memory exactly like the
-        original per-tile loop did, just ``batch_size`` tiles at a time.
+        Most tiles per model forward — bounds peak memory exactly like
+        the original per-tile loop did, just up to ``batch_size`` tiles
+        at a time.
     n_threads:
         Worker threads for tile batches (default: the global setting,
         see :func:`repro.infer.parallel.get_num_threads`).

@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import Engine, EngineConfig, EngineError, InferResult, ModelSpec
 from repro.data import training_pool
-from repro.deploy import compile_model, load_artifact
+from repro.deploy import compile_model, load_artifact, read_artifact_meta
 from repro.infer import InferencePipeline
 from repro.nn import init
 from repro.train import TrainConfig
@@ -152,6 +152,13 @@ class TestLifecycleStates:
         tiled_engine = Engine.from_spec(
             SPEC, config=EngineConfig(seed=4, tile=8, tile_overlap=4))
         assert np.array_equal(tiled_engine.infer(image).unwrap(), plain)
+
+    def test_export_records_the_tile_batch_infer_runs(self, tmp_path):
+        engine = Engine.from_spec(SPEC, config=EngineConfig(
+            seed=4, tile=8, tile_overlap=4, batch_size=5))
+        path = engine.export(tmp_path / "tiled.rbd.npz")
+        assert read_artifact_meta(path)["tiling"] == {
+            "tile": 8, "overlap": 4, "batch_size": 5}
 
     def test_dtype_scope_matches_hand_wiring_under_same_dtype(self):
         from repro import grad as G
