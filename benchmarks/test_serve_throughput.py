@@ -123,7 +123,7 @@ class TestServeThroughput:
             server.drain()
             outputs = [f.result(timeout=60) for f, _ in futures]
             server.close()
-            assert server.telemetry.counter("shed") == 0
+            assert server.stats()["counters"]["shed"] == 0
             for out, exp in zip(outputs, expected):
                 assert not isinstance(out, (ServerBusy, ServeError))
                 np.testing.assert_array_equal(out, exp)

@@ -17,7 +17,7 @@ driven through the typed public API (:mod:`repro.api`):
 4. verify **zero dropped** (every result ``ok``) and **zero incorrect**
    responses — every output must be bit-identical to
    ``Engine.from_artifact(...).infer`` on the same artifact — then
-   print the telemetry report.
+   print the server's report, computed from its metrics registry.
 
 CI runs this as the serve smoke step.  Run:
 ``PYTHONPATH=src python examples/model_server.py``

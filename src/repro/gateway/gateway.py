@@ -74,7 +74,6 @@ from ..serve.server import (
     model_label,
     parse_model_key,
 )
-from ..serve.telemetry import Telemetry
 from . import wire
 from .quota import QuotaRegistry
 from .ring import HashRing
@@ -242,7 +241,6 @@ class Gateway:
         if not self.catalog:
             raise ValueError(
                 f"no servable deploy artifacts in {artifact_dir!s}")
-        self.telemetry = Telemetry()
         self.metrics = MetricsRegistry()
         #: Durable revision bookkeeping + the canary state machine over
         #: it (versioned rollout; see :mod:`repro.deploy.revision`).
@@ -285,37 +283,50 @@ class Gateway:
     def _init_metrics(self) -> None:
         """Register the ``repro_gateway_*`` / ``repro_canary_*`` families.
 
-        Front-door totals the telemetry already counts are published as
-        scrape-time callbacks; canary lifecycle events increment their
-        counters inline where they happen.  Worker-pool liveness is a
-        per-slot gauge so a scraper sees exactly which slot died.
+        Front-door and canary events increment their counters inline
+        where they happen, and ``stats()["gateway"]`` reads the same
+        counters.  Worker-pool liveness is a per-slot gauge so a
+        scraper sees exactly which slot died.
         """
-        for name, help in (
-            ("requests", "Requests arriving at the front door."),
-            ("proxied", "Requests answered by a worker."),
-            ("reroutes", "Retry attempts against another ring owner."),
-            ("unrouted", "Requests that exhausted every live worker."),
-        ):
-            self.metrics.func(
-                f"repro_gateway_{name}_total", help, "counter",
-                (lambda n: lambda: self.telemetry.counter(n))(name))
-        self.metrics.func(
+        counter = self.metrics.counter
+        self._m_requests = counter(
+            "repro_gateway_requests_total",
+            "Requests arriving at the front door.",
+        )
+        self._m_proxied = counter(
+            "repro_gateway_proxied_total", "Requests answered by a worker."
+        )
+        self._m_reroutes = counter(
+            "repro_gateway_reroutes_total",
+            "Retry attempts against another ring owner.",
+        )
+        self._m_unrouted = counter(
+            "repro_gateway_unrouted_total",
+            "Requests that exhausted every live worker.",
+        )
+        self._m_shed = counter(
             "repro_gateway_shed_total",
             "Requests refused at the front door, by reason.",
-            "counter",
-            lambda: [
-                ({"reason": "draining"},
-                 self.telemetry.counter("shed_draining")),
-                ({"reason": "quota"}, self.telemetry.counter("shed_quota")),
-            ])
-        self.metrics.func(
+            ("reason",),
+        )
+        for reason in ("draining", "quota"):
+            self._m_shed.labels(reason=reason)  # both series show at 0
+        self._m_respawns = counter(
             "repro_gateway_worker_respawns_total",
-            "Dead workers respawned by the monitor.", "counter",
-            lambda: self.telemetry.counter("worker_respawns"))
-        self.metrics.func(
+            "Dead workers respawned by the monitor.",
+        )
+        self._m_respawn_failures = counter(
+            "repro_gateway_worker_respawn_failures_total",
+            "Worker respawns whose startup failed.",
+        )
+        self._m_abandoned = counter(
             "repro_gateway_workers_abandoned_total",
-            "Worker slots abandoned after repeated deaths.", "counter",
-            lambda: self.telemetry.counter("workers_abandoned"))
+            "Worker slots abandoned after repeated deaths.",
+        )
+        self._m_rollouts = counter(
+            "repro_gateway_rollouts_completed_total",
+            "Post-promotion rolling restarts of the worker pool completed.",
+        )
 
         def worker_alive():
             with self._workers_lock:
@@ -437,16 +448,16 @@ class Gateway:
                 if self._monitor_stop.is_set():
                     return
                 if abandon:
-                    self.telemetry.count("workers_abandoned")
+                    self._m_abandoned.inc()
                     continue
-                self.telemetry.count("worker_respawns")
+                self._m_respawns.inc()
                 try:
                     self._start_worker(slot, respawns=worker.respawns)
                 except RuntimeError:
                     # Startup itself failed; the slot's dead entry is
                     # still in the table, so the next poll tick burns
                     # another respawn toward the abandonment cap.
-                    self.telemetry.count("worker_respawn_failures")
+                    self._m_respawn_failures.inc()
 
     def _terminate_workers(self, graceful: bool) -> None:
         with self._workers_lock:
@@ -487,13 +498,13 @@ class Gateway:
         t0 = time.monotonic()
         if request_id is None:
             request_id = f"gw-{os.getpid():x}-{next(self._request_seq):06x}"
-        self.telemetry.count("requests")
+        self._m_requests.inc()
         if self.draining:
-            self.telemetry.count("shed_draining")
+            self._m_shed.labels(reason="draining").inc()
             return 503, wire.error_body(
                 "busy", "gateway draining", retryable=True)[1]
         if not self._quotas.try_acquire(client_id):
-            self.telemetry.count("shed_quota")
+            self._m_shed.labels(reason="quota").inc()
             return 429, wire.error_body(
                 "busy", f"client {client_id!r} over quota",
                 retryable=True)[1]
@@ -522,7 +533,7 @@ class Gateway:
             if slot is None:
                 break
             if attempt > 0:
-                self.telemetry.count("reroutes")
+                self._m_reroutes.inc()
                 time.sleep(self.config.retry.delay_s(route_key, attempt - 1))
             try:
                 status, payload = self._forward(port, body, request_id)
@@ -538,7 +549,7 @@ class Gateway:
                 tried.add(slot)
                 last_unavailable = (status, payload)
                 continue
-            self.telemetry.count("proxied")
+            self._m_proxied.inc()
             if status == 200 and self.canary.should_sample(key):
                 self._verify_canary(key, request, payload, request_id)
             _LOG.info("proxy", extra={"repro_fields": {
@@ -551,7 +562,7 @@ class Gateway:
                 "total_s": round(time.monotonic() - t0, 6),
             }})
             return status, payload
-        self.telemetry.count("unrouted")
+        self._m_unrouted.inc()
         _LOG.info("proxy", extra={"repro_fields": {
             "request_id": request_id,
             "model": route_key,
@@ -710,8 +721,8 @@ class Gateway:
                 except RuntimeError:
                     # The monitor's respawn accounting takes over once
                     # unpaused; the slot's dead entry stays visible.
-                    self.telemetry.count("worker_respawn_failures")
-            self.telemetry.count("rollouts_completed")
+                    self._m_respawn_failures.inc()
+            self._m_rollouts.inc()
             _LOG.info("rollout_complete", extra={"repro_fields": {
                 "workers": len(self._workers)}})
         finally:
@@ -771,12 +782,19 @@ class Gateway:
         """Gateway counters plus each live worker's ``stats()`` snapshot
         (which surfaces, among others, the serving layer's ``coalesced``
         counter)."""
+        shed = self._m_shed.total
         stats = {
             "gateway": {
-                name: self.telemetry.counter(name)
-                for name in ("requests", "proxied", "reroutes",
-                             "shed_quota", "shed_draining", "unrouted",
-                             "worker_respawns", "workers_abandoned")
+                "requests": self._m_requests.total(),
+                "proxied": self._m_proxied.total(),
+                "reroutes": self._m_reroutes.total(),
+                "shed_quota": shed(reason="quota"),
+                "shed_draining": shed(reason="draining"),
+                "unrouted": self._m_unrouted.total(),
+                "worker_respawns": self._m_respawns.total(),
+                "worker_respawn_failures": self._m_respawn_failures.total(),
+                "workers_abandoned": self._m_abandoned.total(),
+                "rollouts_completed": self._m_rollouts.total(),
             },
             "clients": self._quotas.clients(),
             "revisions": self.revisions.snapshot(),

@@ -48,12 +48,14 @@ class DiscardedError(RuntimeError):
 
 
 class PipelineHooks:
-    """Observer interface for an external scheduler / telemetry sink.
+    """Observer interface for an external scheduler / metrics sink.
 
     Subclass and override what you need; the default implementation is
-    a no-op, so the pipeline costs nothing when unobserved.  The serve
-    layer (:mod:`repro.serve`) uses these to record batch occupancy and
-    batch latency without the pipeline knowing telemetry exists.
+    a no-op, so the pipeline costs nothing when unobserved.
+    :class:`repro.serve.ModelServer` uses ``on_batch`` to count each
+    model's batches and batch images and to time its forwards in the
+    server's metrics registry, without the pipeline knowing that
+    registry exists.
 
     ``on_batch`` fires once per executed model forward on the untiled
     path (it may fire from a worker thread); ``on_flush`` fires once
@@ -139,7 +141,7 @@ class InferencePipeline:
         in this repo; disable for raw residual outputs).
     hooks:
         Optional :class:`PipelineHooks` observer — the pluggable
-        scheduler/telemetry attachment point.
+        scheduler/metrics attachment point.
     """
 
     def __init__(self, model, batch_size: int = 8,

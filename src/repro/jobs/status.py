@@ -4,7 +4,7 @@
 renders one row per ``(model, shard)`` — items, done, retries,
 quarantined, and per-item latency percentiles — plus a per-model
 rollup, a run summary line, and any audit findings.  Latency comes
-from :class:`repro.serve.telemetry.LatencyHistogram`: one histogram
+from :class:`repro.serve.metrics.LatencyHistogram`: one histogram
 per shard, merged into per-model and run-wide rollups, so a journal of
 a million items still presents from a few dozen integers per row.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..serve.telemetry import LatencyHistogram
+from ..serve.metrics import LatencyHistogram
 from .journal import JournalState, audit_journal, replay_journal
 
 __all__ = ["ShardRow", "summarize", "render_status", "format_status"]

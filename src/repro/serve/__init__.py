@@ -14,15 +14,13 @@ of those artifacts into a *server* —
   budget, enforce per-model concurrency caps;
 * :mod:`repro.serve.cache`     — content-hash result cache with
   byte-size LRU eviction (repeat inputs never touch the engine);
-* :mod:`repro.serve.telemetry` — counters and log-bucketed latency
-  histograms (p50/p95/p99, batch occupancy, cache hit-rate) behind
-  ``stats()`` and a plain-text ``report()``;
-* :mod:`repro.serve.metrics`   — Prometheus-style
-  :class:`MetricsRegistry` (exposition text, cross-process merging,
-  format lint) that the server, the jobs runner and the HTTP gateway
-  publish into;
-* :mod:`repro.serve.slo`       — declared per-model latency budgets
-  with rolling p99-vs-budget burn counters (:class:`SloTracker`).
+* :mod:`repro.serve.metrics`   — the one metrics store: a
+  Prometheus-style :class:`MetricsRegistry` of counters and
+  log-bucketed latency histograms (:class:`LatencyHistogram`) that the
+  server, streams, the jobs runner and the HTTP gateway record into,
+  with exposition text, cross-process merging and a format lint.
+  ``stats()``, ``report()`` and per-model SLO burn state are computed
+  from it when read.
 
 Served outputs are bit-identical to direct ``InferencePipeline`` runs
 of the same artifact — scheduling, batching and caching are execution
@@ -31,7 +29,9 @@ of the same artifact — scheduling, batching and caching are execution
 
 from .cache import ResultCache, TileReuseCache, content_key
 from .metrics import (
+    BUCKET_BOUNDS,
     EXPOSITION_CONTENT_TYPE,
+    LatencyHistogram,
     MetricsRegistry,
     families_from_dump,
     lint_exposition,
@@ -48,8 +48,6 @@ from .server import (
     model_label,
     parse_model_key,
 )
-from .slo import SloTracker
-from .telemetry import BUCKET_BOUNDS, LatencyHistogram, Telemetry
 
 __all__ = [
     "ResultCache",
@@ -70,8 +68,6 @@ __all__ = [
     "ServerConfig",
     "model_label",
     "parse_model_key",
-    "SloTracker",
     "BUCKET_BOUNDS",
     "LatencyHistogram",
-    "Telemetry",
 ]

@@ -1,25 +1,31 @@
-"""Prometheus-style metrics: registry, exposition text, and a linter.
+"""The serving tiers' one metrics store: registry, exposition, linter.
 
-:mod:`repro.serve.telemetry` answers "what is this process doing" to a
-human (``stats()`` dicts, aligned text reports).  This module is the
-*machine* read side the ROADMAP's observability item asks for: a
-:class:`MetricsRegistry` that :class:`repro.serve.ModelServer`,
-:class:`repro.jobs.JobRunner` and the HTTP gateway publish into, and
-that renders to the Prometheus plain-text exposition format (the
-``text/plain; version=0.0.4`` dialect every scraper understands).
+:class:`MetricsRegistry` is where :class:`repro.serve.ModelServer`,
+:class:`repro.stream.StreamSession`, :class:`repro.jobs.JobRunner` and
+the HTTP gateway record every count and latency, once.  Everything
+else is a view computed from it when read: ``stats()`` and
+``report()``, the SLO state, and the Prometheus plain-text exposition
+(the ``text/plain; version=0.0.4`` dialect every scraper understands).
 
 Design notes
 ------------
 
+* **One bucket layout.**  :data:`BUCKET_BOUNDS` are geometric bounds
+  from 1 us to ~134 s; :class:`LatencyHistogram` files observations
+  into them with exact count/sum/min/max, in O(1) memory whatever the
+  traffic.  Percentiles resolve to a bucket bound clamped into the
+  observed ``[min, max]``.
 * **Four metric kinds.**  ``counter`` (monotone totals), ``gauge``
-  (point-in-time values), ``histogram`` (log-bucketed latency
-  distributions reusing :data:`repro.serve.telemetry.BUCKET_BOUNDS`,
-  rendered as cumulative ``_bucket``/``_sum``/``_count`` samples) and
-  ``summary`` (pre-computed ``quantile`` samples — the per-model
-  p50/p95/p99 series the SLO work reads).
+  (point-in-time values), ``histogram`` (one :class:`LatencyHistogram`
+  per label set, rendered as cumulative ``_bucket``/``_sum``/``_count``
+  samples) and ``summary`` (p50/p95/p99 ``quantile`` samples computed
+  from a histogram family's buckets at scrape time — a summary keeps
+  no store of its own).  ``Counter.total`` and ``Histogram.merged``
+  fold the children whose labels match into the numbers ``stats()``
+  reports.
 * **Callback families.**  :meth:`MetricsRegistry.func` registers a
   family whose samples are computed at scrape time from a callable —
-  queue depth, loaded-model count and SLO burn state are read straight
+  queue depth, loaded-model count and SLO state are read straight
   from their owners instead of being double-booked on every request.
 * **Cross-process merging.**  A gateway aggregates its workers by
   fetching each worker's :meth:`MetricsRegistry.dump` (JSON-safe),
@@ -42,15 +48,16 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .telemetry import BUCKET_BOUNDS, LatencyHistogram
-
 __all__ = [
+    "BUCKET_BOUNDS",
     "EXPOSITION_CONTENT_TYPE",
     "Counter",
     "Gauge",
     "Histogram",
+    "LatencyHistogram",
     "Summary",
     "MetricsRegistry",
     "families_from_dump",
@@ -76,6 +83,94 @@ Sample = Tuple[str, Dict[str, str], float]
 FamilySnapshot = Tuple[str, str, str, List[Sample]]
 
 
+#: Geometric bucket upper bounds (seconds): 1 us doubling up to ~134 s.
+BUCKET_BOUNDS: List[float] = [1e-6 * (2.0**i) for i in range(28)]
+
+
+class LatencyHistogram:
+    """Log-bucketed latency histogram with exact count/sum/min/max.
+
+    ``record()`` files one observation (seconds) into a geometric
+    bucket; ``percentile(p)`` walks the cumulative counts and returns
+    the upper bound of the bucket containing the p-th observation,
+    clamped to the exact observed ``[min, max]``.  Memory is O(1) in
+    the number of observations.  Not locked: histogram families guard
+    their children, and the jobs status presenter owns its copies.
+    """
+
+    __slots__ = ("counts", "count", "total", "min", "max")
+
+    def __init__(self) -> None:
+        self.counts = [0] * (len(BUCKET_BOUNDS) + 1)
+        self.count = 0
+        self.total = 0.0
+        self.min = float("inf")
+        self.max = 0.0
+
+    def record(self, seconds: float) -> None:
+        seconds = max(0.0, float(seconds))
+        self.counts[bisect_left(BUCKET_BOUNDS, seconds)] += 1
+        self.count += 1
+        self.total += seconds
+        self.min = min(self.min, seconds)
+        self.max = max(self.max, seconds)
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
+        """Fold ``other``'s observations into this histogram.
+
+        Bucket counts add elementwise (both sides share
+        :data:`BUCKET_BOUNDS`), and the exact count/sum/min/max
+        aggregates combine losslessly — merging N histograms is
+        equivalent to having recorded every observation into one.
+        Returns ``self`` so per-shard histograms reduce into per-model
+        rollups with ``functools.reduce`` (the jobs status presenter
+        does exactly this).
+        """
+        for i, n in enumerate(other.counts):
+            self.counts[i] += n
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        return self
+
+    def percentile(self, p: float) -> float:
+        """Approximate p-th percentile (p in [0, 100]) in seconds."""
+        if self.count == 0:
+            return 0.0
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {p}")
+        target = max(1, int(round(self.count * p / 100.0)))
+        seen = 0
+        for i, n in enumerate(self.counts):
+            seen += n
+            if seen >= target:
+                bound = (
+                    BUCKET_BOUNDS[i] if i < len(BUCKET_BOUNDS) else self.max
+                )
+                return min(max(bound, self.min), self.max)
+        return self.max  # pragma: no cover - unreachable
+
+    def snapshot(self) -> Dict[str, float]:
+        """Summary dict (times in milliseconds, as served dashboards do)."""
+        if self.count == 0:
+            return {"count": 0}
+        to_ms = 1e3
+        return {
+            "count": self.count,
+            "mean_ms": self.mean * to_ms,
+            "p50_ms": self.percentile(50) * to_ms,
+            "p95_ms": self.percentile(95) * to_ms,
+            "p99_ms": self.percentile(99) * to_ms,
+            "min_ms": self.min * to_ms,
+            "max_ms": self.max * to_ms,
+        }
+
+
 def _format_value(value: float) -> str:
     """Render a sample value the way Prometheus clients do."""
     value = float(value)
@@ -89,8 +184,8 @@ def _format_value(value: float) -> str:
 
 
 def _format_bound(bound: float) -> str:
-    """Canonical ``le=`` rendering of a bucket upper bound."""
-    return format(bound, "g")
+    """Exact ``le=`` / ``quantile=`` rendering: parses back to ``bound``."""
+    return repr(float(bound))
 
 
 def _escape_label_value(value: str) -> str:
@@ -128,7 +223,7 @@ class _CounterChild:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = 0.0
+        self._value = 0
 
     def inc(self, n: float = 1) -> None:
         if n < 0:
@@ -167,9 +262,7 @@ class _GaugeChild:
 
 
 class _HistogramChild:
-    """One labeled histogram/summary series over a
-    :class:`~repro.serve.telemetry.LatencyHistogram` (same buckets, so
-    telemetry percentiles and scraped histograms always agree)."""
+    """One labeled histogram series over a :class:`LatencyHistogram`."""
 
     __slots__ = ("_lock", "hist")
 
@@ -194,7 +287,8 @@ class Family:
     ``labels(**labels)`` resolves (creating on first use) the child for
     one label-value combination; the no-label convenience methods on
     the concrete kinds (``inc`` / ``set`` / ``observe``) address the
-    single unlabeled child.
+    single unlabeled child, which exists (at 0) from registration so
+    the series shows before its first event.
     """
 
     kind = "untyped"
@@ -208,6 +302,8 @@ class Family:
         self.labelnames = _check_labelnames(labelnames)
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], object] = {}
+        if not self.labelnames and self._child_type is not None:
+            self._children[()] = self._child_type()
 
     def labels(self, **labels: str):
         if set(labels) != set(self.labelnames):
@@ -222,11 +318,28 @@ class Family:
                 child = self._children[key] = self._child_type()
             return child
 
-    def _items(self) -> List[Tuple[Dict[str, str], object]]:
+    def items(self) -> List[Tuple[Dict[str, str], object]]:
+        """``(labels, child)`` for every child, snapshotted."""
         with self._lock:
             return [
                 (dict(zip(self.labelnames, key)), child)
                 for key, child in self._children.items()
+            ]
+
+    def _matching(self, match: Dict[str, str]) -> List[object]:
+        """Children whose labels include every ``match`` pair."""
+        unknown = set(match) - set(self.labelnames)
+        if unknown:
+            raise ValueError(f"{self.name} has no labels {sorted(unknown)}")
+        wanted = [
+            (self.labelnames.index(name), str(value))
+            for name, value in match.items()
+        ]
+        with self._lock:
+            return [
+                child
+                for key, child in self._children.items()
+                if all(key[i] == value for i, value in wanted)
             ]
 
     def collect(self) -> List[Sample]:
@@ -240,10 +353,14 @@ class Counter(Family):
     def inc(self, n: float = 1) -> None:
         self.labels().inc(n)
 
+    def total(self, **match: str) -> float:
+        """Sum of the children whose labels include ``match``."""
+        return sum(child.value for child in self._matching(match))
+
     def collect(self) -> List[Sample]:
         return [
             (self.name, labels, child.value)
-            for labels, child in self._items()
+            for labels, child in self.items()
         ]
 
 
@@ -257,7 +374,7 @@ class Gauge(Family):
     def collect(self) -> List[Sample]:
         return [
             (self.name, labels, child.value)
-            for labels, child in self._items()
+            for labels, child in self.items()
         ]
 
 
@@ -270,9 +387,17 @@ class Histogram(Family):
     def observe(self, seconds: float) -> None:
         self.labels().observe(seconds)
 
+    def merged(self, **match: str) -> LatencyHistogram:
+        """One histogram folding the children whose labels include
+        ``match`` (lossless: see :meth:`LatencyHistogram.merge`)."""
+        merged = LatencyHistogram()
+        for child in self._matching(match):
+            merged.merge(child.snapshot())
+        return merged
+
     def collect(self) -> List[Sample]:
         samples: List[Sample] = []
-        for labels, child in self._items():
+        for labels, child in self.items():
             hist = child.snapshot()
             acc = 0
             for bound, count in zip(BUCKET_BOUNDS, hist.counts):
@@ -293,17 +418,25 @@ class Histogram(Family):
 
 
 class Summary(Family):
-    """Quantile summary family — the per-model p50/p95/p99 series."""
+    """p50/p95/p99 quantiles of a :class:`Histogram` family, per child.
+
+    Computed from the histogram's buckets at scrape time (so to bucket
+    resolution); a summary keeps no store of its own and is never
+    written to.
+    """
 
     kind = "summary"
-    _child_type = _HistogramChild
 
-    def observe(self, seconds: float) -> None:
-        self.labels().observe(seconds)
+    def __init__(self, name: str, help: str, of: Histogram) -> None:
+        super().__init__(name, help, of.labelnames)
+        self.of = of
+
+    def labels(self, **labels):
+        raise TypeError(f"{self.name} is computed from {self.of.name}")
 
     def collect(self) -> List[Sample]:
         samples: List[Sample] = []
-        for labels, child in self._items():
+        for labels, child in self.of.items():
             hist = child.snapshot()
             for quantile in SUMMARY_QUANTILES:
                 samples.append(
@@ -356,8 +489,9 @@ class MetricsRegistry:
     """The process-local set of metric families behind ``/metrics``.
 
     ``counter`` / ``gauge`` / ``histogram`` / ``summary`` register (or
-    return the already-registered, identically-shaped) family;
-    ``func`` registers a scrape-time callback family.  ``render()``
+    return the already-registered, identically-shaped) family — a
+    summary is a view ``of`` a histogram family; ``func`` registers a
+    scrape-time callback family.  ``render()``
     produces the exposition text; ``dump()`` a JSON-safe snapshot a
     front door can merge across processes.
     """
@@ -398,10 +532,8 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._register(Histogram(name, help, labelnames))
 
-    def summary(
-        self, name: str, help: str, labelnames: Iterable[str] = ()
-    ) -> Summary:
-        return self._register(Summary(name, help, labelnames))
+    def summary(self, name: str, help: str, *, of: Histogram) -> Summary:
+        return self._register(Summary(name, help, of))
 
     def func(
         self, name: str, help: str, kind: str, fn: Callable

@@ -25,9 +25,11 @@ story (and the ROADMAP's heavy-traffic north star) assumes:
   :class:`ServerBusy` value instead of queueing unboundedly or raising
   across threads.  A per-model in-flight cap keeps one hot model from
   monopolizing the executor.
-* **Telemetry.**  Every decision is counted and timed
-  (:mod:`repro.serve.telemetry`): ``server.stats()`` is the
-  machine-readable snapshot, ``server.report()`` the log block.
+* **Metrics.**  Every decision is counted and timed once, into the
+  server's :class:`~repro.serve.metrics.MetricsRegistry`
+  (``server.metrics``, what ``/metrics`` renders).  ``server.stats()``
+  (the machine-readable snapshot), ``server.report()`` (the log block)
+  and the per-model SLO state are computed from it when read.
 
 Determinism: a served output is bit-identical to running the same
 image through ``InferencePipeline`` on the same artifact directly —
@@ -64,8 +66,6 @@ from ..infer.pipeline import InferencePipeline, PipelineHooks
 from .cache import ResultCache, content_key
 from .metrics import MetricsRegistry
 from .scheduler import MicroBatchScheduler, QueuedRequest
-from .slo import SloTracker
-from .telemetry import Telemetry
 
 __all__ = [
     "ModelKey",
@@ -90,8 +90,7 @@ _LOG = logging.getLogger("repro.serve")
 def model_label(key: ModelKey) -> str:
     """Canonical ``"architecture/scheme/xN"`` rendering of a zoo key —
     the ``model=`` label value on every serve-layer metric series and
-    the key :class:`~repro.serve.slo.SloTracker` budgets are declared
-    under."""
+    the key ``ServerConfig.slo_budgets`` are declared under."""
     architecture, scheme, scale = key
     return f"{architecture}/{scheme}/x{scale}"
 
@@ -230,14 +229,16 @@ class ServerConfig:
         queues before shedding what remains as typed
         ``ServerBusy("server closed")``.  ``None`` (the default)
         drains without a bound, as before.
-    slo_default_budget_s / slo_budgets / slo_window:
-        Per-model SLO declaration (:class:`repro.serve.slo.SloTracker`):
-        every served request's end-to-end latency is judged against the
-        budget for its model — ``slo_budgets`` maps
-        ``"architecture/scheme/xN"`` labels to budget seconds, with
-        ``slo_default_budget_s`` covering undeclared models — and the
-        rolling window-p99 burn counters land in ``stats()["slo"]`` and
-        the ``repro_serve_slo_*`` metric series.
+    slo_default_budget_s / slo_budgets:
+        Per-model latency SLO: every served request's end-to-end
+        latency is judged against its model's budget — ``slo_budgets``
+        maps ``"architecture/scheme/xN"`` labels to budget seconds, with
+        ``slo_default_budget_s`` covering undeclared models.  A request
+        over budget counts in ``repro_serve_slo_breaches_total``; the
+        p99-vs-budget state in ``stats()["slo"]`` and the
+        ``repro_serve_slo_*`` gauges is read from the model's request
+        latency histogram (lifetime, to bucket resolution — a scraper
+        gets a windowed p99 from ``rate()`` over its buckets).
     """
 
     latency_budget_s: float = 0.02
@@ -254,7 +255,6 @@ class ServerConfig:
     drain_timeout_s: Optional[float] = None
     slo_default_budget_s: float = 0.5
     slo_budgets: Optional[Dict[str, float]] = None
-    slo_window: int = 128
 
     def __post_init__(self) -> None:
         if self.latency_budget_s < 0:
@@ -271,18 +271,29 @@ class ServerConfig:
             raise ValueError("max_queue_depth must be >= 1")
         if self.drain_timeout_s is not None and self.drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be >= 0")
+        if self.slo_default_budget_s <= 0:
+            raise ValueError("slo_default_budget_s must be positive")
+        for label, budget in (self.slo_budgets or {}).items():
+            if budget <= 0:
+                raise ValueError(f"slo budget for {label!r} must be positive")
 
 
-class _TelemetryHooks(PipelineHooks):
-    """Bridge pipeline batch events into the server's telemetry."""
+def _ratio(num: float, den: float) -> Optional[float]:
+    return num / den if den else None
 
-    def __init__(self, telemetry: Telemetry) -> None:
-        self.telemetry = telemetry
+
+class _BatchMetrics(PipelineHooks):
+    """Bridge one model's pipeline batch events into the registry."""
+
+    def __init__(self, server: "ModelServer", label: str) -> None:
+        self.batches = server._m_batches.labels(model=label)
+        self.images = server._m_batch_images.labels(model=label)
+        self.latency = server._m_batch_latency.labels(model=label)
 
     def on_batch(self, n_images: int, seconds: float) -> None:
-        self.telemetry.count("batches")
-        self.telemetry.count("batch_images", n_images)
-        self.telemetry.observe("batch_seconds", seconds)
+        self.batches.inc()
+        self.images.inc(n_images)
+        self.latency.observe(seconds)
 
 
 @dataclass
@@ -315,13 +326,11 @@ class ModelServer:
     ) -> None:
         self.config = config if config is not None else ServerConfig()
         self._clock = clock
-        self.telemetry = Telemetry(batch_capacity=self.config.max_batch)
         self.metrics = MetricsRegistry()
-        self.slo = SloTracker(
-            default_budget_s=self.config.slo_default_budget_s,
-            budgets=self.config.slo_budgets,
-            window=self.config.slo_window,
-        )
+        self._slo_budgets = {
+            str(label): float(budget)
+            for label, budget in (self.config.slo_budgets or {}).items()
+        }
         self._request_seq = itertools.count()
         self.cache = ResultCache(self.config.cache_bytes)
         self._scheduler = MicroBatchScheduler(
@@ -374,22 +383,23 @@ class ModelServer:
     def _init_metrics(self) -> None:
         """Register the ``repro_serve_*`` families on ``self.metrics``.
 
-        Request-path families are incremented inline; point-in-time
-        state (queue depth, loaded models) and the totals telemetry
-        already counts are published as scrape-time callbacks so the
-        hot path never double-books them.  The SLO families read the
-        tracker's snapshot the same way.
+        Each event is recorded once, inline, into one of these
+        families; ``stats()``, ``report()`` and the SLO gauges are
+        computed from them when read.  Point-in-time state (queue
+        depth, loaded models, cache evictions) is published as
+        scrape-time callbacks read from its owner.
         """
         metrics = self.metrics
+        by_model = ("model",)
         self._m_requests = metrics.counter(
             "repro_serve_requests_total",
             "Requests admitted to the serving layer.",
-            ("model",),
+            by_model,
         )
         self._m_responses = metrics.counter(
             "repro_serve_responses_total",
             "Requests resolved with an output array.",
-            ("model",),
+            by_model,
         )
         self._m_shed = metrics.counter(
             "repro_serve_shed_total",
@@ -399,7 +409,7 @@ class ModelServer:
         self._m_errors = metrics.counter(
             "repro_serve_errors_total",
             "Requests resolved with a typed ServeError.",
-            ("model",),
+            by_model,
         )
         self._m_cache = metrics.counter(
             "repro_serve_cache_total",
@@ -409,17 +419,48 @@ class ModelServer:
         self._m_coalesced = metrics.counter(
             "repro_serve_coalesced_total",
             "Requests that rode along on an identical in-flight one.",
-            ("model",),
+            by_model,
         )
         self._m_latency = metrics.histogram(
             "repro_serve_request_latency_seconds",
             "End-to-end request latency (admission to resolution).",
-            ("model",),
+            by_model,
         )
-        self._m_model_latency = metrics.summary(
+        metrics.summary(
             "repro_serve_model_latency_seconds",
             "Per-model request latency quantiles (p50/p95/p99).",
-            ("model",),
+            of=self._m_latency,
+        )
+        self._m_flushes = metrics.counter(
+            "repro_serve_flushes_total",
+            "Micro-batch flushes dispatched, by reason "
+            "(full/deadline/drain).",
+            ("model", "reason"),
+        )
+        self._m_batches = metrics.counter(
+            "repro_serve_batches_total",
+            "Model forwards run by the inference pipelines.",
+            by_model,
+        )
+        self._m_batch_images = metrics.counter(
+            "repro_serve_batch_images_total",
+            "Images run through model forwards.",
+            by_model,
+        )
+        self._m_batch_latency = metrics.histogram(
+            "repro_serve_batch_latency_seconds",
+            "Model forward latency per micro-batch.",
+            by_model,
+        )
+        self._m_loads = metrics.counter(
+            "repro_serve_model_loads_total", "Lazy model loads performed."
+        )
+        self._m_load_latency = metrics.histogram(
+            "repro_serve_model_load_seconds", "Lazy model load latency."
+        )
+        self._m_evictions = metrics.counter(
+            "repro_serve_model_evictions_total",
+            "Models evicted by the LRU bound.",
         )
         metrics.func(
             "repro_serve_queue_depth",
@@ -446,18 +487,6 @@ class ModelServer:
             lambda: len(self._catalog),
         )
         metrics.func(
-            "repro_serve_model_loads_total",
-            "Lazy model loads performed.",
-            "counter",
-            lambda: self.telemetry.counter("model_loads"),
-        )
-        metrics.func(
-            "repro_serve_model_evictions_total",
-            "Models evicted by the LRU bound.",
-            "counter",
-            lambda: self.telemetry.counter("model_evictions"),
-        )
-        metrics.func(
             "repro_serve_cache_evictions_total",
             "Result-cache entries evicted by the byte budget.",
             "counter",
@@ -467,8 +496,8 @@ class ModelServer:
         def _slo_series(field):
             def produce():
                 return [
-                    ({"model": key}, values[field])
-                    for key, values in sorted(self.slo.snapshot().items())
+                    ({"model": label}, values[field])
+                    for label, values in self._slo_state().items()
                 ]
 
             return produce
@@ -481,28 +510,46 @@ class ModelServer:
         )
         metrics.func(
             "repro_serve_slo_p99_seconds",
-            "Rolling-window p99 latency per model.",
+            "Lifetime p99 request latency per model (bucket resolution).",
             "gauge",
             _slo_series("p99_s"),
         )
         metrics.func(
             "repro_serve_slo_burn_ratio",
-            "Rolling p99 divided by the declared budget (>1 = burning).",
+            "Lifetime p99 divided by the declared budget (>1 = burning).",
             "gauge",
             _slo_series("burn_ratio"),
         )
-        metrics.func(
+        self._m_breaches = metrics.counter(
             "repro_serve_slo_breaches_total",
             "Individual requests that exceeded their model's budget.",
-            "counter",
-            _slo_series("breaches"),
+            by_model,
         )
-        metrics.func(
-            "repro_serve_slo_burn_total",
-            "Observations filed while the rolling p99 was over budget.",
-            "counter",
-            _slo_series("burn"),
-        )
+        for key in self._catalog:
+            # At 0 from the start, so breaches/responses rates exist.
+            self._m_breaches.labels(model=model_label(key))
+
+    def _slo_budget(self, label: str) -> float:
+        return self._slo_budgets.get(label, self.config.slo_default_budget_s)
+
+    def _slo_state(self) -> Dict[str, Dict]:
+        """Per-model SLO state: p99 from the model's request latency
+        histogram child, breaches from its exact counter."""
+        state = {}
+        for labels, child in self._m_latency.items():
+            label = labels["model"]
+            hist = child.snapshot()
+            budget = self._slo_budget(label)
+            p99 = hist.percentile(99.0)
+            state[label] = {
+                "budget_s": budget,
+                "p99_s": p99,
+                "burn_ratio": p99 / budget,
+                "burning": p99 > budget,
+                "breaches": self._m_breaches.total(model=label),
+                "observed": hist.count,
+            }
+        return dict(sorted(state.items()))
 
     def _request_id(self) -> str:
         """Process-unique correlation id: ``"<pid hex>-<seq hex>"``."""
@@ -563,10 +610,10 @@ class ModelServer:
                     batch_size=self.config.max_batch,
                     n_threads=self.config.n_threads,
                     clip=self.config.clip,
-                    hooks=_TelemetryHooks(self.telemetry),
+                    hooks=_BatchMetrics(self, model_label(key)),
                 )
-            self.telemetry.count("model_loads")
-            self.telemetry.observe("load_seconds", time.monotonic() - t0)
+            self._m_loads.inc()
+            self._m_load_latency.observe(time.monotonic() - t0)
             loaded = _LoadedModel(
                 info=info, entry=self._coverage[key], pipeline=pipeline
             )
@@ -592,7 +639,7 @@ class ModelServer:
                 if self._scheduler.pending(candidate):
                     continue
                 self._models.pop(candidate).pipeline.close()
-                self.telemetry.count("model_evictions")
+                self._m_evictions.inc()
                 break
             else:
                 return  # everything is busy: transiently over the bound
@@ -601,11 +648,10 @@ class ModelServer:
 
     def _shed(
         self, key: ModelKey, reason: str, depth: int, request_id: str
-    ) -> ServeFuture:
-        """Refuse one request with a typed :class:`ServerBusy` value,
-        counting and logging the admission decision."""
+    ) -> ServerBusy:
+        """The typed :class:`ServerBusy` refusal of one request, with
+        the admission decision counted and logged."""
         label = model_label(key)
-        self.telemetry.count("shed")
         self._m_shed.labels(model=label, reason=reason).inc()
         _LOG.info(
             "request",
@@ -619,9 +665,15 @@ class ModelServer:
                 }
             },
         )
-        return ServeFuture.resolved(
-            ServerBusy(model=key, reason=reason, queue_depth=depth)
-        )
+        return ServerBusy(model=key, reason=reason, queue_depth=depth)
+
+    def _record_response(self, label: str, seconds: float) -> None:
+        """Count one served response and its latency, plus a breach
+        when it ran over its model's SLO budget."""
+        self._m_responses.labels(model=label).inc()
+        self._m_latency.labels(model=label).observe(seconds)
+        if seconds > self._slo_budget(label):
+            self._m_breaches.labels(model=label).inc()
 
     def submit(
         self,
@@ -654,25 +706,20 @@ class ModelServer:
             # Fast path: a server known to be closed refuses without
             # taking any lock.  (The authoritative check happens again
             # under the wake lock below — this one is advisory.)
-            return self._shed(
-                key, "server closed", self._scheduler.depth(), request_id
+            return ServeFuture.resolved(
+                self._shed(
+                    key, "server closed", self._scheduler.depth(), request_id
+                )
             )
         t0 = self._clock()
-        self.telemetry.count("requests")
         self._m_requests.labels(model=label).inc()
         cache_key = content_key(key, image)
         if self.config.cache_bytes:
             cached = self.cache.get(cache_key)
             if cached is not None:
                 elapsed = self._clock() - t0
-                self.telemetry.count("cache_hits")
-                self.telemetry.count("responses")
-                self.telemetry.observe("request_latency", elapsed)
                 self._m_cache.labels(model=label, outcome="hit").inc()
-                self._m_responses.labels(model=label).inc()
-                self._m_latency.labels(model=label).observe(elapsed)
-                self._m_model_latency.labels(model=label).observe(elapsed)
-                self.slo.observe(label, elapsed)
+                self._record_response(label, elapsed)
                 _LOG.info(
                     "request",
                     extra={
@@ -686,7 +733,6 @@ class ModelServer:
                     },
                 )
                 return ServeFuture.resolved(cached)
-            self.telemetry.count("cache_misses")
             self._m_cache.labels(model=label, outcome="miss").inc()
         budget = (
             self.config.latency_budget_s if deadline_s is None else deadline_s
@@ -709,8 +755,13 @@ class ModelServer:
         # after the sweep — a future nothing would ever resolve.
         with self._wake:
             if self._stopped:
-                return self._shed(
-                    key, "server closed", self._scheduler.depth(), request_id
+                return ServeFuture.resolved(
+                    self._shed(
+                        key,
+                        "server closed",
+                        self._scheduler.depth(),
+                        request_id,
+                    )
                 )
             with self._inflight_lock:
                 existing = self._inflight_by_key.get(cache_key)
@@ -720,7 +771,6 @@ class ModelServer:
                     # a twin.  The rider keeps its own enqueue time so
                     # its latency is measured from *its* arrival.
                     existing.extra_futures.append((future, t0, request_id))
-                    self.telemetry.count("coalesced")
                     self._m_coalesced.labels(model=label).inc()
                     return future
                 depth = self._scheduler.enqueue(
@@ -729,11 +779,13 @@ class ModelServer:
                 if depth >= 0:
                     self._inflight_by_key[cache_key] = request
             if depth < 0:
-                return self._shed(
-                    key,
-                    "queue full",
-                    self.config.max_queue_depth,
-                    request_id,
+                return ServeFuture.resolved(
+                    self._shed(
+                        key,
+                        "queue full",
+                        self.config.max_queue_depth,
+                        request_id,
+                    )
                 )
             self._wake.notify_all()
         return future
@@ -773,7 +825,7 @@ class ModelServer:
             taken, reason = self._scheduler.take(key, now)
             if not taken:
                 continue  # another poll got here first; nothing in flight
-            self.telemetry.count(f"flush_{reason}")
+            self._m_flushes.labels(model=model_label(key), reason=reason).inc()
             if self.config.background:
                 submit_task(self._run_flush, key, taken)
             else:
@@ -822,12 +874,7 @@ class ModelServer:
             # the primary's (earlier) enqueue time to every rider would
             # inflate the request_latency histogram under coalescing.
             total = max(0.0, done - enqueued_at)
-            self.telemetry.observe("request_latency", total)
-            self.telemetry.count("responses")
-            self._m_responses.labels(model=label).inc()
-            self._m_latency.labels(model=label).observe(total)
-            self._m_model_latency.labels(model=label).observe(total)
-            self.slo.observe(label, total)
+            self._record_response(label, total)
             fields = {
                 "request_id": request_id,
                 "model": label,
@@ -849,7 +896,6 @@ class ModelServer:
         """Resolve ``req`` and its riders with a typed error."""
         label = model_label(req.model_key)
         for future, _, request_id in self._settle(req):
-            self.telemetry.count("errors")
             self._m_errors.labels(model=label).inc()
             _LOG.info(
                 "request",
@@ -934,32 +980,88 @@ class ModelServer:
     # -- observability / lifecycle -----------------------------------------
 
     def stats(self) -> Dict:
-        """Machine-readable snapshot: telemetry + cache + registry + SLO."""
-        stats = self.telemetry.stats()
-        stats["cache"] = self.cache.stats()
-        stats["slo"] = self.slo.snapshot()
-        stats["server"] = {
-            "available_models": len(self._catalog),
-            "loaded_models": len(self.loaded_models()),
-            "queue_depth": self._scheduler.depth(),
-            "inflight": self._scheduler.inflight(),
-            "skipped_artifacts": len(self.skipped),
-            # Surfaced for front doors (the HTTP gateway reports it):
-            # how many requests rode along on an identical in-flight
-            # computation instead of occupying queue depth.
-            "coalesced": self.telemetry.counter("coalesced"),
+        """Machine-readable snapshot, computed from ``self.metrics``.
+
+        ``counters`` are family totals summed over labels; ``latency``
+        folds each histogram's children into one
+        (:meth:`~repro.serve.metrics.LatencyHistogram.snapshot` fields);
+        ``derived`` rates are ``None`` until their inputs exist:
+        ``cache_hit_rate = cache_hits / (cache_hits + cache_misses)``,
+        ``shed_rate = shed / requests`` and ``batch_occupancy =
+        batch_images / (batches * max_batch)``.  ``slo`` maps each
+        served model to its budget, p99, burn state and breaches.
+        """
+        counters = {
+            "requests": self._m_requests.total(),
+            "responses": self._m_responses.total(),
+            "shed": self._m_shed.total(),
+            "errors": self._m_errors.total(),
+            "coalesced": self._m_coalesced.total(),
+            "cache_hits": self._m_cache.total(outcome="hit"),
+            "cache_misses": self._m_cache.total(outcome="miss"),
+            "model_loads": self._m_loads.total(),
+            "model_evictions": self._m_evictions.total(),
+            "batches": self._m_batches.total(),
+            "batch_images": self._m_batch_images.total(),
         }
-        return stats
+        for reason in ("full", "deadline", "drain"):
+            counters[f"flush_{reason}"] = self._m_flushes.total(reason=reason)
+        hits, misses = counters["cache_hits"], counters["cache_misses"]
+        return {
+            "counters": counters,
+            "latency": {
+                "request_latency": self._m_latency.merged().snapshot(),
+                "batch_seconds": self._m_batch_latency.merged().snapshot(),
+                "load_seconds": self._m_load_latency.merged().snapshot(),
+            },
+            "derived": {
+                "cache_hit_rate": _ratio(hits, hits + misses),
+                "shed_rate": _ratio(counters["shed"], counters["requests"]),
+                "batch_occupancy": _ratio(
+                    counters["batch_images"],
+                    counters["batches"] * self.config.max_batch,
+                ),
+            },
+            "cache": self.cache.stats(),
+            "slo": self._slo_state(),
+            "server": {
+                "available_models": len(self._catalog),
+                "loaded_models": len(self.loaded_models()),
+                "queue_depth": self._scheduler.depth(),
+                "inflight": self._scheduler.inflight(),
+                "skipped_artifacts": len(self.skipped),
+                # Surfaced for front doors (the HTTP gateway reports
+                # it): how many requests rode along on an identical
+                # in-flight computation instead of occupying queue
+                # depth.
+                "coalesced": counters["coalesced"],
+            },
+        }
 
     def report(self) -> str:
-        """Plain-text operational report (telemetry + registry lines)."""
+        """Plain-text operational report, rendered from :meth:`stats`."""
         stats = self.stats()
-        lines = [self.telemetry.report(), "  cache:"]
+        lines = ["serve telemetry", "  counters:"]
+        for name, value in sorted(stats["counters"].items()):
+            lines.append(f"    {name:<18} {value}")
+        lines.append("  latency (ms):")
+        for name, snap in sorted(stats["latency"].items()):
+            if snap["count"]:
+                lines.append(
+                    f"    {name:<18} n={snap['count']:<7} "
+                    f"p50={snap['p50_ms']:.3f} p95={snap['p95_ms']:.3f} "
+                    f"p99={snap['p99_ms']:.3f} max={snap['max_ms']:.3f}"
+                )
+        lines.append("  derived:")
+        for name, value in sorted(stats["derived"].items()):
+            rendered = "n/a" if value is None else f"{value:.3f}"
+            lines.append(f"    {name:<18} {rendered}")
+        lines.append("  cache:")
         for name in ("entries", "current_bytes", "max_bytes", "evictions"):
             lines.append(f"    {name:<18} {stats['cache'][name]}")
         lines.append("  server:")
-        for name in sorted(stats["server"]):
-            lines.append(f"    {name:<18} {stats['server'][name]}")
+        for name, value in sorted(stats["server"].items()):
+            lines.append(f"    {name:<18} {value}")
         loaded = set(self.loaded_models())
         lines.append("  models:")
         for key in self.available_models:
@@ -1015,15 +1117,10 @@ class ModelServer:
         # Past the deadline (or an undrained close): shed everything
         # still queued with a typed refusal instead of stranding it.
         for req in self._scheduler.drain_queued():
-            for future, _, _ in self._settle(req):
-                self.telemetry.count("shed")
-                self._m_shed.labels(
-                    model=model_label(req.model_key),
-                    reason="server closed",
-                ).inc()
-                future._resolve(ServerBusy(
-                    model=req.model_key, reason="server closed",
-                    queue_depth=0))
+            for future, _, request_id in self._settle(req):
+                future._resolve(
+                    self._shed(req.model_key, "server closed", 0, request_id)
+                )
         if drain:
             # In-flight flushes resolve their own futures; give them a
             # bounded window to finish so close() returning means every

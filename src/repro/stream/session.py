@@ -45,7 +45,6 @@ from ..infer.tiling import TilePlan, TileStitcher, plan_tiles, tile_view
 from ..serve.cache import TileReuseCache
 from ..serve.metrics import MetricsRegistry
 from ..serve.server import model_label, parse_model_key
-from ..serve.telemetry import LatencyHistogram
 from .deadline import BEST_EFFORT, POLICIES, DeadlinePolicy
 from .delta import plan_frame_delta
 from .results import FrameResult, StreamError
@@ -164,7 +163,10 @@ class StreamSession:
         backend server's own registry so stream series appear on the
         existing ``/metrics`` surfaces.  Re-registration of the same
         families by concurrent streams is safe (label ``stream``
-        disambiguates).
+        disambiguates).  ``stats()`` reads this stream's children of
+        those families, so sessions that reuse one ``stream_id`` on
+        one registry share (merge) both their ``/metrics`` series and
+        their ``stats()`` counts and latency.
 
     Frames must not be mutated by the caller until their ticket
     resolves (same no-copy admission contract as the pipeline).
@@ -207,13 +209,6 @@ class StreamSession:
         self._last_seq: Optional[int] = None
         self._closed = False
         self._drain_on_close = True
-        self.latency = LatencyHistogram()
-        self.counts = {
-            "frames_in": 0,
-            "frames_ok": 0,
-            "frames_dropped": 0,
-            "frames_error": 0,
-        }
         # server.poll(force=True) skips the batch window for a frame's
         # freshly queued tiles; resolved lazily so bare fakes work.
         self._kick = self._find_kick(backend)
@@ -280,7 +275,6 @@ class StreamSession:
                 )
             )
             self._last_seq = seq
-            self.counts["frames_in"] += 1
             self._m_in.labels(stream=self.stream_id).inc()
             self._lock.notify_all()
         return ticket
@@ -326,20 +320,26 @@ class StreamSession:
             return len(self._frames)
 
     def stats(self) -> Dict:
-        """Snapshot of this stream's counters, reuse and latency."""
+        """Snapshot of this stream's counters, reuse and latency, read
+        from its children of the registry's stream families."""
+        sid = self.stream_id
         with self._lock:
-            counts = dict(self.counts)
-            counts["pending"] = len(self._frames)
-        out = counts["frames_ok"] + counts["frames_dropped"]
-        out += counts["frames_error"]
-        counts["frames_out"] = out
+            counts = {
+                "frames_in": self._m_in.total(stream=sid),
+                "pending": len(self._frames),
+            }
+        for outcome in ("ok", "dropped", "error"):
+            counts[f"frames_{outcome}"] = self._m_out.total(
+                stream=sid, outcome=outcome
+            )
+        counts["frames_out"] = self._m_out.total(stream=sid)
         return {
             "stream": self.stream_id,
             "model": model_label(self.model),
             "policy": self.config.policy,
             "frames": counts,
             "tiles": self.tile_cache.stats(),
-            "latency": self.latency.snapshot(),
+            "latency": self._m_latency.merged(stream=sid).snapshot(),
         }
 
     # -- internals -----------------------------------------------------
@@ -394,10 +394,10 @@ class StreamSession:
             "Frame end-to-end latency, admission to ordered delivery.",
             ("stream",),
         )
-        self._m_quantiles = metrics.summary(
+        metrics.summary(
             "repro_stream_frame_quantile_seconds",
             "Frame latency quantiles (p50/p95/p99) per stream.",
-            ("stream",),
+            of=self._m_latency,
         )
 
     def _collect_loop(self) -> None:
@@ -568,10 +568,7 @@ class StreamSession:
         total = len(plan.tiles)
         reused = len(delta.reused)
         self.tile_cache.record_frame(reused, total - reused)
-        with self._lock:
-            self.counts["frames_ok"] += 1
         elapsed = max(0.0, done - frame.arrival)
-        self.latency.record(elapsed)
         sid = self.stream_id
         self._m_out.labels(stream=sid, outcome="ok").inc()
         self._m_tiles.labels(stream=sid, outcome="reused").inc(reused)
@@ -580,7 +577,6 @@ class StreamSession:
         )
         self._m_reuse.labels(stream=sid).set(self.tile_cache.reuse_ratio)
         self._m_latency.labels(stream=sid).observe(elapsed)
-        self._m_quantiles.labels(stream=sid).observe(elapsed)
         self._log_frame(frame, "ok", elapsed, late, total, reused)
         frame.ticket._resolve(
             FrameResult(
@@ -602,10 +598,7 @@ class StreamSession:
         tiles_reused: int = 0,
     ) -> None:
         late = self._policy.lateness(frame.deadline, now)
-        with self._lock:
-            self.counts["frames_dropped"] += 1
-        sid = self.stream_id
-        self._m_out.labels(stream=sid, outcome="dropped").inc()
+        self._m_out.labels(stream=self.stream_id, outcome="dropped").inc()
         self._log_frame(
             frame, "dropped", max(0.0, now - frame.arrival), late,
             tiles_total, tiles_reused, detail,
@@ -624,8 +617,6 @@ class StreamSession:
     def _finish_error(self, frame, detail: str) -> None:
         now = self._clock()
         late = self._policy.lateness(frame.deadline, now)
-        with self._lock:
-            self.counts["frames_error"] += 1
         self._m_out.labels(stream=self.stream_id, outcome="error").inc()
         self._log_frame(
             frame, "error", max(0.0, now - frame.arrival), late, 0, 0,

@@ -95,6 +95,7 @@ class TestCleanCandidatePromotes:
             stats = gw.stats()
             assert stats["revisions"][LABEL]["active"] == 2
             assert stats["workers"]  # pool is back
+            assert stats["gateway"]["rollouts_completed"] == 1
 
     def test_metrics_count_the_promotion(self, canary_zoo):
         _write_revision(canary_zoo / "rev1.npz", canary_zoo / "rev2.npz",

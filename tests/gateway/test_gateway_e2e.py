@@ -142,7 +142,7 @@ class TestAdmission:
             assert statuses[:2] == [200, 200]
             assert statuses[2] == 429
             assert polite.infer(img, MODEL_A).http_status == 200
-            assert gw.telemetry.counter("shed_quota") == 1
+            assert gw.stats()["gateway"]["shed_quota"] == 1
 
     def test_draining_front_door_sheds_new_work_with_503(self, gateway):
         gateway.draining = True
@@ -196,7 +196,7 @@ class TestWorkerDeath:
                 time.sleep(0.2)
             else:
                 pytest.fail(f"worker {victim} was never respawned")
-            assert gw.telemetry.counter("worker_respawns") >= 1
+            assert gw.stats()["gateway"]["worker_respawns"] >= 1
 
 
 class TestSigtermDrain:

@@ -69,7 +69,6 @@ class TestScrape:
         _, _, text = scraped
         for family in ("repro_serve_slo_budget_seconds",
                        "repro_serve_slo_p99_seconds",
-                       "repro_serve_slo_burn_total",
                        "repro_serve_slo_breaches_total"):
             assert f"# TYPE {family}" in text
         assert f'repro_serve_slo_p99_seconds{{model="{MODEL_A}"' in text

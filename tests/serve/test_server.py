@@ -7,6 +7,8 @@ and thread count are execution-strategy details only.
 """
 
 import itertools
+import logging
+import re
 import threading
 import time
 
@@ -23,11 +25,13 @@ from repro.serve import (
     ServeError,
     ServerBusy,
     ServerConfig,
+    lint_exposition,
     parse_model_key,
 )
 
 KEY_A = ("srresnet", "scales", 2)
 KEY_B = ("edsr", "e2fif", 2)
+LABEL_A, LABEL_B = "srresnet/scales/x2", "edsr/e2fif/x2"
 SHAPES = ((12, 12, 3), (10, 14, 3))
 
 
@@ -155,8 +159,8 @@ class TestDeadlineScheduling:
         clock.advance(0.02)  # now past the oldest deadline
         assert server.poll() == 1
         assert all(f.done() for f in futures)
-        assert server.telemetry.counter("flush_deadline") == 1
-        assert server.telemetry.counter("batch_images") == 3
+        assert server.stats()["counters"]["flush_deadline"] == 1
+        assert server.stats()["counters"]["batch_images"] == 3
 
     def test_full_batch_flushes_without_waiting(self, artifact_dir):
         clock = FakeClock()
@@ -169,7 +173,7 @@ class TestDeadlineScheduling:
         ]
         assert server.poll() == 1  # due immediately: a full batch waits
         assert all(f.done() for f in futures)
-        assert server.telemetry.counter("flush_full") == 1
+        assert server.stats()["counters"]["flush_full"] == 1
 
     def test_per_request_deadline_overrides_budget(self, artifact_dir):
         clock = FakeClock()
@@ -188,7 +192,7 @@ class TestDeadlineScheduling:
         future = server.submit(_images(SHAPES[0], n=1)[0], KEY_A)
         server.drain()
         assert future.done()
-        assert server.telemetry.counter("flush_drain") == 1
+        assert server.stats()["counters"]["flush_drain"] == 1
 
 
 class TestCorrectness:
@@ -208,13 +212,13 @@ class TestCorrectness:
             server = _manual_server(artifact_dir, FakeClock())
             images = _images(SHAPES[0])
             first = server.map(images, KEY_A)
+            batches = server.stats()["counters"]["batches"]
             again = server.map(images, KEY_A)
-            assert server.telemetry.counter("cache_hits") == len(images)
+            assert server.stats()["counters"]["cache_hits"] == len(images)
             for out, ref in zip(again, reference_outputs[KEY_A][SHAPES[0]]):
                 np.testing.assert_array_equal(out, ref)
-            assert server.telemetry.counter("batches") == server.telemetry.counter(
-                "batches"
-            )
+            # Every repeat was a hit: no model forward ran for them.
+            assert server.stats()["counters"]["batches"] == batches
             del first
 
     def test_cache_correctness_under_eviction(
@@ -232,7 +236,7 @@ class TestCorrectness:
                 for out, ref in zip(outputs, reference_outputs[KEY_A][SHAPES[0]]):
                     np.testing.assert_array_equal(out, ref)
             assert server.cache.evictions > 0
-            assert server.telemetry.counter("cache_hits") > 0
+            assert server.stats()["counters"]["cache_hits"] > 0
 
     def test_cache_disabled(self, artifact_dir):
         with G.default_dtype("float32"):
@@ -240,7 +244,7 @@ class TestCorrectness:
             images = _images(SHAPES[0], n=2)
             server.map(images, KEY_A)
             server.map(images, KEY_A)
-            assert server.telemetry.counter("cache_hits") == 0
+            assert server.stats()["counters"]["cache_hits"] == 0
             assert server.cache.stats()["entries"] == 0
 
 
@@ -260,7 +264,7 @@ class TestAdmissionControl:
         assert isinstance(shed, ServerBusy)
         assert shed.model == KEY_A
         assert shed.queue_depth == 2
-        assert server.telemetry.counter("shed") == 1
+        assert server.stats()["counters"]["shed"] == 1
         server.drain()
         assert isinstance(f1.result(timeout=5), np.ndarray)
         assert server.stats()["derived"]["shed_rate"] == pytest.approx(1 / 3)
@@ -274,13 +278,13 @@ class TestAdmissionControl:
         futures = [server.submit(image, KEY_A) for _ in range(5)]
         # One computation queued; four riders attached to it.
         assert server.pending() == 1
-        assert server.telemetry.counter("coalesced") == 4
+        assert server.stats()["counters"]["coalesced"] == 4
         server.drain()
         outputs = [f.result(timeout=5) for f in futures]
         for out in outputs:
             np.testing.assert_array_equal(out, outputs[0])
-        assert server.telemetry.counter("responses") == 5
-        assert server.telemetry.counter("batch_images") == 1
+        assert server.stats()["counters"]["responses"] == 5
+        assert server.stats()["counters"]["batch_images"] == 1
 
     def test_coalesced_results_are_mutation_isolated(self, artifact_dir):
         server = _manual_server(
@@ -302,7 +306,7 @@ class TestAdmissionControl:
         server.drain()
         for future in futures:
             assert isinstance(future.result(timeout=5), ServeError)
-        assert server.telemetry.counter("errors") == 3
+        assert server.stats()["counters"]["errors"] == 3
 
     def test_cache_hit_bypasses_admission(self, artifact_dir):
         clock = FakeClock()
@@ -333,8 +337,8 @@ class TestModelRegistryLRU:
             assert server.loaded_models() == (KEY_B,)
             server.map([image_b], KEY_A)
             assert server.loaded_models() == (KEY_A,)
-            assert server.telemetry.counter("model_loads") == 3
-            assert server.telemetry.counter("model_evictions") == 2
+            assert server.stats()["counters"]["model_loads"] == 3
+            assert server.stats()["counters"]["model_evictions"] == 2
 
     def test_no_reload_when_capacity_allows(self, artifact_dir):
         with G.default_dtype("float32"):
@@ -342,8 +346,8 @@ class TestModelRegistryLRU:
             for _ in range(3):
                 server.map(_images(SHAPES[0], n=1), KEY_A)
                 server.map(_images(SHAPES[0], n=1), KEY_B)
-            assert server.telemetry.counter("model_loads") == 2
-            assert server.telemetry.counter("model_evictions") == 0
+            assert server.stats()["counters"]["model_loads"] == 2
+            assert server.stats()["counters"]["model_evictions"] == 0
 
 
 class _GatedPipeline:
@@ -400,7 +404,7 @@ class TestFailureIsolation:
             # The failed load never entered the registry: no poisoned
             # half-loaded entry for LRU accounting to trip over.
             assert KEY_A not in server.loaded_models()
-            assert server.telemetry.counter("errors") == 1
+            assert server.stats()["counters"]["errors"] == 1
             # Other models are unaffected.
             good = server.map(_images(SHAPES[1], n=2), KEY_B)
             assert all(isinstance(out, np.ndarray) for out in good)
@@ -419,7 +423,7 @@ class TestFailureIsolation:
             result = bad.result(timeout=5)
             assert isinstance(result, ServeError)
             assert result.model == KEY_A
-            assert server.telemetry.counter("errors") == 1
+            assert server.stats()["counters"]["errors"] == 1
             # The model still serves good requests afterwards.
             good = server.map(_images(SHAPES[0], n=2), KEY_A)
             assert all(isinstance(out, np.ndarray) for out in good)
@@ -477,8 +481,8 @@ class TestConcurrentServing:
                     )
                     served += 1
             assert served == 8 * 12
-            assert server.telemetry.counter("responses") == served
-            assert server.telemetry.counter("shed") == 0
+            assert server.stats()["counters"]["responses"] == served
+            assert server.stats()["counters"]["shed"] == 0
 
     def test_background_loop_flushes_on_deadline(self, artifact_dir):
         with G.default_dtype("float32"):
@@ -494,11 +498,11 @@ class TestConcurrentServing:
             server.close()
             assert isinstance(out, np.ndarray)
             flushes = (
-                server.telemetry.counter("flush_deadline")
-                + server.telemetry.counter("flush_drain")
+                server.stats()["counters"]["flush_deadline"]
+                + server.stats()["counters"]["flush_drain"]
             )
             assert flushes >= 1
-            assert server.telemetry.counter("flush_full") == 0
+            assert server.stats()["counters"]["flush_full"] == 0
 
 
 class TestShutdown:
@@ -533,7 +537,30 @@ class TestShutdown:
             result = future.result()
             assert isinstance(result, ServerBusy)
             assert result.reason == "server closed"
-            assert server.telemetry.counter("shed") == 1
+            assert server.stats()["counters"]["shed"] == 1
+
+    def test_undrained_close_logs_each_shed_request(
+        self, artifact_dir, caplog
+    ):
+        """Requests shed at close get the same "request" log line as
+        any other shed, so their ids stay traceable."""
+        ids = ["close-a", "close-b", "close-c"]
+        with G.default_dtype("float32"):
+            server = _manual_server(artifact_dir, FakeClock())
+            for image, request_id in zip(_images(SHAPES[0], n=3), ids):
+                server.submit(image, KEY_A, request_id=request_id)
+            with caplog.at_level(logging.INFO, logger="repro.serve"):
+                server.close(drain=False)
+        logged = [
+            r.repro_fields for r in caplog.records
+            if r.getMessage() == "request"
+        ]
+        assert sorted(f["request_id"] for f in logged) == ids
+        for fields in logged:
+            assert fields["outcome"] == "shed"
+            assert fields["reason"] == "server closed"
+            assert fields["model"] == LABEL_A
+        assert server.stats()["counters"]["shed"] == 3
 
     def test_graceful_close_settles_queued_work_as_results(self, artifact_dir):
         with G.default_dtype("float32"):
@@ -544,7 +571,7 @@ class TestShutdown:
             server.close()  # drain=True, unbounded
             for future in futures:
                 assert isinstance(future.result(timeout=5), np.ndarray)
-            assert server.telemetry.counter("shed") == 0
+            assert server.stats()["counters"]["shed"] == 0
 
     def test_drain_timeout_sheds_queued_but_settles_inflight(
         self, artifact_dir, monkeypatch
@@ -692,13 +719,181 @@ class TestCoalescedRiderLatency:
             primary = server.submit(image, KEY_A)
             clock.advance(10.0)
             rider = server.submit(image.copy(), KEY_A)
-            assert server.telemetry.counter("coalesced") == 1
+            assert server.stats()["counters"]["coalesced"] == 1
             server.drain()
             assert isinstance(primary.result(timeout=10), np.ndarray)
             assert isinstance(rider.result(timeout=10), np.ndarray)
-            snap = server.telemetry.stats()["latency"]["request_latency"]
+            snap = server.stats()["latency"]["request_latency"]
             assert snap["count"] == 2
             assert snap["min_ms"] == pytest.approx(0.0, abs=1.0)
             assert snap["max_ms"] == pytest.approx(10_000.0, rel=0.01)
             # The coalesced counter is surfaced for front doors.
             assert server.stats()["server"]["coalesced"] == 1
+
+
+@pytest.fixture
+def slo_run(artifact_dir):
+    """Serve one distinct image per entry of ``latencies`` for KEY_A
+    on a manual server (no result cache) whose fake clock advances by
+    exactly that latency before the flush; returns KEY_A's
+    ``stats()["slo"]`` entry."""
+
+    def run(budget_s, latencies):
+        clock = FakeClock()
+        server = _manual_server(
+            artifact_dir, clock, cache_bytes=0, slo_default_budget_s=budget_s
+        )
+        images = iter(_images(SHAPES[0], n=len(latencies)))
+        with G.default_dtype("float32"):
+            for latency, group in itertools.groupby(latencies):
+                for _ in group:
+                    server.submit(next(images), KEY_A)
+                clock.advance(latency)
+                server.drain()
+        return server.stats()["slo"][LABEL_A]
+
+    return run
+
+
+class TestSlo:
+    @pytest.mark.parametrize(
+        "budget_s, latencies, observed, breaches, burning, burn_ratio",
+        [
+            # Well inside the budget: nothing breaches or burns.
+            (1.0, [0.01] * 50, 50, 0, False, 0.01),
+            # One slow request: the exact breach counter sees it, the
+            # p99 (bucket bound 0.016384 s) stays under budget.
+            (1.0, [0.01] * 127 + [5.0], 128, 1, False, 0.016384),
+            # Sustained slowness: every request breaches, p99 burns.
+            (0.1, [0.5] * 16, 16, 16, True, 5.0),
+        ],
+    )
+    def test_budget_vs_latencies(
+        self, slo_run, budget_s, latencies, observed, breaches, burning,
+        burn_ratio,
+    ):
+        slo = slo_run(budget_s, latencies)
+        assert slo["budget_s"] == budget_s
+        assert slo["observed"] == observed
+        assert slo["breaches"] == breaches
+        assert slo["burning"] is burning
+        assert slo["burn_ratio"] == pytest.approx(burn_ratio, rel=1e-6)
+        assert slo["p99_s"] == pytest.approx(burn_ratio * budget_s)
+
+    def test_per_label_budget_overrides_default(self, artifact_dir):
+        clock = FakeClock()
+        server = _manual_server(
+            artifact_dir, clock, cache_bytes=0, slo_default_budget_s=1.0,
+            slo_budgets={LABEL_A: 0.1},
+        )
+        with G.default_dtype("float32"):
+            for key in (KEY_A, KEY_B):
+                server.submit(_images(SHAPES[0], n=1)[0], key)
+            clock.advance(0.5)
+            server.drain()
+        slo = server.stats()["slo"]
+        assert slo[LABEL_A]["budget_s"] == 0.1
+        assert slo[LABEL_A]["breaches"] == 1 and slo[LABEL_A]["burning"]
+        assert slo[LABEL_B]["budget_s"] == 1.0
+        assert slo[LABEL_B]["breaches"] == 0
+        assert not slo[LABEL_B]["burning"]
+        text = server.metrics.render()
+        assert f'repro_serve_slo_budget_seconds{{model="{LABEL_A}"}} 0.1' \
+            in text
+        assert f'repro_serve_slo_breaches_total{{model="{LABEL_B}"}} 0' \
+            in text
+
+    def test_fresh_server_has_no_slo_state_or_rates(self, artifact_dir):
+        stats = _manual_server(artifact_dir, FakeClock()).stats()
+        assert stats["slo"] == {}
+        assert stats["derived"] == {
+            "cache_hit_rate": None,
+            "shed_rate": None,
+            "batch_occupancy": None,
+        }
+        assert not any(stats["counters"].values())
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(slo_default_budget_s=0.0),
+            dict(slo_default_budget_s=-1.0),
+            dict(slo_budgets={"a/b/x2": 0.0}),
+            dict(slo_budgets={"a/b/x2": -1.0}),
+        ],
+    )
+    def test_non_positive_budgets_rejected(self, overrides):
+        with pytest.raises(ValueError, match="positive"):
+            ServerConfig(**overrides)
+
+
+def _rendered_sum(text, family, match):
+    """Sum of ``family``'s samples in exposition ``text`` whose labels
+    include every ``match`` pair."""
+    total = 0.0
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        series, _, value = line.rpartition(" ")
+        name, _, raw_labels = series.partition("{")
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', raw_labels))
+        if name == family and match.items() <= labels.items():
+            total += float(value)
+    return total
+
+
+class TestStatsRegistryParity:
+    #: ``stats()["counters"]`` key -> (family, label match) in /metrics.
+    SOURCES = {
+        "requests": ("repro_serve_requests_total", {}),
+        "responses": ("repro_serve_responses_total", {}),
+        "shed": ("repro_serve_shed_total", {}),
+        "errors": ("repro_serve_errors_total", {}),
+        "coalesced": ("repro_serve_coalesced_total", {}),
+        "cache_hits": ("repro_serve_cache_total", {"outcome": "hit"}),
+        "cache_misses": ("repro_serve_cache_total", {"outcome": "miss"}),
+        "model_loads": ("repro_serve_model_loads_total", {}),
+        "model_evictions": ("repro_serve_model_evictions_total", {}),
+        "batches": ("repro_serve_batches_total", {}),
+        "batch_images": ("repro_serve_batch_images_total", {}),
+        "flush_full": ("repro_serve_flushes_total", {"reason": "full"}),
+        "flush_deadline": (
+            "repro_serve_flushes_total", {"reason": "deadline"}),
+        "flush_drain": ("repro_serve_flushes_total", {"reason": "drain"}),
+    }
+
+    def test_counters_equal_rendered_family_sums(self, artifact_dir):
+        clock = FakeClock()
+        server = _manual_server(
+            artifact_dir, clock, max_queue_depth=2, max_batch=2,
+            max_models=1,
+        )
+        images = _images(SHAPES[0], n=6)
+        with G.default_dtype("float32"):
+            server.map([images[0]], KEY_A)  # miss, drain flush
+            server.map([images[0]], KEY_A)  # hit
+            for _ in range(2):  # miss + coalesced rider
+                server.submit(images[1], KEY_A)
+            server.submit(images[2], KEY_A)  # queue now at its bound
+            shed = server.submit(images[3], KEY_A)
+            assert isinstance(shed.result(), ServerBusy)
+            assert server.poll() == 1  # full flush
+            server.submit(images[4], KEY_A)
+            clock.advance(1.0)
+            assert server.poll() == 1  # deadline flush
+            bad = np.zeros((8, 8, 4), np.float32)
+            assert isinstance(server.map([bad], KEY_B)[0], ServeError)
+            server.map([images[5]], KEY_A)  # reloads A, evicting B
+        stats = server.stats()
+        counters = stats["counters"]
+        assert set(counters) == set(self.SOURCES)
+        assert all(counters.values()), counters  # the mix covers all
+        text = server.metrics.render()
+        assert lint_exposition(text) == []
+        for key, (family, match) in self.SOURCES.items():
+            assert counters[key] == _rendered_sum(text, family, match), key
+        assert stats["latency"]["request_latency"]["count"] == (
+            _rendered_sum(text, "repro_serve_request_latency_seconds_count",
+                          {})
+        )
+        assert stats["server"]["coalesced"] == counters["coalesced"]

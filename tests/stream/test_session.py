@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.serve import MetricsRegistry, lint_exposition
 from repro.stream import StreamConfig, StreamError, StreamSession
 
 MODEL = ("srresnet", "scales", 2)
@@ -450,5 +451,34 @@ class TestSessionContract:
             assert "repro_stream_tile_reuse_ratio" in names
             assert "repro_stream_frame_latency_seconds" in names
             assert "repro_stream_frame_quantile_seconds" in names
+            assert lint_exposition(session.metrics.render()) == []
         finally:
             session.close()
+
+    def test_reused_stream_id_merges_stats(self):
+        """stats() reads the registry's children for this stream_id, so
+        two sessions sharing one id on one registry report the merged
+        counts and latency their /metrics series already merge."""
+        backend = FakeBackend()
+        registry = MetricsRegistry()
+        config = StreamConfig(tile=8, overlap=0, tile_cache_bytes=0)
+        sessions = [
+            StreamSession(backend, MODEL, scale=1, config=config,
+                          metrics=registry, stream_id="cam")
+            for _ in range(2)
+        ]
+        try:
+            for i, session in enumerate(sessions):
+                ticket = session.submit_frame(_frames(1, seed=i)[0])
+                backend.wait_for_submissions(4 * (i + 1))
+                for fut in backend.pop_pending():
+                    fut.resolve()
+                assert ticket.result(timeout=10.0).ok
+            for session in sessions:
+                stats = session.stats()
+                assert stats["frames"]["frames_in"] == 2
+                assert stats["frames"]["frames_ok"] == 2
+                assert stats["latency"]["count"] == 2
+        finally:
+            for session in sessions:
+                session.close()
