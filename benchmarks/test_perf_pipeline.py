@@ -1,12 +1,13 @@
 """End-to-end perf gate: batched tile pipeline vs the sequential seed path.
 
 PR 1 made the kernels fast; this benchmark gates the *orchestration*:
-full-image super-resolution through the packed engine, batched
-(all tiles stacked into large-M GEMM batches), buffer-reusing (the
+full-image super-resolution through the packed engine with
+``tiled_super_resolve`` (the tiled forward ``Engine.infer`` runs) —
+batched (tiles stacked into large-M GEMM batches), buffer-reusing (the
 per-thread workspace arena) and bit-domain (fused threshold -> packed
-im2col), against the seed execution — one tile at a time through the seed
-float64 sign-plane kernels (``tests.oracles``: ``reference_packed()`` +
-``SequentialTiledInference``).
+im2col) — against the seed execution: one tile at a time through the
+seed float64 sign-plane kernels (``tests.oracles``:
+``reference_packed()`` + ``SequentialTiledInference``).
 
 Every timing comparison first asserts the two paths produce *identical*
 outputs, so the trajectory numbers can never drift from a silently
@@ -28,9 +29,9 @@ import pytest
 
 from repro import grad as G
 from repro.binarize.scales_layers import SCALESBinaryConv2d
-from repro.deploy import TiledInference, compile_model
-from repro.grad import Tensor, no_grad
-from repro.infer import InferencePipeline, get_num_threads
+from repro.deploy import compile_model
+from repro.infer import (InferencePipeline, get_num_threads,
+                         tiled_super_resolve)
 from repro.nn import Sequential, init
 from repro.perf import bench, record_bench, speedup
 from repro.train import super_resolve
@@ -70,27 +71,33 @@ def _scales_model(channels, depth):
     return Sequential(*layers)
 
 
+def _image(seed, h, w):
+    """An ``(h, w, 3)`` image from the NCHW draw this file always used."""
+    x = np.random.default_rng(seed).random((1, 3, h, w)).astype(np.float32)
+    return x[0].transpose(1, 2, 0)
+
+
 class TestE2ETiledSR:
     def _paths(self, channels, depth, tile, overlap, batch_size):
-        model = _scales_model(channels, depth)
-        compiled = compile_model(model)
+        """The sequential oracle and the production tiled forward."""
+        compiled = compile_model(_scales_model(channels, depth))
         seed = SequentialTiledInference(compiled, tile=tile, overlap=overlap)
-        fast = TiledInference(compiled, tile=tile, overlap=overlap,
-                              batch_size=batch_size)
-        return seed, fast
+
+        def fast(image):
+            return tiled_super_resolve(compiled, image, 1, tile=tile,
+                                       overlap=overlap, batch_size=batch_size)
+
+        return seed.super_resolve, fast
 
     def test_equivalence_small(self):
         """Smoke-sized: batched+fast output == sequential+reference output."""
         with G.default_dtype("float32"):
             seed, fast = self._paths(channels=16, depth=3, tile=16,
                                      overlap=8, batch_size=4)
-            x = Tensor(np.random.default_rng(0)
-                       .random((1, 3, 41, 37)).astype(np.float32))
-            with no_grad():
-                with reference_packed():
-                    expected = seed(x).data
-                actual = fast(x).data
-            np.testing.assert_array_equal(actual, expected)
+            image = _image(0, 41, 37)
+            with reference_packed():
+                expected = seed(image)
+            np.testing.assert_array_equal(fast(image), expected)
 
     def test_pipeline_equivalence_small(self):
         """The serving API returns exactly what super_resolve returns."""
@@ -110,19 +117,17 @@ class TestE2ETiledSR:
         with G.default_dtype("float32"):
             seed, fast = self._paths(channels=64, depth=4, tile=32,
                                      overlap=8, batch_size=16)
-            x = Tensor(np.random.default_rng(2)
-                       .random((1, 3, 128, 128)).astype(np.float32))
-            with no_grad():
-                with reference_packed():
-                    expected = seed(x).data
-                actual = fast(x).data
-                np.testing.assert_array_equal(actual, expected)
+            image = _image(2, 128, 128)
+            with reference_packed():
+                expected = seed(image)
+            np.testing.assert_array_equal(fast(image), expected)
 
-                with reference_packed():
-                    ref = bench(lambda: seed(x), label="tiled_sr/seed_sequential",
-                                warmup=1, repeats=3)
-                opt = bench(lambda: fast(x), label="tiled_sr/batched_pipeline",
+            with reference_packed():
+                ref = bench(lambda: seed(image),
+                            label="tiled_sr/seed_sequential",
                             warmup=1, repeats=3)
+            opt = bench(lambda: fast(image), label="tiled_sr/batched_pipeline",
+                        warmup=1, repeats=3)
             ratio = speedup(ref, opt)
             _record("e2e_tiled_sr_128", ref, opt, ratio,
                     image=[128, 128], tile=32, overlap=8, tile_batch=16,

@@ -102,9 +102,7 @@ class TestServeThroughput:
         with G.default_dtype("float32"):
             distinct, requests = _workload()
             models = {
-                key: load_artifact(
-                    str(zoo_dir / f"{key[0]}_{key[1]}.npz"), tile=None
-                )
+                key: load_artifact(str(zoo_dir / f"{key[0]}_{key[1]}.npz"))
                 for key in ZOO
             }
             expected = _naive_loop(models, requests)
@@ -134,9 +132,7 @@ class TestServeThroughput:
         with G.default_dtype("float32"):
             distinct, requests = _workload()
             models = {
-                key: load_artifact(
-                    str(zoo_dir / f"{key[0]}_{key[1]}.npz"), tile=None
-                )
+                key: load_artifact(str(zoo_dir / f"{key[0]}_{key[1]}.npz"))
                 for key in ZOO
             }
             expected = _naive_loop(models, requests)
@@ -200,9 +196,7 @@ class TestServeThroughput:
                 for i, image in enumerate(images)
             ]
             models = {
-                key: load_artifact(
-                    str(zoo_dir / f"{key[0]}_{key[1]}.npz"), tile=None
-                )
+                key: load_artifact(str(zoo_dir / f"{key[0]}_{key[1]}.npz"))
                 for key in ZOO
             }
             expected = _naive_loop(models, requests)

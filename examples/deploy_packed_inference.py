@@ -17,6 +17,7 @@ import numpy as np
 from repro import grad as G
 from repro.data import benchmark_suite, training_pool
 from repro.deploy import compile_model, deployment_report
+from repro.infer import tiled_super_resolve
 from repro.metrics import psnr_y
 from repro.models import build_model
 from repro.nn import init
@@ -62,10 +63,9 @@ def main() -> None:
         print(f"\nPacked-path mean PSNR over the suite: {result.psnr:.2f} dB")
 
         print("\nTiled inference (bounded memory on large inputs)...")
-        tiled = compile_model(model, tile=32, tile_overlap=8,
-                              tile_batch_size=16)
         big = np.random.default_rng(0).random((96, 128, 3)).astype(np.float32)
-        sr_tiled = super_resolve(tiled, big)
+        sr_tiled = tiled_super_resolve(compiled, big, scale, tile=32,
+                                       overlap=8, batch_size=16)
         print(f"  {big.shape[1]}x{big.shape[0]} LR -> "
               f"{sr_tiled.shape[1]}x{sr_tiled.shape[0]} SR via batched "
               f"32x32 tiles (see examples/pipeline_serving.py for the "

@@ -79,8 +79,7 @@ def main() -> None:
 
     print("Verifying against the hand-wired low-level path...")
     with config.scope():
-        pipeline = InferencePipeline(load_artifact(artifact, tile=None),
-                                     batch_size=4)
+        pipeline = InferencePipeline(load_artifact(artifact), batch_size=4)
         reference = pipeline.map(images)
     worst = 0.0
     for result, expected in zip(results, reference):

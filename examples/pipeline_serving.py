@@ -6,7 +6,9 @@ The deployment story end to end, the way a serving process would run it:
    packed XNOR-popcount engine;
 2. stand up an :class:`repro.infer.InferencePipeline` — requests are
    submitted one by one, executed as micro-batches on the thread pool;
-3. push a full-resolution image through the tiled path.
+3. push a full-resolution image through the tiled path: the same
+   pipeline API with ``tile=`` set, stitching overlapping 32x32 tiles
+   (the setting ``EngineConfig.tile`` gives ``Engine.infer``).
 
 Knob: ``REPRO_NUM_THREADS`` (or ``repro.infer.set_num_threads``) sets
 the worker-thread count.
@@ -20,8 +22,7 @@ import numpy as np
 
 from repro import grad as G
 from repro.data import training_pool
-from repro.deploy import TiledInference, compile_model
-from repro.grad import Tensor, no_grad
+from repro.deploy import compile_model
 from repro.infer import InferencePipeline, get_num_threads
 from repro.models import build_model
 from repro.nn import init
@@ -56,13 +57,13 @@ def main() -> None:
               f"largest {pipeline.stats['max_batch']})")
 
         print("\nFull image through the tiled path...")
-        big = rng.random((1, 3, 96, 128)).astype(np.float32)
-        tiled = TiledInference(compiled, tile=32, overlap=8, batch_size=16)
-        with no_grad():
-            t0 = time.perf_counter()
-            sr = tiled(Tensor(big)).data
-            elapsed = time.perf_counter() - t0
-        print(f"  128x96 LR -> {sr.shape[3]}x{sr.shape[2]} SR "
+        big = rng.random((96, 128, 3)).astype(np.float32)
+        tiled = InferencePipeline(compiled, batch_size=16, tile=32,
+                                  tile_overlap=8, scale=scale)
+        t0 = time.perf_counter()
+        sr = tiled(big)
+        elapsed = time.perf_counter() - t0
+        print(f"  128x96 LR -> {sr.shape[1]}x{sr.shape[0]} SR "
               f"in {elapsed * 1e3:.0f} ms")
 
 

@@ -75,11 +75,11 @@ class EngineConfig:
         so weight initialization is reproducible.
     batch_size:
         Images per micro-batch on the inference path, the most tiles
-        per forward on the tiled path (also recorded by ``export``);
-        also the serving ``max_batch``.
+        per forward on the tiled path; also the serving ``max_batch``.
     tile / tile_overlap:
         When ``tile`` is set, engine inference runs the bounded-memory
-        tiled path with this LR tile size.
+        tiled path with this LR tile size.  This is the only place
+        tiling is set: deploy artifacts carry none.
     clip:
         Clip SR outputs to [0, 1] (the repo-wide convention).
     latency_budget_s / max_models / max_queue_depth /

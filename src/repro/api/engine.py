@@ -115,9 +115,8 @@ class Engine:
 
         The spec is recovered from the artifact's build recipe; the
         float model is never rebuilt (packed sites load as packed
-        layers).  The artifact's stored tiling configuration is *not*
-        adopted — tiling is an execution knob and belongs to
-        ``config.tile`` under the facade.
+        layers).  Tiling comes from ``config.tile`` alone (artifacts
+        carry none).
         """
         from ..deploy.serialize import load_artifact, read_artifact_meta
         meta = read_artifact_meta(path)
@@ -128,7 +127,7 @@ class Engine:
         spec = ModelSpec.from_recipe(meta["recipe"])
         engine = cls(spec, config=config, artifact_path=Path(path))
         with engine.config.scope():
-            engine.compiled = load_artifact(path, tile=None)
+            engine.compiled = load_artifact(path)
         return engine
 
     # -- introspection -----------------------------------------------------
@@ -208,25 +207,16 @@ class Engine:
         """Write the packed deploy artifact (compiling first if needed).
 
         ``path`` defaults to the spec's canonical artifact name in the
-        current directory.  When ``config.tile`` is set the tiling
-        configuration is recorded in the artifact, with
-        ``config.batch_size`` as its tile batch (the one ``infer``
-        runs).  Returns the written
-        path (also kept as ``.artifact_path``).
+        current directory.  The artifact holds the model only: tiling
+        stays in ``config.tile``.  Returns the written path (also kept
+        as ``.artifact_path``).
         """
         self.capability().require("export")
         self.compile()
-        from ..deploy.engine import TiledInference
         from ..deploy.serialize import save_artifact
-        target = self.compiled
-        if self.config.tile is not None:
-            target = TiledInference(
-                self.compiled, tile=self.config.tile,
-                overlap=self.config.tile_overlap,
-                batch_size=self.config.batch_size,
-                n_threads=self.config.n_threads)
         with self.config.scope():
-            written = save_artifact(target, path, recipe=self.spec.to_recipe())
+            written = save_artifact(self.compiled, path,
+                                    recipe=self.spec.to_recipe())
         self.artifact_path = Path(written)
         return self.artifact_path
 

@@ -14,15 +14,15 @@ linears really do run on ``uint64`` words —
 * :mod:`repro.deploy.workspace` — per-thread scratch-buffer arena so
   repeated same-shape calls (tiles, batches) allocate nothing;
 * :mod:`repro.deploy.engine`   — ``compile_model``: walks a trained model
-  and swaps every supported binary layer for its packed twin;
-  thread-parallel :class:`TiledInference` for bounded-memory full-image
-  SR;
+  and swaps every supported binary layer for its packed twin (tiled,
+  bounded-memory full-image SR is an inference setting, run by
+  :func:`repro.infer.tiled_super_resolve`);
 * :mod:`repro.deploy.report`   — memory/operation accounting of a
   deployed model (the 32x weight-compression story of Table VI);
 * :mod:`repro.deploy.serialize` — one-file ``.npz`` deploy artifacts:
-  save a compiled model (packed words, scales, thresholds, topology,
-  tiling config) and reload it into a servable packed graph without the
-  float binary weights ever touching disk;
+  save a compiled model (packed words, scales, thresholds, topology)
+  and reload it into a servable packed graph without the float binary
+  weights ever touching disk;
 * :mod:`repro.deploy.registry` — the zoo-wide deploy registry mapping
   every ``(architecture, scheme, scale)`` combination to its compile
   coverage, and the placeholder skeleton builder the loader uses;
@@ -42,8 +42,8 @@ from .kernels import (binary_gemm, pack_weight_conv, pack_weight_linear,
                       FastConvWeight, FastLinearWeight, packed_conv2d_bits,
                       packed_linear_bits, conv_fast_layout)
 from .workspace import Workspace, workspace, clear_workspace
-from .engine import (PackedBinaryConv2d, PackedBinaryLinear, TiledInference,
-                     compile_model, deployable_layers)
+from .engine import (PackedBinaryConv2d, PackedBinaryLinear, compile_model,
+                     deployable_layers)
 from .report import DeploymentReport, artifact_report, deployment_report
 from .serialize import (ARTIFACT_FORMAT, ARTIFACT_VERSION,
                         REVISION_STATE_FILE, ArtifactInfo, artifact_key,
@@ -62,8 +62,8 @@ __all__ = [
     "FastConvWeight", "FastLinearWeight", "packed_conv2d_bits",
     "packed_linear_bits", "conv_fast_layout",
     "Workspace", "workspace", "clear_workspace",
-    "PackedBinaryConv2d", "PackedBinaryLinear", "TiledInference",
-    "compile_model", "deployable_layers",
+    "PackedBinaryConv2d", "PackedBinaryLinear", "compile_model",
+    "deployable_layers",
     "DeploymentReport", "artifact_report", "deployment_report",
     "ARTIFACT_FORMAT", "ARTIFACT_VERSION", "REVISION_STATE_FILE",
     "default_artifact_name", "save_artifact", "load_artifact",

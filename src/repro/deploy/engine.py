@@ -29,7 +29,6 @@ staging comes from the per-thread workspace arena.
 from __future__ import annotations
 
 import copy
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +38,6 @@ from ..binarize.scales_layers import SCALESBinaryConv2d, SCALESBinaryLinear
 from ..grad import Tensor
 from ..grad.conv import conv2d_output_shape
 from ..grad.tensor import get_default_dtype
-from ..infer.tiling import TileStitcher, iter_tile_batches, plan_tiles
 from ..nn import Module
 from .kernels import (FastConvWeight, FastLinearWeight, _padding_correction,
                       pack_weight_conv, pack_weight_linear,
@@ -326,83 +324,6 @@ class PackedBinaryLinear(Module):
         return result
 
 
-class TiledInference(Module):
-    """Overlap-and-stitch wrapper bounding a model's working set.
-
-    Full-image SR through the packed engine materializes patch rows and
-    packed activation panels proportional to ``H * W``; on large inputs
-    that dwarfs the model itself.  This wrapper cuts the NCHW input into
-    overlapping ``tile x tile`` crops (:func:`repro.infer.tiling
-    .plan_tiles`) and runs the wrapped model in chunks of at most
-    ``batch_size`` tiles, split evenly over whole thread-pool waves
-    (:func:`repro.infer.tiling.iter_tile_batches`), streamed one wave
-    at a time and stitched as each wave completes.  Peak memory is
-    bounded by one wave (at most ``batch_size * n_threads`` tiles) plus
-    the output canvas regardless of input size,
-    every packed layer's geometry caches see a single tile shape, and
-    the conv/GEMM kernels see a few large-M operands instead of one
-    tiny call per tile.
-
-    The model's scale factor is inferred from the first tile's output
-    (it must be an integer multiple of the input tile).  Interior tile
-    edges are trimmed by ``overlap // 2`` pixels before placement — tile
-    borders carry the model's halo artifacts — and any remaining
-    overlapped pixels are averaged, mirroring
-    :func:`repro.infer.tiling.tiled_super_resolve`.
-    """
-
-    def __init__(self, model, tile: int = 48, overlap: int = 8,
-                 batch_size: int = 16, n_threads: Optional[int] = None):
-        super().__init__()
-        if isinstance(model, (str, os.PathLike)):
-            # Serve straight from a packed deploy artifact: load the bare
-            # model (ignoring any stored tiling config — this wrapper IS
-            # the tiling layer).
-            from .serialize import load_artifact
-            model = load_artifact(model, tile=None)
-        if tile <= 0:
-            raise ValueError(f"tile must be positive, got {tile}")
-        if not 0 <= overlap < tile:
-            raise ValueError(f"overlap {overlap} must be in [0, tile={tile})")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.model = model
-        self.tile = tile
-        self.overlap = overlap
-        self.batch_size = batch_size
-        self.n_threads = n_threads
-
-    def _scale_of(self, plan, out_shape: Tuple[int, ...]) -> int:
-        tile_h, tile_w = plan.tile_h, plan.tile_w
-        if out_shape[2] % tile_h or out_shape[3] % tile_w:
-            raise ValueError(
-                f"tiled inference needs an integer scale factor; "
-                f"tile {(tile_h, tile_w)} produced {tuple(out_shape[2:])}")
-        scale = out_shape[2] // tile_h
-        if out_shape[3] // tile_w != scale:
-            raise ValueError("tiled inference needs matching H/W scale factors")
-        return scale
-
-    def forward(self, x: Tensor) -> Tensor:
-        data = np.asarray(x.data)
-        b, c, h, w = data.shape
-        if h <= self.tile and w <= self.tile:
-            return self.model(x)
-        plan = plan_tiles(h, w, self.tile, self.overlap)
-        stitcher = None
-        for indices, out in iter_tile_batches(self.model, data, plan,
-                                              self.batch_size,
-                                              self.n_threads):
-            if stitcher is None:
-                scale = self._scale_of(plan, out.shape)
-                stitcher = TileStitcher(plan, scale, batch=b,
-                                        c_out=out.shape[1])
-            out = np.asarray(out, dtype=np.float64)
-            for j, t in enumerate(indices):
-                stitcher.add(t, out[j * b:(j + 1) * b])
-        return Tensor(stitcher.finish().astype(data.dtype))
-
-
 _COMPILERS: List[Tuple[type, Callable[[Module], Module]]] = [
     (SCALESBinaryConv2d, PackedBinaryConv2d.from_scales),
     (E2FIFBinaryConv2d, PackedBinaryConv2d.from_e2fif),
@@ -433,29 +354,17 @@ def _compile_in_place(module: Module) -> int:
     return replaced
 
 
-def compile_model(model: Module, tile: Optional[int] = None,
-                  tile_overlap: int = 8, tile_batch_size: int = 16,
-                  tile_threads: Optional[int] = None,
-                  freeze=None) -> Module:
+def compile_model(model: Module, *, freeze=None) -> Module:
     """Deep-copy ``model`` and swap binary layers for packed twins.
 
     Returns the compiled copy in eval mode; raises if nothing in the model
     is deployable (compiling an FP model is almost certainly a bug).
+    Tiling is not a property of the compiled model: run large inputs
+    through the tiled path with ``EngineConfig.tile`` (or
+    ``InferencePipeline(tile=...)``).
 
     Parameters
     ----------
-    tile:
-        When given, wrap the compiled model in :class:`TiledInference`
-        with this LR tile size, so arbitrarily large inputs run in
-        memory bounded by the tile instead of the full image.
-    tile_overlap:
-        Overlap in input pixels between neighbouring tiles (only used
-        with ``tile``).
-    tile_batch_size:
-        Tiles per stacked forward inside :class:`TiledInference`.
-    tile_threads:
-        Worker threads for tile batches (default: the global inference
-        thread count, see :func:`repro.infer.parallel.get_num_threads`).
     freeze:
         When set, additionally export the compiled model as a packed
         deploy artifact (:func:`repro.deploy.serialize.save_artifact`):
@@ -470,13 +379,8 @@ def compile_model(model: Module, tile: Optional[int] = None,
             "model contains no deployable binary layers; expected at least "
             "one SCALES / E2FIF / BiBERT binary conv or linear")
     compiled.eval()
-    result = compiled
-    if tile is not None:
-        result = TiledInference(compiled, tile=tile, overlap=tile_overlap,
-                                batch_size=tile_batch_size,
-                                n_threads=tile_threads)
     if freeze is not None and freeze is not False:
         from .serialize import save_artifact
-        path = save_artifact(result, None if freeze is True else freeze)
-        object.__setattr__(result, "artifact_path", path)
-    return result
+        path = save_artifact(compiled, None if freeze is True else freeze)
+        object.__setattr__(compiled, "artifact_path", path)
+    return compiled

@@ -10,11 +10,11 @@ This module is that export path:
     holding, per packed layer, the bit-packed ``uint64`` weight words,
     scales, thresholds and geometry; the float *remainder* (head/tail
     convs, re-scaling branches, norms) as exact arrays; BatchNorm
-    running statistics; the build recipe ``models.build_model`` stamped
-    on the model; and the tiling configuration when the compiled model
-    is wrapped in :class:`repro.deploy.engine.TiledInference`.  The
-    float weights of the binary layers are **not** stored in any form —
-    only their sign bits ship.
+    running statistics; and the build recipe ``models.build_model``
+    stamped on the model.  The float weights of the binary layers are
+    **not** stored in any form — only their sign bits ship.  Neither is
+    tiling: it is an inference setting (``EngineConfig.tile``), and the
+    ``tiling`` block older artifacts carry is ignored on load.
 
 ``load_artifact(path)``
     reconstructs a servable model: the recipe rebuilds the architecture
@@ -35,8 +35,8 @@ tree whose binary sites sit at the same paths.
 Artifact layout (``np.savez``)
 ------------------------------
 ``__meta__``
-    JSON: format/version, parameter dtype, recipe, tiling config, and a
-    table of packed-layer descriptors (path, kind, geometry, flags,
+    JSON: format/version, parameter dtype, recipe, deploy revision, and
+    a table of packed-layer descriptors (path, kind, geometry, flags,
     re-scaling branch configs).
 ``layer{i}:packed`` / ``:weight_scale`` / ``:alpha`` / ``:beta`` / ``:bias``
     per packed layer, in meta-table order.
@@ -63,7 +63,7 @@ from ..binarize.spatial import SpatialRescale2d, SpatialRescaleTokens
 from ..grad import thread_default_dtype
 from ..nn import Module
 from ..nn.norm import BatchNorm2d
-from .engine import PackedBinaryConv2d, PackedBinaryLinear, TiledInference
+from .engine import PackedBinaryConv2d, PackedBinaryLinear
 from .packing import unpack_signs
 
 __all__ = ["ARTIFACT_FORMAT", "ARTIFACT_VERSION", "REVISION_STATE_FILE",
@@ -91,15 +91,6 @@ def default_artifact_name(recipe: Dict) -> str:
     """Canonical file name for a recipe-carrying artifact."""
     return (f"{recipe['architecture']}_{recipe['scheme']}"
             f"_x{recipe['scale']}_{recipe['preset']}.rbd.npz")
-
-
-def _unwrap(model: Module):
-    """Split an optional :class:`TiledInference` wrapper from its model."""
-    if isinstance(model, TiledInference):
-        tiling = {"tile": model.tile, "overlap": model.overlap,
-                  "batch_size": model.batch_size}
-        return model.model, tiling
-    return model, None
 
 
 def _spatial_meta(module: Module) -> Dict:
@@ -166,9 +157,7 @@ def save_artifact(model: Module, path: Optional[PathLike] = None,
     Parameters
     ----------
     model:
-        A ``compile_model`` output — bare or wrapped in
-        :class:`TiledInference` (the tiling configuration is recorded
-        and restored on load).
+        A ``compile_model`` output.
     path:
         Destination file.  Defaults to :func:`default_artifact_name`
         under the current directory when the model carries a recipe.
@@ -191,8 +180,7 @@ def save_artifact(model: Module, path: Optional[PathLike] = None,
     revision = int(revision)
     if revision < 1:
         raise ValueError(f"revision must be >= 1, got {revision}")
-    inner, tiling = _unwrap(model)
-    recipe = recipe if recipe is not None else getattr(inner, "build_recipe",
+    recipe = recipe if recipe is not None else getattr(model, "build_recipe",
                                                        None)
     if path is None:
         if recipe is None:
@@ -203,7 +191,7 @@ def save_artifact(model: Module, path: Optional[PathLike] = None,
 
     arrays: Dict[str, np.ndarray] = {}
     layers = []
-    for name, module in inner.named_modules():
+    for name, module in model.named_modules():
         if isinstance(module, (PackedBinaryConv2d, PackedBinaryLinear)):
             layers.append(_layer_entry(len(layers), name, module, arrays))
     if not layers:
@@ -211,18 +199,18 @@ def save_artifact(model: Module, path: Optional[PathLike] = None,
             "model contains no packed layers; run compile_model before "
             "save_artifact")
 
-    params = list(inner.named_parameters())
+    params = list(model.named_parameters())
     for pname, param in params:
         arrays[f"state:{pname}"] = param.data
-    for mname, module in inner.named_modules():
+    for mname, module in model.named_modules():
         if isinstance(module, BatchNorm2d):
             arrays[f"buffer:{mname}:running_mean"] = module.running_mean
             arrays[f"buffer:{mname}:running_var"] = module.running_var
 
     dtype = str(params[0][1].data.dtype) if params else "float64"
     meta = {"format": ARTIFACT_FORMAT, "version": ARTIFACT_VERSION,
-            "dtype": dtype, "recipe": recipe, "tiling": tiling,
-            "revision": revision, "layers": layers}
+            "dtype": dtype, "recipe": recipe, "revision": revision,
+            "layers": layers}
     try:
         meta_json = json.dumps(meta)
     except TypeError as exc:
@@ -257,12 +245,11 @@ def save_artifact(model: Module, path: Optional[PathLike] = None,
 # Load
 # ----------------------------------------------------------------------
 
-def read_artifact_meta(path: PathLike) -> Dict:
-    """The artifact's meta block (recipe, tiling, packed-layer table)."""
-    with np.load(path) as data:
-        if "__meta__" not in data.files:
-            raise ValueError(f"{path} is not a packed deploy artifact")
-        meta = json.loads(str(data["__meta__"][()]))
+def _checked_meta(data, path: PathLike) -> Dict:
+    """Parse and validate the ``__meta__`` block of an open artifact."""
+    if "__meta__" not in data.files:
+        raise ValueError(f"{path} is not a packed deploy artifact")
+    meta = json.loads(str(data["__meta__"][()]))
     if meta.get("format") != ARTIFACT_FORMAT:
         raise ValueError(f"{path}: unknown artifact format "
                          f"{meta.get('format')!r}")
@@ -273,6 +260,15 @@ def read_artifact_meta(path: PathLike) -> Dict:
     # Artifacts written before deploy revisions existed are revision 1.
     meta["revision"] = int(meta.get("revision", 1))
     return meta
+
+
+def read_artifact_meta(path: PathLike) -> Dict:
+    """The artifact's meta block (recipe, dtype, revision, layer table)."""
+    # The handle is ours, not np.load's: on a truncated zip np.load has
+    # already handed its own handle to NpzFile when BadZipFile raises,
+    # and nothing closes it then.
+    with open(path, "rb") as fh, np.load(fh) as data:
+        return _checked_meta(data, path)
 
 
 def artifact_key(recipe: Dict) -> Tuple[str, str, int]:
@@ -305,8 +301,6 @@ class ArtifactInfo:
     #: ``(architecture, scheme, scale)`` — the zoo registry key.
     key: Tuple[str, str, int]
     recipe: Dict
-    #: tiling config stored in the artifact (None for bare models)
-    tiling: Optional[Dict]
     n_packed_layers: int
     size_bytes: int
     #: deploy revision stamped at export (pre-revision artifacts: 1)
@@ -370,7 +364,7 @@ def scan_artifact_revisions(
                        f"for key {key} revision {revision}"))
             continue
         revisions[revision] = ArtifactInfo(
-            path=path, key=key, recipe=recipe, tiling=meta.get("tiling"),
+            path=path, key=key, recipe=recipe,
             n_packed_layers=len(meta.get("layers", [])),
             size_bytes=path.stat().st_size, revision=revision)
     return catalog, skipped
@@ -471,9 +465,7 @@ def _resolve_parent(root: Module, path: str):
 
 
 def load_artifact(path: PathLike, skeleton: Optional[Module] = None,
-                  tile: Union[int, None, str] = "auto",
-                  tile_overlap: Optional[int] = None,
-                  tile_batch_size: Optional[int] = None) -> Module:
+                  tile: None = None) -> Module:
     """Load a packed deploy artifact into a servable model.
 
     Parameters
@@ -486,16 +478,20 @@ def load_artifact(path: PathLike, skeleton: Optional[Module] = None,
         without a build recipe.  The modules at the artifact's packed
         paths are replaced outright, so placeholders and live float
         binary layers both work.
-    tile / tile_overlap / tile_batch_size:
-        ``"auto"`` (default) restores the tiling configuration stored in
-        the artifact; ``tile=None`` forces a bare model; an integer
-        wraps the model in :class:`TiledInference` with that tile size.
+    tile:
+        Only ``None`` is accepted, for callers written when artifacts
+        carried tiling.  Tiling is an inference setting: set
+        ``EngineConfig.tile``.  The ``tiling`` block of an older
+        artifact is ignored.
 
-    Returns the model in eval mode, wrapped in ``TiledInference`` when a
-    tiling configuration applies.
+    Returns the model in eval mode.
     """
-    meta = read_artifact_meta(path)
-    with np.load(path) as data:
+    if tile is not None:
+        raise ValueError(
+            f"load_artifact(tile={tile!r}): artifacts load bare; tiling "
+            "is an inference setting, set EngineConfig.tile instead")
+    with open(path, "rb") as fh, np.load(fh) as data:
+        meta = _checked_meta(data, path)
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
 
     # Thread-scoped dtype: artifact loads happen on server/scheduler
@@ -534,20 +530,4 @@ def load_artifact(path: PathLike, skeleton: Optional[Module] = None,
                 module = module._modules[part]
             setattr(module, attr, value.copy())
     model.eval()
-
-    tiling = meta.get("tiling")
-    if tile == "auto":
-        if tiling is None:
-            return model
-        tile, overlap, batch = (tiling["tile"], tiling["overlap"],
-                                tiling["batch_size"])
-    elif tile is None:
-        return model
-    else:
-        overlap = tiling["overlap"] if tiling else 8
-        batch = tiling["batch_size"] if tiling else 16
-    if tile_overlap is not None:
-        overlap = tile_overlap
-    if tile_batch_size is not None:
-        batch = tile_batch_size
-    return TiledInference(model, tile=tile, overlap=overlap, batch_size=batch)
+    return model

@@ -150,10 +150,8 @@ class InferencePipeline:
                  n_threads: Optional[int] = None, clip: bool = True,
                  hooks: Optional[PipelineHooks] = None):
         if isinstance(model, (str, os.PathLike)):
-            # The pipeline drives tiling itself (tile=/scale=), so load
-            # the bare packed graph, ignoring the artifact's own tiling.
             from ..deploy.serialize import load_artifact
-            model = load_artifact(model, tile=None)
+            model = load_artifact(model)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if tile is not None and scale is None:
@@ -173,7 +171,7 @@ class InferencePipeline:
         self.n_threads = n_threads
         self.clip = clip
         self.hooks = hooks if hooks is not None else PipelineHooks()
-        self._pending: List[Tuple[np.ndarray, PendingResult, float]] = []
+        self._pending: List[Tuple[np.ndarray, PendingResult]] = []
         self._queue_lock = threading.Lock()
         self._closed = False
         #: Counters: submitted/completed images, batches run, largest batch.
@@ -203,40 +201,9 @@ class InferencePipeline:
             if self._closed:
                 raise RuntimeError(
                     "cannot submit to a closed InferencePipeline")
-            self._pending.append((lr_image, handle, time.monotonic()))
+            self._pending.append((lr_image, handle))
         self.stats["submitted"] += 1
         return handle
-
-    def oldest_age(self, now: Optional[float] = None) -> Optional[float]:
-        """Seconds the oldest queued image has waited (None if empty)."""
-        with self._queue_lock:
-            if not self._pending:
-                return None
-            enqueued = self._pending[0][2]
-        return (time.monotonic() if now is None else now) - enqueued
-
-    def due(self, budget_s: float, now: Optional[float] = None) -> bool:
-        """Is a flush warranted under a ``budget_s`` latency budget?
-
-        True when a full micro-batch is queued (nothing to gain by
-        waiting) or the oldest queued image has already waited
-        ``budget_s`` — the flush-deadline policy a serving loop polls.
-        """
-        with self._queue_lock:
-            if not self._pending:
-                return False
-            if len(self._pending) >= self.batch_size:
-                return True
-            enqueued = self._pending[0][2]
-        return (time.monotonic() if now is None else now) - enqueued >= budget_s
-
-    def flush_if_due(self, budget_s: float,
-                     now: Optional[float] = None) -> bool:
-        """``flush()`` when :meth:`due`; returns whether it flushed."""
-        if not self.due(budget_s, now):
-            return False
-        self.flush()
-        return True
 
     def flush(self) -> None:
         """Run every pending image; all outstanding handles become ready.
@@ -267,7 +234,7 @@ class InferencePipeline:
                 self.hooks.on_flush(completed, time.monotonic() - started)
 
     def _flush_tiled(self, taken) -> None:
-        for image, handle, _ in taken:
+        for image, handle in taken:
             sr = tiled_super_resolve(
                 self.model, image, self.scale, tile=self.tile,
                 overlap=self.tile_overlap, batch_size=self.batch_size,
@@ -277,7 +244,7 @@ class InferencePipeline:
 
     def _flush_stacked(self, taken) -> None:
         groups: Dict[Tuple[int, ...], List[Tuple[np.ndarray, PendingResult]]] = {}
-        for image, handle, _ in taken:
+        for image, handle in taken:
             groups.setdefault(image.shape, []).append((image, handle))
         batches: List[List[Tuple[np.ndarray, PendingResult]]] = []
         for group in groups.values():
@@ -325,7 +292,7 @@ class InferencePipeline:
             for entry in self._pending:
                 (dropped if entry[1] in targets else kept).append(entry)
             self._pending = kept
-            for _, handle, _ in dropped:
+            for _, handle in dropped:
                 # Mark while still holding the lock, so a racing
                 # result() either finds the entry queued or finds the
                 # handle marked — never a silent limbo in between.
@@ -353,7 +320,7 @@ class InferencePipeline:
                 return
             self._closed = True
             dropped, self._pending = self._pending, []
-            for _, handle, _ in dropped:
+            for _, handle in dropped:
                 handle._discarded = True
         self.model = None
 

@@ -1,10 +1,15 @@
 """Tiled ("chopped") inference for memory-bounded full-image SR.
 
-One shared geometry — :func:`plan_tiles` — drives every tiled path in
-the repo (this module's :func:`tiled_super_resolve` and the packed
-engine's :class:`repro.deploy.engine.TiledInference`): overlapping tiles
-with a flush-right final tile, interior edges trimmed by ``trim`` pixels
-before placement, remaining overlap averaged.
+This module is the repo's one tiled execution path.
+:func:`tiled_super_resolve` is the one tiled forward: ``Engine.infer``
+and ``InferencePipeline(tile=...)`` run it, and so do the jobs and
+servers built on them.  :class:`TileStitcher` is the one stitch: the
+tiled forward and :class:`repro.stream.StreamSession` (which assembles
+frames from served and cached tiles) both blend through it.  One
+geometry — :func:`plan_tiles` — drives both: overlapping tiles with a
+flush-right final tile, interior edges trimmed by ``trim`` pixels
+before placement, remaining overlap averaged.  Tiling is an inference
+setting (``EngineConfig.tile``); deploy artifacts carry none.
 
 The execution strategy is chunked and streaming: tiles run through the
 model in NCHW chunks of at most ``batch_size`` tiles, so the conv/GEMM
@@ -165,37 +170,48 @@ def iter_tile_batches(model, data: np.ndarray, plan: TilePlan,
 
 
 class TileStitcher:
-    """Accumulate trimmed tile outputs onto an averaged canvas.
+    """Blend tile outputs into one image: clip, place, average, clip.
 
-    Consumes tiles incrementally (pair with :func:`iter_tile_batches`),
-    so only the canvas and one wave of outputs are ever resident.
+    Each tile is trimmed by its plan edges, clipped to [0, 1] in
+    float64 and added onto a float64 canvas; :meth:`finish` divides
+    every pixel by the number of tiles that covered it and clips
+    again.  Tiles are consumed incrementally (pair with
+    :func:`iter_tile_batches`), so only the canvas and one wave of
+    outputs are ever resident.
     """
 
-    def __init__(self, plan: TilePlan, scale: int, batch: int, c_out: int):
+    def __init__(self, plan: TilePlan, scale: int):
         self.plan = plan
         self.scale = scale
-        self.canvas = np.zeros(
-            (batch, c_out, plan.height * scale, plan.width * scale),
-            dtype=np.float64)
-        self.weight = np.zeros(
-            (1, 1, plan.height * scale, plan.width * scale), dtype=np.float64)
+        self.canvas: Optional[np.ndarray] = None
+        self.weight = np.zeros((plan.height * scale, plan.width * scale),
+                               dtype=np.float64)
 
     def add(self, tile_index: int, sr: np.ndarray) -> None:
-        """Place one tile's ``(B, C_out, th*s, tw*s)`` output."""
+        """Place one tile's ``(C_out, th*s, tw*s)`` output."""
         s = self.plan.tiles[tile_index]
         scale = self.scale
         th, tw = self.plan.tile_h, self.plan.tile_w
-        sr = sr[:, :, s.top * scale:(th - s.bottom) * scale,
+        expect = (th * scale, tw * scale)
+        if sr.ndim != 3 or sr.shape[1:] != expect:
+            raise ValueError(
+                f"tile {tile_index}: model produced {tuple(sr.shape[1:])} "
+                f"for a {(th, tw)} tile; expected {expect} at scale {scale}")
+        if self.canvas is None:
+            self.canvas = np.zeros((sr.shape[0],) + self.weight.shape,
+                                   dtype=np.float64)
+        sr = sr[:, s.top * scale:(th - s.bottom) * scale,
                 s.left * scale:(tw - s.right) * scale]
         ys = (s.y0 + s.top) * scale
         xs = (s.x0 + s.left) * scale
-        self.canvas[:, :, ys:ys + sr.shape[2], xs:xs + sr.shape[3]] += sr
-        self.weight[:, :, ys:ys + sr.shape[2], xs:xs + sr.shape[3]] += 1.0
+        self.canvas[:, ys:ys + sr.shape[1], xs:xs + sr.shape[2]] += np.clip(
+            np.asarray(sr, dtype=np.float64), 0.0, 1.0)
+        self.weight[ys:ys + sr.shape[1], xs:xs + sr.shape[2]] += 1.0
 
     def finish(self) -> np.ndarray:
-        """The averaged ``(B, C_out, H*s, W*s)`` float64 canvas."""
+        """The stitched ``(H*s, W*s, C_out)`` image, clipped to [0, 1]."""
         self.canvas /= np.maximum(self.weight, 1.0)
-        return self.canvas
+        return np.clip(self.canvas.transpose(1, 2, 0), 0.0, 1.0)
 
 
 def tiled_super_resolve(model: Module, lr_image: np.ndarray, scale: int,
@@ -211,7 +227,9 @@ def tiled_super_resolve(model: Module, lr_image: np.ndarray, scale: int,
     :func:`iter_tile_batches`), stitched as each wave completes —
     identical outputs to the sequential per-tile loop at a fraction of
     the per-call overhead, with peak memory bounded by one wave plus
-    the output canvas.
+    the output canvas.  Returns the ``(scale*H, scale*W, C)`` float64
+    image; each tile's output is clipped to [0, 1] before blending and
+    the blend is clipped again (:class:`TileStitcher`).
 
     Parameters
     ----------
@@ -246,29 +264,15 @@ def tiled_super_resolve(model: Module, lr_image: np.ndarray, scale: int,
         raise ValueError(f"tile {tile} must be a multiple of {lr_multiple}")
     plan = plan_tiles(h, w, tile, overlap, trim)
     data = np.ascontiguousarray(lr_image.transpose(2, 0, 1))[None]
-    expect = (plan.tile_h * scale, plan.tile_w * scale)
-
-    stitcher = None
+    stitcher = TileStitcher(plan, scale)
     was_training = model.training
     model.eval()
     try:
         with no_grad():
             for indices, out in iter_tile_batches(model, data, plan,
                                                   batch_size, n_threads):
-                if out.shape[2:] != expect:
-                    raise ValueError(
-                        f"model produced {tuple(out.shape[2:])} for a "
-                        f"{(plan.tile_h, plan.tile_w)} tile; expected "
-                        f"{expect} at scale {scale}")
-                if stitcher is None:
-                    stitcher = TileStitcher(plan, scale, batch=1,
-                                            c_out=out.shape[1])
-                # Per-tile clip before blending, exactly like the
-                # per-tile loop (which stitched ``super_resolve``
-                # outputs, already clipped).
-                out = np.clip(np.asarray(out, dtype=np.float64), 0.0, 1.0)
                 for j, t in enumerate(indices):
-                    stitcher.add(t, out[j:j + 1])
+                    stitcher.add(t, out[j])
     finally:
         model.train(was_training)
-    return np.clip(stitcher.finish()[0].transpose(1, 2, 0), 0.0, 1.0)
+    return stitcher.finish()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import collections
 import heapq
 import multiprocessing
-import queue as queuelib
+import multiprocessing.connection
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -349,7 +349,6 @@ class JobRunner:
     def _run_pool(self, runnable, tracked, journal, report,
                   n_workers: int) -> None:
         ctx = multiprocessing.get_context("spawn")
-        result_queue = ctx.Queue()
         ready = self._initial_tasks(runnable)
         retry_heap: List = []
         seq = [0]
@@ -360,14 +359,39 @@ class JobRunner:
 
         def spawn(worker_id: int) -> None:
             task_queue = ctx.Queue()
+            # One result pipe per worker, written synchronously: a worker
+            # that dies mid-message (chaos crash, SIGKILL, OOM) can only
+            # break its own pipe.  A shared queue would keep its write
+            # lock held by the dead worker and wedge every other one.
+            results, sender = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=worker_main,
-                args=(worker_id, task_queue, result_queue, self.chaos,
+                args=(worker_id, task_queue, sender, self.chaos,
                       self.manifest.batch_size),
                 daemon=True)
             proc.start()
-            workers[worker_id] = {
-                "proc": proc, "queue": task_queue, "task": None}
+            sender.close()  # the worker's end is the last: EOF on death
+            workers[worker_id] = {"proc": proc, "queue": task_queue,
+                                  "results": results, "task": None}
+
+        def drain(state: Dict) -> bool:
+            """Apply every message waiting on a worker's result pipe;
+            True when one of them was item progress."""
+            progress = False
+            try:
+                while state["results"].poll():
+                    message = state["results"].recv()
+                    if message[0] == "task_done":
+                        state["task"] = None
+                    else:
+                        self._dispatch_message(message, tracked, journal,
+                                               report, retry_heap, seq)
+                        progress = True
+            except (EOFError, OSError):
+                # Closed, perhaps mid-message: the worker is exiting,
+                # and the liveness check re-leases the rest of its task.
+                state["proc"].join(timeout=1.0)
+            return progress
 
         for worker_id in range(n_workers):
             spawn(worker_id)
@@ -402,29 +426,20 @@ class JobRunner:
                         state["task"] = (task, batch)
                         state["queue"].put(task)
                 # collect results
-                try:
-                    message = result_queue.get(timeout=_POLL_S)
-                except queuelib.Empty:
-                    message = None
-                while message is not None:
-                    if message[0] == "task_done":
-                        _, worker_id, _tid = message
-                        state = workers.get(worker_id)
-                        if state is not None:
-                            state["task"] = None
-                    else:
-                        self._dispatch_message(message, tracked, journal,
-                                               report, retry_heap, seq)
+                pipes = {s["results"]: s for s in workers.values()}
+                for pipe in multiprocessing.connection.wait(
+                        list(pipes), timeout=_POLL_S):
+                    if drain(pipes[pipe]):
                         fruitless_deaths = 0
-                    try:
-                        message = result_queue.get_nowait()
-                    except queuelib.Empty:
-                        message = None
                 # liveness: re-lease work owned by dead workers
                 for worker_id in list(workers):
                     state = workers[worker_id]
                     if state["proc"].is_alive():
                         continue
+                    # What it sent before it died still counts.
+                    if drain(state):
+                        fruitless_deaths = 0
+                    state["results"].close()
                     task_batch = state["task"]
                     workers.pop(worker_id)
                     fruitless_deaths += 1
@@ -457,5 +472,4 @@ class JobRunner:
                 if state["proc"].is_alive():  # pragma: no cover
                     state["proc"].terminate()
                     state["proc"].join(timeout=1.0)
-            result_queue.close()
-            result_queue.join_thread()
+                state["results"].close()

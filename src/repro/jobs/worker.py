@@ -7,7 +7,8 @@ message per item.  The same generator drives both execution modes:
 
 * :func:`worker_main` — the ``multiprocessing`` entry point.  Each
   worker process owns a task queue (so a lost lease is attributable to
-  exactly one worker) and shares one result queue with the coordinator.
+  exactly one worker) and a result pipe it writes synchronously, so a
+  worker that dies mid-message breaks only its own channel.
 * inline mode (``workers=0``) — the coordinator calls
   :func:`process_task` directly; no processes, fully deterministic,
   what most tests use.
@@ -159,11 +160,12 @@ def process_task(task: WorkerTask, cache: EngineCache,
                time.perf_counter() - started, attempt)
 
 
-def worker_main(worker_id: int, task_queue, result_queue,
+def worker_main(worker_id: int, task_queue, results,
                 chaos: ChaosConfig, batch_size: int) -> None:
     """``multiprocessing`` target: drain ``task_queue`` until the
-    ``None`` sentinel, reporting per-item messages plus a
-    ``("task_done", worker_id, task_id)`` marker after each task so the
+    ``None`` sentinel, sending per-item messages plus a
+    ``("task_done", worker_id, task_id)`` marker after each task on
+    ``results`` (this worker's write end of its result pipe) so the
     coordinator can re-dispatch to this worker."""
     cache = EngineCache(batch_size=batch_size, chaos=chaos)
     try:
@@ -173,7 +175,7 @@ def worker_main(worker_id: int, task_queue, result_queue,
                 break
             for message in process_task(task, cache, chaos,
                                         allow_crash=chaos.active):
-                result_queue.put(message)
-            result_queue.put(("task_done", worker_id, task.task_id))
+                results.send(message)
+            results.send(("task_done", worker_id, task.task_id))
     finally:
         cache.close()

@@ -27,8 +27,8 @@ like them) and turns it into a *video* surface:
 Bit-parity contract: with the backend serving the same artifact at
 the same dtype/clip settings, a streamed frame is **bit-identical**
 to one-shot ``Engine.infer`` on that frame with the same
-``tile``/``tile_overlap`` — the session stitches with the very same
-``TileStitcher`` arithmetic in the same plan order.
+``tile``/``tile_overlap`` — the session stitches through the same
+``repro.infer.tiling.TileStitcher`` in the same plan order.
 """
 
 import itertools
@@ -469,9 +469,7 @@ class StreamSession:
                 tiles_reused=len(delta.reused),
             )
             return
-        out = self._stitch(frame, plan, delta, fresh)
-        if out is None:
-            return
+        out = self._stitch(plan, delta, fresh)
         if cache is not None:
             for key, sr in fresh.items():
                 cache.put(key, sr)
@@ -535,31 +533,16 @@ class StreamSession:
             f"unexpected tile result type {type(value).__name__}"
         )
 
-    def _stitch(self, frame, plan, delta, fresh) -> Optional[np.ndarray]:
-        """Assemble the SR frame; mirrors ``tiled_super_resolve`` bit
-        for bit (same float64 canvas, same plan order, same clips)."""
-        th, tw = plan.tile_h, plan.tile_w
-        want = (th * self.scale, tw * self.scale)
-        stitcher = None
+    def _stitch(self, plan, delta, fresh) -> np.ndarray:
+        """Assemble the SR frame through ``tiled_super_resolve``'s
+        ``TileStitcher``, in plan order."""
+        stitcher = TileStitcher(plan, self.scale)
         for i in range(len(plan.tiles)):
             sr = delta.cached.get(i)
             if sr is None:
                 sr = fresh[delta.keys[i]]
-            if sr.ndim != 3 or sr.shape[:2] != want:
-                self._finish_error(
-                    frame,
-                    f"tile {i} returned shape {sr.shape}, expected "
-                    f"{want} + channels — wrong model scale?",
-                )
-                return None
-            if stitcher is None:
-                stitcher = TileStitcher(
-                    plan, self.scale, batch=1, c_out=sr.shape[2]
-                )
-            tile64 = np.clip(np.asarray(sr, dtype=np.float64), 0.0, 1.0)
-            stitcher.add(i, tile64.transpose(2, 0, 1)[None])
-        assert stitcher is not None  # plans always have >= 1 tile
-        return np.clip(stitcher.finish()[0].transpose(1, 2, 0), 0.0, 1.0)
+            stitcher.add(i, np.moveaxis(sr, -1, 0))
+        return stitcher.finish()
 
     # -- completion ----------------------------------------------------
 

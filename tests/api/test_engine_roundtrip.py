@@ -110,7 +110,7 @@ class TestArtifactBitIdentityAcrossZoo:
 
         facade = Engine.from_artifact(path).infer_many(images)
         direct = InferencePipeline(
-            load_artifact(path, tile=None), batch_size=8).map(images)
+            load_artifact(path), batch_size=8).map(images)
         for result, expected in zip(facade, direct):
             assert np.array_equal(result.unwrap(), expected)
 
@@ -153,12 +153,15 @@ class TestLifecycleStates:
             SPEC, config=EngineConfig(seed=4, tile=8, tile_overlap=4))
         assert np.array_equal(tiled_engine.infer(image).unwrap(), plain)
 
-    def test_export_records_the_tile_batch_infer_runs(self, tmp_path):
-        engine = Engine.from_spec(SPEC, config=EngineConfig(
-            seed=4, tile=8, tile_overlap=4, batch_size=5))
+    def test_tiling_stays_in_the_config_not_the_artifact(self, tmp_path):
+        image = _images(n=1, shape=(20, 20, 3))[0]
+        config = EngineConfig(seed=4, tile=8, tile_overlap=4, batch_size=5)
+        engine = Engine.from_spec(SPEC, config=config)
         path = engine.export(tmp_path / "tiled.rbd.npz")
-        assert read_artifact_meta(path)["tiling"] == {
-            "tile": 8, "overlap": 4, "batch_size": 5}
+        assert "tiling" not in read_artifact_meta(path)
+        served = Engine.from_artifact(path, config)
+        assert np.array_equal(served.infer(image).unwrap(),
+                              engine.infer(image).unwrap())
 
     def test_dtype_scope_matches_hand_wiring_under_same_dtype(self):
         from repro import grad as G

@@ -186,49 +186,3 @@ class TestPaddingCorrectionCache:
             x = rng.normal(size=(1, 4, size, size)).astype(np.float32)
             np.testing.assert_allclose(_forward(packed, x),
                                        _forward(layer, x), rtol=0, atol=1e-5)
-
-
-class TestTiledInference:
-    def _toy_model(self):
-        from repro.nn import Sequential
-        init.seed(23)
-        # Receptive radius 2 (two 3x3 convs) < trim 4, so overlap-and-
-        # stitch reproduces the untiled output except for float noise.
-        return Sequential(E2FIFBinaryConv2d(3, 3, 3),
-                          E2FIFBinaryConv2d(3, 3, 3))
-
-    def test_tiled_matches_untiled(self):
-        model = self._toy_model()
-        compiled = compile_model(model)
-        tiled = compile_model(model, tile=16, tile_overlap=8)
-        x = np.random.default_rng(23).normal(size=(1, 3, 40, 38)).astype(np.float32)
-        np.testing.assert_allclose(_forward(tiled, x), _forward(compiled, x),
-                                   rtol=0, atol=1e-5)
-
-    def test_small_input_bypasses_tiling(self):
-        tiled = compile_model(self._toy_model(), tile=64)
-        x = np.random.default_rng(24).normal(size=(1, 3, 10, 10)).astype(np.float32)
-        assert _forward(tiled, x).shape == (1, 3, 10, 10)
-
-    def test_wraps_in_tiled_inference(self):
-        from repro.deploy import TiledInference
-        tiled = compile_model(self._toy_model(), tile=16)
-        assert isinstance(tiled, TiledInference)
-        assert not isinstance(compile_model(self._toy_model()), TiledInference)
-
-    def test_invalid_geometry_rejected(self):
-        from repro.deploy import TiledInference
-        model = compile_model(self._toy_model())
-        with pytest.raises(ValueError):
-            TiledInference(model, tile=0)
-        with pytest.raises(ValueError):
-            TiledInference(model, tile=8, overlap=8)
-
-    def test_tiled_super_resolution_scale_inference(self):
-        init.seed(25)
-        model = build_model("srresnet", scale=2, scheme="e2fif",
-                            preset="tiny")
-        tiled = compile_model(model, tile=12, tile_overlap=8)
-        x = np.random.default_rng(25).random((1, 3, 20, 20)).astype(np.float32)
-        out = _forward(tiled, x)
-        assert out.shape == (1, 3, 40, 40)

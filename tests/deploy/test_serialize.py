@@ -1,13 +1,17 @@
 """Packed deploy artifacts: save/load round-trips and the wiring."""
 
+import gc
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import grad as G
 from repro.binarize.baselines import E2FIFBinaryConv2d
-from repro.deploy import (TiledInference, artifact_report, compile_model,
-                          deployment_report, load_artifact,
-                          read_artifact_meta, save_artifact)
+from repro.deploy import (artifact_report, compile_model, deployment_report,
+                          load_artifact, read_artifact_meta, save_artifact,
+                          scan_artifact_dir)
 from repro.grad import Tensor, no_grad
 from repro.infer import InferencePipeline
 from repro.models import build_model
@@ -131,27 +135,39 @@ class TestCrashSafeExport:
         assert read_artifact_meta(path)["layers"]
 
 
-class TestTilingConfig:
-    def test_tiled_wrapper_round_trips(self, tmp_path):
-        model, _ = _compiled_srresnet()
-        tiled = compile_model(model, tile=12, tile_overlap=4,
-                              tile_batch_size=4)
-        path = save_artifact(tiled, tmp_path / "m.npz")
-        loaded = load_artifact(path)
-        assert isinstance(loaded, TiledInference)
-        assert (loaded.tile, loaded.overlap, loaded.batch_size) == (12, 4, 4)
-        x = np.random.default_rng(3).random((1, 3, 20, 20)).astype(np.float32)
-        np.testing.assert_array_equal(_forward(loaded, x), _forward(tiled, x))
+class TestTilingIsNotStored:
+    """Tiling is an inference setting (``EngineConfig.tile``): artifacts
+    carry none, and the ``tiling`` block of older ones is ignored."""
 
-    def test_tile_override_and_disable(self, tmp_path):
-        model, _ = _compiled_srresnet()
-        tiled = compile_model(model, tile=12)
-        path = save_artifact(tiled, tmp_path / "m.npz")
-        bare = load_artifact(path, tile=None)
-        assert not isinstance(bare, TiledInference)
-        retiled = load_artifact(path, tile=16, tile_overlap=6)
-        assert isinstance(retiled, TiledInference)
-        assert (retiled.tile, retiled.overlap) == (16, 6)
+    def test_artifact_meta_has_no_tiling(self, tmp_path):
+        _, compiled = _compiled_srresnet()
+        path = save_artifact(compiled, tmp_path / "m.npz")
+        assert "tiling" not in read_artifact_meta(path)
+
+    def test_stored_tiling_block_loads_bare(self, tmp_path):
+        _, compiled = _compiled_srresnet()
+        path = save_artifact(compiled, tmp_path / "m.npz")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["__meta__"][()]))
+        meta["tiling"] = {"tile": 12, "overlap": 4, "batch_size": 4}
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+        loaded = load_artifact(old)
+        assert type(loaded) is type(compiled)
+        # 20x20 is larger than the stored tile: a tiled load would blend.
+        x = np.random.default_rng(3).random((1, 3, 20, 20)).astype(np.float32)
+        np.testing.assert_array_equal(_forward(loaded, x),
+                                      _forward(compiled, x))
+
+    def test_tile_argument_accepts_only_none(self, tmp_path):
+        _, compiled = _compiled_srresnet()
+        path = save_artifact(compiled, tmp_path / "m.npz")
+        assert type(load_artifact(path, tile=None)) is type(compiled)
+        for tile in (16, "auto"):
+            with pytest.raises(ValueError, match="EngineConfig.tile"):
+                load_artifact(path, tile=tile)
 
 
 class TestCompileFreeze:
@@ -171,12 +187,6 @@ class TestCompileFreeze:
         compiled = compile_model(model, freeze=True)
         assert compiled.artifact_path.name == "srresnet_scales_x2_tiny.rbd.npz"
         assert (tmp_path / compiled.artifact_path.name).exists()
-
-    def test_freeze_with_tile_records_tiling(self, tmp_path):
-        model, _ = _compiled_srresnet()
-        target = tmp_path / "tiled.npz"
-        compile_model(model, tile=16, freeze=target)
-        assert read_artifact_meta(target)["tiling"]["tile"] == 16
 
 
 class TestSkeletonLoading:
@@ -224,6 +234,18 @@ class TestErrors:
         with pytest.raises(ValueError, match="not a packed deploy artifact"):
             read_artifact_meta(path)
 
+    def test_scanning_a_truncated_artifact_closes_its_file(self, tmp_path):
+        _, compiled = _compiled_srresnet()
+        good = save_artifact(compiled, tmp_path / "a.npz")
+        (tmp_path / "b.npz").write_bytes(good.read_bytes()[:100])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            artifacts, skipped = scan_artifact_dir(tmp_path)
+            gc.collect()
+        assert [p.name for p, _ in skipped] == ["b.npz"]
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
 
 class TestArtifactReport:
     def test_matches_live_report(self, tmp_path):
@@ -248,12 +270,3 @@ class TestServingFromArtifact:
         for img, out in zip(images, outputs):
             np.testing.assert_allclose(
                 out, np.clip(super_resolve(compiled, img), 0, 1), atol=1e-6)
-
-    def test_tiled_inference_accepts_artifact_path(self, tmp_path):
-        _, compiled = _compiled_srresnet()
-        path = save_artifact(compiled, tmp_path / "m.npz")
-        tiled = TiledInference(str(path), tile=12, overlap=4)
-        x = np.random.default_rng(7).random((1, 3, 20, 18)).astype(np.float32)
-        ref = _forward(compile_model(_compiled_srresnet()[0], tile=12,
-                                     tile_overlap=4), x)
-        np.testing.assert_array_equal(_forward(tiled, x), ref)

@@ -1,8 +1,9 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and the
+``|``-separated row tables of the table-driven tests."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -52,3 +53,11 @@ def check_gradients(build: Callable[[Sequence[Tensor]], Tensor],
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def parse_table(text: str) -> List[Dict[str, str]]:
+    """Rows of a ``|``-separated table whose second line is a rule."""
+    header, _, *lines = text.strip().splitlines()
+    names = [token.strip() for token in header.split("|")]
+    return [dict(zip(names, (token.strip() for token in line.split("|"))))
+            for line in lines]

@@ -1,10 +1,10 @@
 """Batched/parallel inference pipeline: equivalence and plumbing.
 
-The stacked tile pipeline, the thread pool, and the micro-batching
-serving API must all be execution-strategy changes only: outputs are
-required to match the sequential per-tile / per-image oracles
-bit-for-bit (packed models) or to float tolerance (float models), across
-odd image sizes, tiles that do not divide the image, and thread counts.
+The thread pool and the micro-batching serving API must be
+execution-strategy changes only: outputs are required to match the
+per-image ``super_resolve`` oracle bit-for-bit across image shapes and
+thread counts.  The tiled path is held to the sequential per-tile
+oracle in ``test_tiled_parity.py``.
 """
 
 
@@ -13,16 +13,13 @@ import pytest
 
 from repro import grad as G
 from repro.binarize.baselines import E2FIFBinaryConv2d
-from repro.deploy import TiledInference, compile_model
-from repro.grad import Tensor, no_grad
+from repro.deploy import compile_model
+from repro.grad import Tensor
 from repro.infer import (DiscardedError, InferencePipeline, get_num_threads,
-                         num_threads, parallel_map, plan_tiles,
-                         set_num_threads, tiled_super_resolve)
-from repro.models import build_model
+                         num_threads, parallel_map, set_num_threads,
+                         tiled_super_resolve)
 from repro.nn import Module, Sequential, init
 from repro.train import super_resolve
-
-from ..oracles import SequentialTiledInference
 
 
 class _Upscale2x(Module):
@@ -30,29 +27,6 @@ class _Upscale2x(Module):
 
     def forward(self, x):
         return Tensor(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3))
-
-
-def _forward(model, x):
-    model.eval()
-    with no_grad():
-        return model(Tensor(x)).data
-
-
-def _sequential_tiled_oracle(model, lr_image, scale, tile, overlap):
-    """The seed path: one ``super_resolve`` per tile, stitched."""
-    h, w = lr_image.shape[:2]
-    plan = plan_tiles(h, w, tile, overlap)
-    out = np.zeros((h * scale, w * scale, 3), dtype=np.float64)
-    weight = np.zeros((h * scale, w * scale, 1), dtype=np.float64)
-    th, tw = plan.tile_h, plan.tile_w
-    for s in plan.tiles:
-        sr = super_resolve(model, lr_image[s.y0:s.y0 + th, s.x0:s.x0 + tw])
-        sr = sr[s.top * scale:(th - s.bottom) * scale,
-                s.left * scale:(tw - s.right) * scale]
-        ys, xs = (s.y0 + s.top) * scale, (s.x0 + s.left) * scale
-        out[ys:ys + sr.shape[0], xs:xs + sr.shape[1]] += sr
-        weight[ys:ys + sr.shape[0], xs:xs + sr.shape[1]] += 1.0
-    return np.clip(out / np.maximum(weight, 1.0), 0.0, 1.0)
 
 
 class TestThreadControls:
@@ -116,55 +90,8 @@ class TestThreadControls:
 
 
 class TestTiledEquivalence:
-    """Batched tiled paths vs the sequential seed path."""
-
-    def _packed_model(self):
-        init.seed(0)
-        model = Sequential(E2FIFBinaryConv2d(3, 8, 3),
-                           E2FIFBinaryConv2d(8, 3, 3))
-        return compile_model(model)
-
-    @pytest.mark.parametrize("shape", [(37, 41), (33, 64), (48, 31)])
-    @pytest.mark.parametrize("tile,overlap", [(16, 8), (20, 6)])
-    def test_odd_sizes_and_non_dividing_tiles(self, shape, tile, overlap):
-        with G.default_dtype("float32"):
-            model = self._packed_model()
-            h, w = shape
-            x = np.random.default_rng(1).normal(size=(1, 3, h, w)).astype(np.float32)
-            seq = SequentialTiledInference(model, tile=tile, overlap=overlap)
-            bat = TiledInference(model, tile=tile, overlap=overlap,
-                                 batch_size=5)
-            np.testing.assert_array_equal(_forward(bat, x), _forward(seq, x))
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_thread_counts_identical(self, threads):
-        with G.default_dtype("float32"):
-            model = self._packed_model()
-            x = np.random.default_rng(2).normal(size=(1, 3, 45, 39)).astype(np.float32)
-            seq = SequentialTiledInference(model, tile=16, overlap=8)
-            bat = TiledInference(model, tile=16, overlap=8,
-                                 batch_size=3, n_threads=threads)
-            np.testing.assert_array_equal(_forward(bat, x), _forward(seq, x))
-
-    def test_batch_of_images(self):
-        with G.default_dtype("float32"):
-            model = self._packed_model()
-            x = np.random.default_rng(3).normal(size=(3, 3, 40, 24)).astype(np.float32)
-            seq = SequentialTiledInference(model, tile=16, overlap=8)
-            bat = TiledInference(model, tile=16, overlap=8,
-                                 batch_size=4)
-            np.testing.assert_array_equal(_forward(bat, x), _forward(seq, x))
-
-    def test_tiled_super_resolve_matches_sequential_oracle(self):
-        with G.default_dtype("float32"):
-            init.seed(2)
-            model = build_model("srresnet", scale=2, scheme="e2fif",
-                                preset="tiny")
-            img = np.random.default_rng(4).random((37, 29, 3)).astype(np.float32)
-            fast = tiled_super_resolve(model, img, scale=2, tile=16, overlap=8,
-                                       batch_size=4)
-            oracle = _sequential_tiled_oracle(model, img, 2, tile=16, overlap=8)
-            np.testing.assert_allclose(fast, oracle, atol=1e-5)
+    """``tiled_super_resolve`` plumbing; its outputs are checked against
+    the sequential oracle in ``test_tiled_parity.py``."""
 
     def test_tiled_super_resolve_threads(self):
         with G.default_dtype("float32"):
@@ -300,22 +227,6 @@ class TestInferencePipeline:
         assert out.shape == (6, 6, 3)
         assert pipe.pending() == 0
 
-    def test_nested_parallelism_does_not_deadlock(self):
-        # A thread-parallel tiled model inside a thread-parallel
-        # pipeline: the inner parallel_map must run inline on pool
-        # workers instead of starving the shared pool.
-        with G.default_dtype("float32"):
-            inner = TiledInference(self._model(), tile=8, overlap=4,
-                                   batch_size=2, n_threads=4)
-            rng = np.random.default_rng(14)
-            images = [rng.random((20, 20, 3)).astype(np.float32)
-                      for _ in range(4)]
-            pipe = InferencePipeline(inner, batch_size=1, n_threads=4)
-            outs = pipe.map(images)
-            for img, out in zip(images, outs):
-                expected = np.clip(super_resolve(inner, img), 0.0, 1.0)
-                np.testing.assert_array_equal(out, expected)
-
     def test_stats_counters(self):
         with G.default_dtype("float32"):
             model = self._model()
@@ -328,41 +239,11 @@ class TestInferencePipeline:
             assert pipe.stats["batches"] == 3  # 2 + 2 + 1
 
 
-class TestPipelineDeadlinesAndHooks:
-    """The serving-layer attachment points: flush deadlines + hooks."""
+class TestPipelineHooks:
+    """The serving-layer attachment points: hooks and cancellation."""
 
     def _pipeline(self, **kwargs):
         return InferencePipeline(_Upscale2x(), **kwargs)
-
-    def test_oldest_age_and_due(self):
-        pipe = self._pipeline(batch_size=4)
-        assert pipe.oldest_age() is None
-        assert not pipe.due(0.0)
-        img = np.random.default_rng(0).random((4, 4, 3))
-        pipe.submit(img)
-        t0 = pipe._pending[0][2]
-        assert pipe.oldest_age(now=t0 + 0.25) == pytest.approx(0.25)
-        assert not pipe.due(budget_s=0.5, now=t0 + 0.25)
-        assert pipe.due(budget_s=0.5, now=t0 + 0.5)
-
-    def test_full_batch_is_due_regardless_of_budget(self):
-        pipe = self._pipeline(batch_size=2)
-        img = np.random.default_rng(0).random((4, 4, 3))
-        pipe.submit(img)
-        assert not pipe.due(budget_s=1e9)
-        pipe.submit(img)
-        assert pipe.due(budget_s=1e9)
-
-    def test_flush_if_due(self):
-        pipe = self._pipeline(batch_size=8)
-        img = np.random.default_rng(0).random((4, 4, 3))
-        handle = pipe.submit(img)
-        t0 = pipe._pending[0][2]
-        assert not pipe.flush_if_due(budget_s=10.0, now=t0 + 0.1)
-        assert not handle.done()
-        assert pipe.flush_if_due(budget_s=0.05, now=t0 + 0.1)
-        assert handle.done()
-        assert pipe.pending() == 0
 
     def test_hooks_observe_batches_and_flushes(self):
         events = []

@@ -15,6 +15,8 @@ import pytest
 from repro.infer import plan_tiles
 from repro.infer.tiling import iter_tile_batches
 
+from ..helpers import parse_table
+
 SPLITS = """
   case                     | tiles | batch | threads | chunks
   -------------------------+-------+-------+---------+------------------------
@@ -37,14 +39,6 @@ SPLITS = """
   batch-over-tiles         |     5 |     8 |       2 | 3 2
   one-thread-big-batch     |     5 |     8 |       1 | 5
 """
-
-
-def parse_table(text):
-    """Rows of a ``|``-separated table whose second line is a rule."""
-    header, _, *lines = text.strip().splitlines()
-    names = [token.strip() for token in header.split("|")]
-    return [dict(zip(names, (token.strip() for token in line.split("|"))))
-            for line in lines]
 
 
 def _cases():

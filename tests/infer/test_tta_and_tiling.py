@@ -97,8 +97,24 @@ class TestTileStarts:
 
 
 class TestPlanTiles:
-    """The shared tiling geometry used by tiled_super_resolve AND
-    deploy.TiledInference."""
+    """The tiling geometry of every tiled surface."""
+
+    def test_zero_overlap_plan_has_no_trim(self):
+        plan = plan_tiles(20, 20, 8, overlap=0)
+        assert plan.trim == 0
+        assert all(s.top == s.left == s.bottom == s.right == 0
+                   for s in plan.tiles)
+
+    def test_remainder_tile_geometry(self):
+        plan = plan_tiles(17, 17, 8, overlap=0)
+        # Flush-right start at 9: the final tile re-covers 7 pixels and
+        # contributes exactly one fresh one.
+        ys = sorted({s.y0 for s in plan.tiles})
+        assert ys == [0, 8, 9]
+        covered = np.zeros(17, dtype=int)
+        for y0 in ys:
+            covered[y0:y0 + plan.tile_h] += 1
+        assert (covered >= 1).all()
 
     def test_full_coverage_after_trim(self):
         for h, w, tile, overlap in [(37, 41, 16, 8), (20, 14, 8, 4),

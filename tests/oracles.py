@@ -12,8 +12,9 @@ the timing baselines of ``benchmarks/`` (imported there as
   (float sign planes, float64 im2col, per-call packing);
 * :func:`reference_packed` — runs every packed layer's bit-domain step
   through the seed forward, for whole-model reference runs;
-* :class:`SequentialTiledInference` and :func:`self_ensemble_reference` —
-  the seed one-forward-per-tile / per-transform loops;
+* :class:`SequentialTiledInference` — the one tiled oracle: one forward
+  per tile on the calling thread, with its own clip-and-average stitch;
+* :func:`self_ensemble_reference` — the seed per-transform loop;
 * :func:`reference_conv2d` and :func:`reference_conv2d_backward` — naive
   direct convolution and its gradients, the float conv oracle.
 """
@@ -25,14 +26,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.deploy.engine import (PackedBinaryConv2d, PackedBinaryLinear,
-                                 TiledInference)
+from repro.deploy.engine import PackedBinaryConv2d, PackedBinaryLinear
 from repro.deploy.kernels import _padding_correction
 from repro.deploy.packing import pack_signs
-from repro.grad import Tensor
+from repro.grad import Tensor, no_grad, thread_default_dtype
 from repro.grad.conv import _window_view, conv2d_output_shape
 from repro.infer import DIHEDRAL_TRANSFORMS, plan_tiles
-from repro.infer.tiling import TileStitcher
+from repro.nn import Module
 from repro.train import super_resolve
 
 # ----------------------------------------------------------------------
@@ -270,27 +270,59 @@ def reference_packed() -> Iterator[None]:
          PackedBinaryLinear._forward_bits) = saved
 
 
-class SequentialTiledInference(TiledInference):
-    """:class:`repro.deploy.TiledInference` with the seed execution
-    strategy: one tile per forward, on the calling thread."""
+class SequentialTiledInference(Module):
+    """The oracle of every tiled surface: ``tiled_super_resolve``,
+    ``Engine.infer`` and ``InferencePipeline`` with ``tile``, and
+    ``StreamSession``.
+
+    Runs one forward per tile of :func:`repro.infer.plan_tiles`'s plan,
+    in plan order, on the calling thread.  Each tile's kept region
+    (interior edges trimmed) is clipped to [0, 1] in float64 and summed
+    onto a float64 canvas beside a per-pixel coverage count; the canvas
+    is divided by the count and clipped again.  The stitch is written
+    out here rather than taken from ``TileStitcher``.  The scale is read
+    off the first tile's output.  NCHW in, float64 NCHW out;
+    :meth:`super_resolve` is the ``(H, W, C)`` single-image form.
+    """
+
+    def __init__(self, model, tile: int, overlap: int = 8):
+        super().__init__()
+        self.model = model
+        self.tile = tile
+        self.overlap = overlap
 
     def forward(self, x: Tensor) -> Tensor:
         data = np.asarray(x.data)
-        b, c, h, w = data.shape
-        if h <= self.tile and w <= self.tile:
-            return self.model(x)
+        b, _, h, w = data.shape
         plan = plan_tiles(h, w, self.tile, self.overlap)
-        stitcher = None
-        for t, s in enumerate(plan.tiles):
+        th, tw = plan.tile_h, plan.tile_w
+        canvas = count = None
+        for s in plan.tiles:
             out = np.asarray(self.model(Tensor(
-                data[:, :, s.y0:s.y0 + plan.tile_h,
-                     s.x0:s.x0 + plan.tile_w])).data)
-            if stitcher is None:
-                scale = self._scale_of(plan, out.shape)
-                stitcher = TileStitcher(plan, scale, batch=b,
-                                        c_out=out.shape[1])
-            stitcher.add(t, np.asarray(out, dtype=np.float64))
-        return Tensor(stitcher.finish().astype(data.dtype))
+                data[:, :, s.y0:s.y0 + th, s.x0:s.x0 + tw])).data)
+            if canvas is None:
+                scale = out.shape[2] // th
+                assert out.shape[2:] == (th * scale, tw * scale), out.shape
+                canvas = np.zeros((b, out.shape[1], h * scale, w * scale))
+                count = np.zeros((h * scale, w * scale))
+            rows = slice((s.y0 + s.top) * scale,
+                         (s.y0 + th - s.bottom) * scale)
+            cols = slice((s.x0 + s.left) * scale,
+                         (s.x0 + tw - s.right) * scale)
+            kept = out[:, :, s.top * scale:(th - s.bottom) * scale,
+                       s.left * scale:(tw - s.right) * scale]
+            canvas[:, :, rows, cols] += np.clip(kept.astype(np.float64),
+                                                0.0, 1.0)
+            count[rows, cols] += 1.0
+        with thread_default_dtype("float64"):  # whatever the default
+            return Tensor(np.clip(canvas / count, 0.0, 1.0))
+
+    def super_resolve(self, lr_image: np.ndarray) -> np.ndarray:
+        """The float64 ``(H*s, W*s, C)`` output for one HWC image."""
+        self.eval()
+        x = np.ascontiguousarray(np.asarray(lr_image).transpose(2, 0, 1))
+        with no_grad():
+            return self(Tensor(x[None])).data[0].transpose(1, 2, 0)
 
 
 def self_ensemble_reference(model, lr_image: np.ndarray,

@@ -405,6 +405,28 @@ class TestSessionContract:
         finally:
             session.close(drain=False)
 
+    def test_wrong_tile_scale_resolves_frame_as_error(self):
+        # The fake backend's identity tiles are x1; a x2 stream must
+        # fail the frame with a typed error, and the stream survives.
+        backend = FakeBackend()
+        session = StreamSession(
+            backend,
+            MODEL,
+            scale=2,
+            config=StreamConfig(tile=8, overlap=0, tile_cache_bytes=0),
+        )
+        try:
+            ticket = session.submit_frame(_frames(1, seed=11)[0])
+            backend.wait_for_submissions(4)
+            for fut in backend.pop_pending():
+                fut.resolve()
+            result = ticket.result(timeout=10.0)
+            assert result.status == "error"
+            assert "expected (16, 16) at scale 2" in result.detail
+            assert session.pending() == 0
+        finally:
+            session.close(drain=False)
+
     def test_backpressure_blocks_submit_until_space(self):
         backend = FakeBackend()
         session = _session(backend, max_pending_frames=2)
