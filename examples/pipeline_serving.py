@@ -47,14 +47,16 @@ def main() -> None:
         rng = np.random.default_rng(0)
         requests = [rng.random((24, 24, 3)).astype(np.float32)
                     for _ in range(12)]
-        pipeline = InferencePipeline(compiled, batch_size=4)
+        batches = []  # images per model forward, via on_batch
+        pipeline = InferencePipeline(
+            compiled, batch_size=4,
+            on_batch=lambda n_images, seconds: batches.append(n_images))
         handles = [pipeline.submit(img) for img in requests]
         t0 = time.perf_counter()
         results = [h.result() for h in handles]
         elapsed = time.perf_counter() - t0
         print(f"  {len(results)} images in {elapsed * 1e3:.0f} ms "
-              f"({pipeline.stats['batches']} batches, "
-              f"largest {pipeline.stats['max_batch']})")
+              f"({len(batches)} batches, largest {max(batches)})")
 
         print("\nFull image through the tiled path...")
         big = rng.random((96, 128, 3)).astype(np.float32)

@@ -19,14 +19,13 @@ n_threads       ``REPRO_NUM_THREADS``   ``None`` (= cpu count)
 ============== ======================= ==========================
 
 The remaining fields are plain typed defaults — execution strategy
-(``batch_size``, ``tile``, ``clip``, ``dtype``, ``seed``) and the
-serving knobs mirrored into :class:`repro.serve.ServerConfig` by
-:meth:`to_server_config`.
+(``batch_size``, ``tile``, ``dtype``, ``seed``) and the serving knobs
+mirrored into :class:`repro.serve.ServerConfig` by
+:meth:`to_server_config`.  Outputs are always clipped to [0, 1].
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass, fields
 from typing import Any, Callable, ContextManager, Dict, Optional, Tuple
@@ -80,8 +79,6 @@ class EngineConfig:
         When ``tile`` is set, engine inference runs the bounded-memory
         tiled path with this LR tile size.  This is the only place
         tiling is set: deploy artifacts carry none.
-    clip:
-        Clip SR outputs to [0, 1] (the repo-wide convention).
     latency_budget_s / max_models / max_queue_depth /
     max_inflight_per_model / cache_bytes / background / poll_interval_s:
         Serving knobs, passed to :class:`repro.serve.ServerConfig` by
@@ -95,7 +92,6 @@ class EngineConfig:
     batch_size: int = 8
     tile: Optional[int] = None
     tile_overlap: int = 8
-    clip: bool = True
 
     latency_budget_s: float = 0.02
     max_models: int = 4
@@ -143,8 +139,6 @@ class EngineConfig:
     def scope(self) -> ContextManager[None]:
         """Run the calling thread under this config's ``dtype`` (when
         set) for the duration; other threads are unaffected."""
-        if self.dtype is None:
-            return contextlib.nullcontext()
         return thread_default_dtype(self.dtype)
 
     def to_server_config(self):
@@ -163,7 +157,6 @@ class EngineConfig:
             max_queue_depth=self.max_queue_depth,
             max_inflight_per_model=self.max_inflight_per_model,
             cache_bytes=self.cache_bytes,
-            clip=self.clip,
             n_threads=self.n_threads,
             dtype=self.dtype,
             background=self.background,

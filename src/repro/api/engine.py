@@ -243,11 +243,14 @@ class Engine:
                    ) -> List[InferResult]:
         """Run a batch of images through one pipeline flush.
 
-        Execution failures resolve as ``status == "error"`` results —
-        the same typed outcome a :class:`repro.serve.ModelServer`
-        round-trip produces — and images the failed flush did complete
-        keep their ``"ok"`` results, mirroring the server's salvage
-        semantics.
+        Returns one result per image, in order.  An image whose model
+        forward raised resolves as a ``status == "error"`` result — the
+        same typed outcome a :class:`repro.serve.ModelServer` round-trip
+        produces — and fails alone: images run by other forwards keep
+        their ``"ok"`` results.  Misuse (a non-``(H, W, C)`` image, a
+        request routed to another model) raises :class:`EngineError`
+        before anything runs.  Safe to call from several threads on one
+        engine.
         """
         requests = [img if isinstance(img, InferRequest)
                     else InferRequest(image=np.asarray(img)) for img in images]
@@ -263,27 +266,24 @@ class Engine:
             array = np.asarray(req.image)
             if array.ndim != 3:
                 # Misuse is validated up front (and raises) so a bad
-                # image can never strand its batch-mates in the queue.
+                # image never reaches the queue.
                 raise EngineError(
                     f"expected an (H, W, C) image, got shape {array.shape}")
             arrays.append(array)
         pipeline = self.pipeline()
-        handles = []
-        try:
-            for array in arrays:
-                handles.append(pipeline.submit(array))
-        except Exception:
-            pipeline.discard_pending(handles)
-            raise
-        try:
-            with self.config.scope():
-                pipeline.flush()
-        except Exception as exc:
-            pipeline.discard_pending([h for h in handles if not h.done()])
-            message = f"{type(exc).__name__}: {exc}"
-            return [InferResult.success(h.result(), key) if h.done()
-                    else InferResult.failure(key, message) for h in handles]
-        return [InferResult.success(h.result(), key) for h in handles]
+        handles = [pipeline.submit(array) for array in arrays]
+        results = []
+        # result() may flush images other threads queued: keep every
+        # flush of this pipeline under the engine's dtype.
+        with self.config.scope():
+            pipeline.flush()
+            for handle in handles:
+                try:
+                    results.append(InferResult.success(handle.result(), key))
+                except Exception as exc:
+                    results.append(InferResult.failure(
+                        key, f"{type(exc).__name__}: {exc}"))
+        return results
 
     # -- teardown ----------------------------------------------------------
 

@@ -111,11 +111,13 @@ class ServeSession:
 
     def infer_many(self, images: Sequence[Union[np.ndarray, InferRequest]],
                    model=None, timeout: float = 60.0) -> List[InferResult]:
-        """Submit a batch, drain the server, return typed results in
-        order."""
+        """Submit a batch and return its typed results in order.
+
+        Waits for these requests only (:meth:`ModelServer.wait`), not
+        for other clients' work on the same server."""
         tickets = [self.submit(img, model=model) for img in images]
-        self.server.drain()
-        return [t.result(timeout=timeout) for t in tickets]
+        self.server.wait([t._future for t in tickets], timeout)
+        return [t.result() for t in tickets]
 
     # -- observability / lifecycle -----------------------------------------
 

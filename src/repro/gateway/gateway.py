@@ -605,10 +605,7 @@ class Gateway:
         cache_key = (key, revision)
         pipeline = self._canary_pipelines.get(cache_key)
         if pipeline is None:
-            pipeline = InferencePipeline(
-                str(path),
-                clip=(self.config.server.clip
-                      if self.config.server is not None else True))
+            pipeline = InferencePipeline(str(path))
             self._canary_pipelines[cache_key] = pipeline
         return pipeline
 
@@ -640,12 +637,7 @@ class Gateway:
                          if self.config.server is not None else None)
                 # Same dtype scope the workers' ModelServer uses, over
                 # both load and execution, so parity means parity.
-                if dtype is not None:
-                    with thread_default_dtype(dtype):
-                        pipeline = self._canary_pipeline(
-                            key, info.revision, info.path)
-                        candidate = pipeline(image)
-                else:
+                with thread_default_dtype(dtype):
                     pipeline = self._canary_pipeline(
                         key, info.revision, info.path)
                     candidate = pipeline(image)

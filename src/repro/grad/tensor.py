@@ -84,8 +84,12 @@ def thread_default_dtype(dtype):
     uses it around artifact loads and flushes.  Work handed to the
     inference pool (:func:`repro.infer.parallel_map`,
     :func:`repro.infer.submit_task`) runs under the submitting
-    thread's effective dtype.
+    thread's effective dtype.  ``None`` overrides nothing, so an unset
+    ``dtype`` setting can be passed straight through.
     """
+    if dtype is None:
+        yield
+        return
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError("default dtype must be float32 or float64")

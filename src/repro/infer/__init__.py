@@ -16,13 +16,16 @@ Both stack tiles / transform variants into NCHW batches and fan them
 out over a thread pool (:func:`set_num_threads`
 / ``REPRO_NUM_THREADS`` control the width; NumPy kernels release the
 GIL).  :class:`InferencePipeline` is the serving-layer entry point —
-submit images, run them as micro-batches, read results.
+submit images, run them as micro-batches, read results.  Its one batch
+contract: a ``flush()`` settles every image it takes, each with its
+output or the exception of the model forward that ran it, and nothing
+goes back on the queue.  Threads may flush one pipeline concurrently;
+a handle whose image another thread's flush took waits for that flush.
 """
 
 from .parallel import (get_num_threads, num_threads, parallel_map,
                        set_num_threads, submit_task)
-from .pipeline import (DiscardedError, InferencePipeline, PendingResult,
-                       PipelineHooks)
+from .pipeline import InferencePipeline, PendingResult
 from .tiling import (TilePlan, TileSpec, plan_tiles, tile_view,
                      tiled_super_resolve)
 from .tta import DIHEDRAL_TRANSFORMS, self_ensemble
@@ -30,7 +33,7 @@ from .tta import DIHEDRAL_TRANSFORMS, self_ensemble
 __all__ = [
     "DIHEDRAL_TRANSFORMS", "self_ensemble", "tiled_super_resolve",
     "TilePlan", "TileSpec", "plan_tiles", "tile_view",
-    "DiscardedError", "InferencePipeline", "PendingResult", "PipelineHooks",
+    "InferencePipeline", "PendingResult",
     "get_num_threads", "set_num_threads", "num_threads", "parallel_map",
     "submit_task",
 ]

@@ -13,6 +13,16 @@ The batching is purely an execution-strategy change: convolution
 batches are processed per-slice by the kernels, so a pipeline result is
 identical to a one-at-a-time ``super_resolve`` call.
 
+One contract covers every flush: ``flush()`` settles every image it
+takes off the queue.  Each handle gets its output or the exception of
+the model forward that ran it — one stacked batch, or one image on the
+tiled path — so a failing forward fails only its own images, and
+nothing goes back on the queue.  Any number of threads may flush at
+once: each flush takes the images queued when it starts, and a handle
+whose image another thread's flush took waits in ``result()`` for that
+flush instead of raising.  ``close()`` settles whatever is still
+queued with a ``RuntimeError``, so no handle waits forever.
+
 Typical use::
 
     pipeline = InferencePipeline(compiled_model, batch_size=8)
@@ -28,7 +38,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,78 +46,46 @@ from ..grad import Tensor, no_grad
 from .parallel import parallel_map
 from .tiling import tiled_super_resolve
 
-__all__ = ["DiscardedError", "InferencePipeline", "PendingResult",
-           "PipelineHooks"]
-
-
-class DiscardedError(RuntimeError):
-    """``result()`` was called on a handle removed by
-    :meth:`InferencePipeline.discard_pending`.  Raised immediately —
-    a discarded submission can never produce a result, so blocking (or
-    re-flushing the queue forever) would wedge the caller."""
-
-
-class PipelineHooks:
-    """Observer interface for an external scheduler / metrics sink.
-
-    Subclass and override what you need; the default implementation is
-    a no-op, so the pipeline costs nothing when unobserved.
-    :class:`repro.serve.ModelServer` uses ``on_batch`` to count each
-    model's batches and batch images and to time its forwards in the
-    server's metrics registry, without the pipeline knowing that
-    registry exists.
-
-    ``on_batch`` fires once per executed model forward on the untiled
-    path (it may fire from a worker thread); ``on_flush`` fires once
-    per ``flush()`` that processed at least one image, from the thread
-    driving the flush.
-    """
-
-    def on_batch(self, n_images: int, seconds: float) -> None:
-        """One micro-batch of ``n_images`` ran in ``seconds``."""
-
-    def on_flush(self, n_images: int, seconds: float) -> None:
-        """One ``flush()`` completed ``n_images`` in ``seconds``."""
+__all__ = ["InferencePipeline", "PendingResult"]
 
 
 class PendingResult:
     """Handle for a submitted image; ``result()`` flushes if needed."""
 
-    __slots__ = ("_pipeline", "_value", "_ready", "_discarded")
+    __slots__ = ("_pipeline", "_settled", "_value", "_error")
 
     def __init__(self, pipeline: "InferencePipeline"):
         self._pipeline = pipeline
+        self._settled = threading.Event()
         self._value: Optional[np.ndarray] = None
-        self._ready = False
-        self._discarded = False
+        self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
-        return self._ready
-
-    def discarded(self) -> bool:
-        return self._discarded
+        return self._settled.is_set()
 
     def result(self) -> np.ndarray:
-        """The super-resolved image (runs the pipeline if still pending).
+        """The super-resolved image.
 
-        A handle removed by :meth:`InferencePipeline.discard_pending`
-        raises :class:`DiscardedError` immediately: its image is no
-        longer queued, so no amount of flushing can ever resolve it.
+        Flushes the pipeline when the image is still queued, and waits
+        when another thread's flush took it.  Raises the exception of
+        the model forward that ran the image, or the ``RuntimeError`` of
+        a ``close()`` that found it queued.
         """
-        if self._discarded:
-            raise DiscardedError(
-                "this submission was discarded (discard_pending) and "
-                "will never produce a result")
-        if not self._ready:
+        if not self._settled.is_set():
             self._pipeline.flush()
-        if not self._ready:  # pragma: no cover - defensive
-            raise RuntimeError(
-                "pipeline flush did not produce a result for this handle")
+            self._settled.wait()
+        if self._error is not None:
+            raise self._error
         return self._value
 
-    def _set(self, value: np.ndarray) -> None:
+    def _settle(self, value: Optional[np.ndarray] = None,
+                error: Optional[BaseException] = None) -> None:
         self._value = value
-        self._ready = True
+        self._error = error
+        self._settled.set()
+
+
+_Entry = Tuple[np.ndarray, PendingResult]
 
 
 class InferencePipeline:
@@ -115,7 +93,8 @@ class InferencePipeline:
 
     ``submit()`` is safe to call from any thread (the queue is locked);
     execution itself is driven by whichever thread calls ``flush()`` /
-    ``result()`` — concurrent flushes process disjoint queue snapshots.
+    ``result()``, and concurrent flushes take disjoint queue snapshots
+    (see the module docstring for the settle contract).
 
     Parameters
     ----------
@@ -136,19 +115,21 @@ class InferencePipeline:
     n_threads:
         Worker threads for batches (default: the global setting, see
         :func:`repro.infer.parallel.get_num_threads`).
-    clip:
-        Clip outputs to [0, 1] (the convention of every SR entry point
-        in this repo; disable for raw residual outputs).
-    hooks:
-        Optional :class:`PipelineHooks` observer — the pluggable
-        scheduler/metrics attachment point.
+    on_batch:
+        Optional ``on_batch(n_images, seconds)`` callable, called once
+        per successful model forward on the untiled path, from the
+        thread that ran it.  :class:`repro.serve.ModelServer` counts and
+        times each model's batches in its metrics registry this way.
+
+    Outputs are clipped to [0, 1], the convention of every SR entry
+    point in this repo.
     """
 
     def __init__(self, model, batch_size: int = 8,
                  tile: Optional[int] = None, tile_overlap: int = 8,
                  scale: Optional[int] = None,
-                 n_threads: Optional[int] = None, clip: bool = True,
-                 hooks: Optional[PipelineHooks] = None):
+                 n_threads: Optional[int] = None,
+                 on_batch: Optional[Callable[[int, float], None]] = None):
         if isinstance(model, (str, os.PathLike)):
             from ..deploy.serialize import load_artifact
             model = load_artifact(model)
@@ -158,37 +139,27 @@ class InferencePipeline:
             raise ValueError(
                 "tiled pipelines need the model's scale factor up front "
                 "(pass scale=...)")
-        if tile is not None and not clip:
-            raise ValueError(
-                "clip=False is not supported on the tiled path: "
-                "tiled_super_resolve blends per-tile outputs already "
-                "clipped to [0, 1]")
         self.model = model
         self.batch_size = batch_size
         self.tile = tile
         self.tile_overlap = tile_overlap
         self.scale = scale
         self.n_threads = n_threads
-        self.clip = clip
-        self.hooks = hooks if hooks is not None else PipelineHooks()
-        self._pending: List[Tuple[np.ndarray, PendingResult]] = []
+        self.on_batch = on_batch
+        self._pending: List[_Entry] = []
         self._queue_lock = threading.Lock()
         self._closed = False
-        #: Counters: submitted/completed images, batches run, largest batch.
-        self.stats: Dict[str, int] = {
-            "submitted": 0, "completed": 0, "batches": 0, "max_batch": 0}
 
     @classmethod
-    def from_config(cls, model, config, scale: Optional[int] = None,
-                    hooks: Optional[PipelineHooks] = None
+    def from_config(cls, model, config, scale: Optional[int] = None
                     ) -> "InferencePipeline":
         """Build a pipeline from an :class:`repro.api.EngineConfig`-style
         object (anything with ``batch_size`` / ``tile`` / ``tile_overlap``
-        / ``n_threads`` / ``clip`` attributes) — how the typed facade
+        / ``n_threads`` attributes) — how the typed facade
         (:class:`repro.api.Engine`) instantiates its execution layer."""
         return cls(model, batch_size=config.batch_size, tile=config.tile,
                    tile_overlap=config.tile_overlap, scale=scale,
-                   n_threads=config.n_threads, clip=config.clip, hooks=hooks)
+                   n_threads=config.n_threads)
 
     def submit(self, lr_image: np.ndarray) -> PendingResult:
         """Queue an ``(H, W, 3)`` image; returns a result handle."""
@@ -202,127 +173,103 @@ class InferencePipeline:
                 raise RuntimeError(
                     "cannot submit to a closed InferencePipeline")
             self._pending.append((lr_image, handle))
-        self.stats["submitted"] += 1
         return handle
 
     def flush(self) -> None:
-        """Run every pending image; all outstanding handles become ready.
+        """Run every queued image and settle its handle.
 
-        If the model raises, completed handles keep their results and
-        the unprocessed images stay queued — a later ``flush()`` (or
-        ``result()``) retries them instead of silently dropping them.
-        The queue swap is locked, so a ``submit()`` racing a concurrent
-        flush can never be dropped (it lands in the next flush).
+        Each handle gets its output or the exception of the model
+        forward that ran it; a failed forward does not make ``flush()``
+        raise.  The queue is taken under its lock, so a racing
+        ``submit()`` lands in this flush or the next one.
         """
         with self._queue_lock:
             taken, self._pending = self._pending, []
+            model = self.model
         if not taken:
             return
-        started = time.monotonic()
         try:
             if self.tile is not None:
-                self._flush_tiled(taken)
+                self._flush_tiled(model, taken)
             else:
-                self._flush_stacked(taken)
+                self._flush_stacked(model, taken)
         finally:
-            unprocessed = [entry for entry in taken if not entry[1]._ready]
-            if unprocessed:
-                with self._queue_lock:
-                    self._pending = unprocessed + self._pending
-            completed = len(taken) - len(unprocessed)
-            if completed:
-                self.hooks.on_flush(completed, time.monotonic() - started)
+            # Only an error outside the forwards gets here with images
+            # unsettled; it still must not leave a handle waiting.
+            for _, handle in taken:
+                if not handle.done():
+                    handle._settle(error=RuntimeError(
+                        "the flush running this image stopped early"))
 
-    def _flush_tiled(self, taken) -> None:
+    def _flush_tiled(self, model, taken: List[_Entry]) -> None:
         for image, handle in taken:
-            sr = tiled_super_resolve(
-                self.model, image, self.scale, tile=self.tile,
-                overlap=self.tile_overlap, batch_size=self.batch_size,
-                n_threads=self.n_threads)
-            handle._set(sr)
-            self.stats["completed"] += 1
+            try:
+                sr = tiled_super_resolve(
+                    model, image, self.scale, tile=self.tile,
+                    overlap=self.tile_overlap, batch_size=self.batch_size,
+                    n_threads=self.n_threads)
+            except Exception as exc:
+                handle._settle(error=exc)
+            else:
+                handle._settle(sr)
 
-    def _flush_stacked(self, taken) -> None:
-        groups: Dict[Tuple[int, ...], List[Tuple[np.ndarray, PendingResult]]] = {}
+    def _flush_stacked(self, model, taken: List[_Entry]) -> None:
+        groups: Dict[Tuple[int, ...], List[_Entry]] = {}
         for image, handle in taken:
             groups.setdefault(image.shape, []).append((image, handle))
-        batches: List[List[Tuple[np.ndarray, PendingResult]]] = []
-        for group in groups.values():
-            for i in range(0, len(group), self.batch_size):
-                batches.append(group[i:i + self.batch_size])
+        batches = [group[i:i + self.batch_size] for group in groups.values()
+                   for i in range(0, len(group), self.batch_size)]
 
-        def run(batch: List[Tuple[np.ndarray, PendingResult]]):
-            stacked = np.stack([img.transpose(2, 0, 1) for img, _ in batch])
-            t0 = time.monotonic()
-            out = np.asarray(self.model(Tensor(stacked)).data)
-            return out, time.monotonic() - t0
+        def run(batch: List[_Entry]) -> None:
+            try:
+                stacked = np.stack([img.transpose(2, 0, 1)
+                                    for img, _ in batch])
+                t0 = time.monotonic()
+                out = np.asarray(model(Tensor(stacked)).data)
+                seconds = time.monotonic() - t0
+            except Exception as exc:
+                for _, handle in batch:
+                    handle._settle(error=exc)
+                return
+            for (_, handle), sr in zip(batch, out):
+                handle._settle(np.clip(sr.transpose(1, 2, 0), 0.0, 1.0))
+            if self.on_batch is not None:
+                self.on_batch(len(batch), seconds)
 
-        was_training = self.model.training
-        self.model.eval()
+        was_training = model.training
+        model.eval()
         try:
             with no_grad():
-                outputs = parallel_map(run, batches, self.n_threads)
+                parallel_map(run, batches, self.n_threads)
         finally:
-            self.model.train(was_training)
-
-        for batch, (out, seconds) in zip(batches, outputs):
-            self.stats["batches"] += 1
-            self.stats["max_batch"] = max(self.stats["max_batch"], len(batch))
-            self.hooks.on_batch(len(batch), seconds)
-            for (_, handle), sr in zip(batch, out):
-                sr = sr.transpose(1, 2, 0)
-                if self.clip:
-                    sr = np.clip(sr, 0.0, 1.0)
-                handle._set(sr)
-                self.stats["completed"] += 1
-
-    def discard_pending(self, handles) -> int:
-        """Drop queued images whose handle is in ``handles``; returns count.
-
-        The cancellation path for layers driving the pipeline from
-        outside (the model server): after a failed flush the offending
-        submissions can be removed instead of poisoning every later
-        flush of this model.  Handles already completed (or not queued
-        here) are ignored.
-        """
-        targets = set(handles)
-        with self._queue_lock:
-            before = len(self._pending)
-            kept, dropped = [], []
-            for entry in self._pending:
-                (dropped if entry[1] in targets else kept).append(entry)
-            self._pending = kept
-            for _, handle in dropped:
-                # Mark while still holding the lock, so a racing
-                # result() either finds the entry queued or finds the
-                # handle marked — never a silent limbo in between.
-                handle._discarded = True
-            return before - len(kept)
+            model.train(was_training)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def close(self) -> None:
-        """Release the pipeline: drop the model, discard queued work.
+        """Release the pipeline: drop the model, settle queued work.
 
         The eviction path of layers that cycle many pipelines (the
         model server's LRU registry, the bulk-jobs engine cache): the
         model's packed weights and staging buffers become collectable
         immediately instead of living until the garbage collector finds
-        the cycle.  Any still-queued submission is marked discarded —
-        its ``result()`` raises a typed :class:`DiscardedError` rather
-        than blocking forever — and later ``submit()`` calls raise.
-        Idempotent.
+        the cycle.  Every still-queued handle is settled with a
+        ``RuntimeError``, so its ``result()`` raises instead of
+        blocking, and later ``submit()`` calls raise.  A flush already
+        running finishes on the model it took.  Idempotent.
         """
         with self._queue_lock:
             if self._closed:
                 return
             self._closed = True
             dropped, self._pending = self._pending, []
-            for _, handle in dropped:
-                handle._discarded = True
-        self.model = None
+            self.model = None
+        error = RuntimeError(
+            "the InferencePipeline was closed before this image ran")
+        for _, handle in dropped:
+            handle._settle(error=error)
 
     def map(self, images: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Submit ``images``, flush once, and return results in order."""

@@ -25,6 +25,11 @@ story (and the ROADMAP's heavy-traffic north star) assumes:
   :class:`ServerBusy` value instead of queueing unboundedly or raising
   across threads.  A per-model in-flight cap keeps one hot model from
   monopolizing the executor.
+* **Failure isolation.**  Each request resolves from its own pipeline
+  handle: a request whose model forward raises becomes a typed
+  :class:`ServeError`, while requests run by other forwards of the same
+  flush get their outputs.  A model that fails to load fails every
+  request of the flush, and loads afresh on the next one.
 * **Metrics.**  Every decision is counted and timed once, into the
   server's :class:`~repro.serve.metrics.MetricsRegistry`
   (``server.metrics``, what ``/metrics`` renders).  ``server.stats()``
@@ -46,7 +51,6 @@ Typical use::
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import logging
 import os
@@ -62,7 +66,7 @@ from ..deploy.registry import DeployEntry, classify_recipe
 from ..deploy.serialize import ArtifactInfo, scan_artifact_dir
 from ..grad import thread_default_dtype
 from ..infer.parallel import submit_task
-from ..infer.pipeline import InferencePipeline, PipelineHooks
+from ..infer.pipeline import InferencePipeline
 from .cache import ResultCache, content_key
 from .metrics import MetricsRegistry
 from .scheduler import MicroBatchScheduler, QueuedRequest
@@ -85,6 +89,9 @@ ModelKey = Tuple[str, str, int]
 #: through plain stdlib logging so this module never imports the api
 #: package that imports it.
 _LOG = logging.getLogger("repro.serve")
+
+#: How often :meth:`ModelServer.wait` re-dispatches while it waits.
+_REPOLL_S = 0.005
 
 
 def model_label(key: ModelKey) -> str:
@@ -147,7 +154,8 @@ class ServerBusy:
 
 @dataclass(frozen=True)
 class ServeError:
-    """Typed failure result: the flush running this request raised."""
+    """Typed failure result: the model forward running this request
+    raised, or the model failed to load."""
 
     model: ModelKey
     message: str
@@ -205,7 +213,7 @@ class ServerConfig:
         Concurrency cap: flushes of one model running at once.
     cache_bytes:
         Result-cache budget (0 disables caching).
-    clip / n_threads:
+    n_threads:
         Passed through to each model's ``InferencePipeline``.
     dtype:
         When set (``"float32"`` / ``"float64"``), every model load and
@@ -213,8 +221,7 @@ class ServerConfig:
         override (:func:`repro.grad.thread_default_dtype`), so served
         outputs are bit-identical to a direct pipeline run under the
         same dtype even when the process-wide default differs.  ``None``
-        (the default) keeps the pre-existing behaviour: flushes run
-        under the ambient process default.
+        (the default) runs them under the ambient process default.
     background:
         Run the scheduler loop on a daemon thread (the serving mode).
         ``False`` is manual mode: the caller drives ``poll()`` /
@@ -247,7 +254,6 @@ class ServerConfig:
     max_queue_depth: int = 256
     max_inflight_per_model: int = 1
     cache_bytes: int = 64 << 20
-    clip: bool = True
     n_threads: Optional[int] = None
     dtype: Optional[str] = None
     background: bool = True
@@ -280,20 +286,6 @@ class ServerConfig:
 
 def _ratio(num: float, den: float) -> Optional[float]:
     return num / den if den else None
-
-
-class _BatchMetrics(PipelineHooks):
-    """Bridge one model's pipeline batch events into the registry."""
-
-    def __init__(self, server: "ModelServer", label: str) -> None:
-        self.batches = server._m_batches.labels(model=label)
-        self.images = server._m_batch_images.labels(model=label)
-        self.latency = server._m_batch_latency.labels(model=label)
-
-    def on_batch(self, n_images: int, seconds: float) -> None:
-        self.batches.inc()
-        self.images.inc(n_images)
-        self.latency.observe(seconds)
 
 
 @dataclass
@@ -584,19 +576,24 @@ class ModelServer:
 
     # -- model registry (lazy load, LRU) -----------------------------------
 
-    def _dtype_scope(self):
-        """Thread-scoped dtype override for model loads and flushes.
+    def _batch_recorder(self, key: ModelKey) -> Callable[[int, float], None]:
+        """The ``on_batch`` callable counting and timing one model's
+        pipeline forwards in the registry."""
+        label = model_label(key)
+        batches = self._m_batches.labels(model=label)
+        images = self._m_batch_images.labels(model=label)
+        latency = self._m_batch_latency.labels(model=label)
 
-        ``config.dtype`` makes served execution bit-identical to a
-        direct pipeline run under that dtype whatever the process-wide
-        default is — server work happens on scheduler/pool threads, so
-        the override must be per-thread, never the shared global.
-        """
-        if self.config.dtype is None:
-            return contextlib.nullcontext()
-        return thread_default_dtype(self.config.dtype)
+        def on_batch(n_images: int, seconds: float) -> None:
+            batches.inc()
+            images.inc(n_images)
+            latency.observe(seconds)
+
+        return on_batch
 
     def _model(self, key: ModelKey) -> _LoadedModel:
+        """The loaded model for ``key``; the caller holds the thread's
+        ``config.dtype`` scope, which the load runs under."""
         with self._models_lock:
             loaded = self._models.get(key)
             if loaded is not None:
@@ -604,14 +601,12 @@ class ModelServer:
                 return loaded
             info = self._catalog[key]
             t0 = time.monotonic()
-            with self._dtype_scope():
-                pipeline = InferencePipeline(
-                    str(info.path),
-                    batch_size=self.config.max_batch,
-                    n_threads=self.config.n_threads,
-                    clip=self.config.clip,
-                    hooks=_BatchMetrics(self, model_label(key)),
-                )
+            pipeline = InferencePipeline(
+                str(info.path),
+                batch_size=self.config.max_batch,
+                n_threads=self.config.n_threads,
+                on_batch=self._batch_recorder(key),
+            )
             self._m_loads.inc()
             self._m_load_latency.observe(time.monotonic() - t0)
             loaded = _LoadedModel(
@@ -796,16 +791,40 @@ class ModelServer:
         model: Union[ModelKey, str],
         deadline_s: Optional[float] = None,
     ) -> List:
-        """Submit ``images``, drain, and return results in order."""
+        """Submit ``images`` and return their results in order."""
         futures = [self.submit(img, model, deadline_s) for img in images]
-        self.drain()
-        return [f.result(timeout=60.0) for f in futures]
+        return self.wait(futures)
 
     def __call__(
         self, image: np.ndarray, model: Union[ModelKey, str]
     ) -> np.ndarray:
-        """Single-image convenience: submit + drain + result."""
+        """Single-image convenience: submit + wait + result."""
         return self.map([image], model)[0]
+
+    def wait(
+        self, futures: Sequence[ServeFuture], timeout: float = 60.0
+    ) -> List:
+        """The values of ``futures`` (from :meth:`submit`), in order.
+
+        Dispatches everything queued at once, deadlines ignored, then
+        waits for these futures alone — not for the whole server to go
+        idle, as :meth:`drain` does.  Between short waits it dispatches
+        again, so a request its model's in-flight cap held back runs as
+        soon as the cap frees.  Raises ``TimeoutError`` once
+        ``timeout`` seconds pass.
+        """
+        deadline = time.monotonic() + timeout
+        self.poll(force=True)
+        for future in futures:
+            while not future.done():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError("request not served within timeout")
+                try:
+                    future.result(timeout=min(_REPOLL_S, remaining))
+                except TimeoutError:
+                    self.poll(force=True)
+        return [future.result() for future in futures]
 
     # -- execution ---------------------------------------------------------
 
@@ -892,9 +911,12 @@ class ModelServer:
             # its result in place must never corrupt another caller's.
             future._resolve(value if i == 0 else value.copy())
 
-    def _fail(self, req: QueuedRequest, error: ServeError) -> None:
-        """Resolve ``req`` and its riders with a typed error."""
+    def _fail(self, req: QueuedRequest, exc: Exception) -> None:
+        """Resolve ``req`` and its riders with a typed error for ``exc``."""
         label = model_label(req.model_key)
+        error = ServeError(
+            model=req.model_key, message=f"{type(exc).__name__}: {exc}"
+        )
         for future, _, request_id in self._settle(req):
             self._m_errors.labels(model=label).inc()
             _LOG.info(
@@ -911,39 +933,26 @@ class ModelServer:
             future._resolve(error)
 
     def _run_flush(self, key: ModelKey, requests: List[QueuedRequest]) -> None:
-        pipeline = None
-        handles: List = []
+        """Run ``requests`` as one pipeline flush and resolve each from
+        its own handle: the output, or a typed error for the forward
+        that failed it.  A model that fails to load fails them all."""
         started = self._clock()
         try:
-            with self._dtype_scope():
-                pipeline = self._model(key).pipeline
-                handles = [
-                    (req, pipeline.submit(req.image)) for req in requests
-                ]
+            with thread_default_dtype(self.config.dtype):
+                try:
+                    pipeline = self._model(key).pipeline
+                except Exception as exc:
+                    for req in requests:
+                        self._fail(req, exc)
+                    return
+                handles = [pipeline.submit(req.image) for req in requests]
                 pipeline.flush()
-            done = self._clock()
-            for req, handle in handles:
-                self._respond(req, handle.result(), done, started)
-        except Exception as exc:
-            # A failed flush must not poison the model: pull our
-            # unprocessed submissions back out of the pipeline queue,
-            # salvage any batch that did complete, and resolve the rest
-            # with a typed error instead of hanging their futures.
-            if pipeline is not None and handles:
-                pipeline.discard_pending([h for _, h in handles])
-            done = self._clock()
-            message = f"{type(exc).__name__}: {exc}"
-            completed = {
-                id(req): handle for req, handle in handles if handle.done()
-            }
-            for req in requests:
-                if req.future.done():
-                    continue
-                handle = completed.get(id(req))
-                if handle is not None:
-                    self._respond(req, handle.result(), done, started)
-                else:
-                    self._fail(req, ServeError(model=key, message=message))
+                done = self._clock()
+                for req, handle in zip(requests, handles):
+                    try:
+                        self._respond(req, handle.result(), done, started)
+                    except Exception as exc:
+                        self._fail(req, exc)
         finally:
             self._scheduler.release(key)
             with self._wake:

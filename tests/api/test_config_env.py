@@ -82,14 +82,13 @@ class TestScopeAndMapping:
     def test_to_server_config(self):
         config = EngineConfig(batch_size=4, latency_budget_s=0.5,
                               max_models=2, max_queue_depth=9,
-                              cache_bytes=0, clip=False, background=False)
+                              cache_bytes=0, background=False)
         server = config.to_server_config()
         assert server.max_batch == 4
         assert server.latency_budget_s == 0.5
         assert server.max_models == 2
         assert server.max_queue_depth == 9
         assert server.cache_bytes == 0
-        assert server.clip is False
         assert server.background is False
 
     def test_describe_mentions_provenance(self, monkeypatch):

@@ -245,6 +245,17 @@ class TestTypedErrors:
         engine.infer(_images(n=1)[0])
         assert engine.pipeline().pending() == 0
 
+    def test_failed_forward_fails_only_its_own_image(self):
+        engine = Engine.from_spec(SPEC, config=EngineConfig(seed=0))
+        good = _images(n=2)
+        bad = np.zeros((12, 12, 4), np.float32)  # the head needs 3 channels
+        results = engine.infer_many([good[0], bad, good[1]])
+        assert [r.status for r in results] == ["ok", "error", "ok"]
+        assert "Error" in results[1].detail
+        for image, result in zip(good, (results[0], results[2])):
+            np.testing.assert_array_equal(result.unwrap(),
+                                          engine.infer(image).unwrap())
+
     def test_result_unwrap_on_success(self):
         image = np.zeros((2, 2, 3))
         assert np.array_equal(InferResult.success(image).unwrap(), image)

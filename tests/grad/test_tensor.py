@@ -280,3 +280,10 @@ class TestThreadSafety:
         with pytest.raises(ValueError):
             with G.thread_default_dtype("int32"):
                 pass
+
+    def test_thread_default_dtype_none_overrides_nothing(self):
+        with G.thread_default_dtype("float32"):
+            with G.thread_default_dtype(None):
+                assert Tensor([1.0]).dtype == np.float32
+        with G.thread_default_dtype(None):
+            assert Tensor([1.0]).dtype == np.float64

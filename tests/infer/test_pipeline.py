@@ -4,9 +4,12 @@ The thread pool and the micro-batching serving API must be
 execution-strategy changes only: outputs are required to match the
 per-image ``super_resolve`` oracle bit-for-bit across image shapes and
 thread counts.  The tiled path is held to the sequential per-tile
-oracle in ``test_tiled_parity.py``.
+oracle in ``test_tiled_parity.py``.  ``TestSettleContract`` holds the
+batch contract: a flush settles every image it takes, with its output
+or the exception of the forward that ran it.
 """
 
+import threading
 
 import numpy as np
 import pytest
@@ -15,9 +18,8 @@ from repro import grad as G
 from repro.binarize.baselines import E2FIFBinaryConv2d
 from repro.deploy import compile_model
 from repro.grad import Tensor
-from repro.infer import (DiscardedError, InferencePipeline, get_num_threads,
-                         num_threads, parallel_map, set_num_threads,
-                         tiled_super_resolve)
+from repro.infer import (InferencePipeline, get_num_threads, num_threads,
+                         parallel_map, set_num_threads, tiled_super_resolve)
 from repro.nn import Module, Sequential, init
 from repro.train import super_resolve
 
@@ -134,15 +136,17 @@ class TestInferencePipeline:
             images = [rng.random((8, 8, 3)).astype(np.float32),
                       rng.random((10, 6, 3)).astype(np.float32),
                       rng.random((8, 8, 3)).astype(np.float32)]
-            pipe = InferencePipeline(model, batch_size=8)
+            sizes = []
+            pipe = InferencePipeline(
+                model, batch_size=8,
+                on_batch=lambda n, seconds: sizes.append(n))
             outs = pipe.map(images)
             assert [o.shape for o in outs] == [(8, 8, 3), (10, 6, 3), (8, 8, 3)]
             for img, out in zip(images, outs):
                 np.testing.assert_array_equal(out, np.clip(
                     super_resolve(model, img), 0.0, 1.0))
             # 2 same-shape images in one batch + 1 alone
-            assert pipe.stats["batches"] == 2
-            assert pipe.stats["max_batch"] == 2
+            assert sorted(sizes) == [1, 2]
 
     def test_submit_result_flushes_lazily(self):
         with G.default_dtype("float32"):
@@ -196,12 +200,40 @@ class TestInferencePipeline:
             InferencePipeline(model, tile=16)
         with pytest.raises(ValueError, match="image"):
             InferencePipeline(model).submit(np.zeros((4, 4)))
-        # clip=False cannot be honoured on the tiled path (per-tile
-        # outputs are blended already clipped) — reject, don't ignore.
-        with pytest.raises(ValueError, match="clip"):
-            InferencePipeline(model, tile=16, scale=2, clip=False)
 
-    def test_failed_flush_keeps_pending_images(self):
+
+class _Gated(_Upscale2x):
+    """``_Upscale2x`` whose forward blocks until ``gate`` opens."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def forward(self, x):
+        self.entered.set()
+        assert self.gate.wait(timeout=10), "gate never opened"
+        return super().forward(x)
+
+
+def _upscaled(img):
+    return np.clip(np.repeat(np.repeat(img, 2, axis=0), 2, axis=1), 0.0, 1.0)
+
+
+class TestSettleContract:
+    """A flush settles every image it takes; ``on_batch`` observes it."""
+
+    def test_on_batch_observes_each_forward(self):
+        events = []
+        pipe = InferencePipeline(
+            _Upscale2x(), batch_size=2,
+            on_batch=lambda n, seconds: events.append((n, seconds)))
+        rng = np.random.default_rng(0)
+        pipe.map([rng.random((4, 4, 3)) for _ in range(5)])
+        assert sorted(n for n, _ in events) == [1, 2, 2]
+        assert all(seconds >= 0.0 for _, seconds in events)
+
+    def test_failed_forward_settles_its_handles_and_next_submit_runs(self):
         class _Flaky(Module):
             def __init__(self):
                 super().__init__()
@@ -216,93 +248,149 @@ class TestInferencePipeline:
         pipe = InferencePipeline(model, batch_size=4)
         img = np.random.default_rng(13).random((6, 6, 3))
         handle = pipe.submit(img)
+        pipe.flush()  # a failed forward does not make flush() raise
+        # The image is settled with the forward's error, not re-queued.
+        assert pipe.pending() == 0
+        assert handle.done()
         with pytest.raises(RuntimeError, match="transient"):
-            pipe.flush()
-        # The image is still queued, not silently dropped...
-        assert pipe.pending() == 1
-        assert not handle.done()
-        # ...and a retry after the fault clears delivers the result.
+            handle.result()
+        # The failure stays with its handle: the next submit runs.
         model.fail = False
-        out = handle.result()
-        assert out.shape == (6, 6, 3)
+        np.testing.assert_array_equal(pipe.submit(img).result(), img)
         assert pipe.pending() == 0
 
-    def test_stats_counters(self):
-        with G.default_dtype("float32"):
-            model = self._model()
-            rng = np.random.default_rng(12)
-            pipe = InferencePipeline(model, batch_size=2)
-            pipe.map([rng.random((8, 8, 3)).astype(np.float32)
-                      for _ in range(5)])
-            assert pipe.stats["submitted"] == 5
-            assert pipe.stats["completed"] == 5
-            assert pipe.stats["batches"] == 3  # 2 + 2 + 1
+    @pytest.mark.parametrize("tile", [None, 4])
+    def test_failed_forward_fails_only_its_own_images(self, tile):
+        rng = np.random.default_rng(14)
+        good = [rng.random((8, 8, 3)), rng.random((6, 10, 3))]
+        bad = rng.random((8, 8, 4))  # the model needs 3 channels
 
+        class _ThreeChannels(_Upscale2x):
+            def forward(self, x):
+                if x.data.shape[1] != 3:
+                    raise ValueError("expected 3 channels")
+                return super().forward(x)
 
-class TestPipelineHooks:
-    """The serving-layer attachment points: hooks and cancellation."""
-
-    def _pipeline(self, **kwargs):
-        return InferencePipeline(_Upscale2x(), **kwargs)
-
-    def test_hooks_observe_batches_and_flushes(self):
-        events = []
-
-        from repro.infer import PipelineHooks
-
-        class Hooks(PipelineHooks):
-            def on_batch(self, n_images, seconds):
-                events.append(("batch", n_images))
-
-            def on_flush(self, n_images, seconds):
-                events.append(("flush", n_images))
-
-        pipe = self._pipeline(batch_size=2, hooks=Hooks())
-        rng = np.random.default_rng(0)
-        pipe.map([rng.random((4, 4, 3)) for _ in range(5)])
-        batches = [e for e in events if e[0] == "batch"]
-        flushes = [e for e in events if e[0] == "flush"]
-        assert sum(n for _, n in batches) == 5
-        assert [n for _, n in batches] == [2, 2, 1]
-        assert flushes == [("flush", 5)]
-
-    def test_discard_pending(self):
-        pipe = self._pipeline(batch_size=8)
-        rng = np.random.default_rng(0)
-        keep = pipe.submit(rng.random((4, 4, 3)))
-        drop = pipe.submit(rng.random((4, 4, 3)))
-        assert pipe.discard_pending([drop]) == 1
-        assert pipe.pending() == 1
+        pipe = InferencePipeline(_ThreeChannels(), batch_size=4, tile=tile,
+                                 tile_overlap=2, scale=2)
+        handles = [pipe.submit(good[0]), pipe.submit(bad),
+                   pipe.submit(good[1])]
         pipe.flush()
-        assert keep.done()
-        assert not drop.done()
-        assert pipe.discard_pending([keep]) == 0  # already completed
+        assert all(h.done() for h in handles)
+        with pytest.raises(ValueError, match="3 channels"):
+            handles[1].result()
+        for img, handle in zip(good, (handles[0], handles[2])):
+            np.testing.assert_array_equal(handle.result(), _upscaled(img))
 
-    def test_discarded_handle_raises_typed_error_immediately(self):
-        # Regression: result() on a discarded handle used to re-flush
-        # and block/fail opaquely — its image is gone from the queue,
-        # so no flush can ever resolve it.
-        pipe = self._pipeline(batch_size=8)
-        rng = np.random.default_rng(0)
-        keep = pipe.submit(rng.random((4, 4, 3)))
-        drop = pipe.submit(rng.random((4, 4, 3)))
-        assert pipe.discard_pending([drop]) == 1
-        assert drop.discarded()
-        assert not keep.discarded()
-        with pytest.raises(DiscardedError):
-            drop.result()
-        # The raise happened without flushing the survivor's image.
-        assert not keep.done()
-        assert keep.result().shape == (8, 8, 3)
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_handle_taken_by_another_flush_waits_for_it(self, n_threads):
+        # Thread A's flush takes the images of both A and B; B's
+        # result() must wait for that flush and return B's own output.
+        model = _Gated()
+        pipe = InferencePipeline(model, batch_size=1, n_threads=n_threads)
+        rng = np.random.default_rng(15)
+        img_a, img_b = rng.random((4, 4, 3)), rng.random((4, 6, 3))
+        handle_a, handle_b = pipe.submit(img_a), pipe.submit(img_b)
+        flusher = threading.Thread(target=pipe.flush)
+        flusher.start()
+        try:
+            assert model.entered.wait(timeout=10)
+            assert pipe.pending() == 0  # A's flush holds both images
+            outcome = {}
 
-    def test_discard_does_not_mark_completed_handles(self):
-        pipe = self._pipeline(batch_size=8)
-        rng = np.random.default_rng(0)
-        done_handle = pipe.submit(rng.random((4, 4, 3)))
-        pipe.flush()
-        assert pipe.discard_pending([done_handle]) == 0
-        assert not done_handle.discarded()
-        assert done_handle.result().shape == (8, 8, 3)
+            def read_b():
+                try:
+                    outcome["value"] = handle_b.result()
+                except Exception as exc:  # the contract under test
+                    outcome["error"] = exc
+
+            reader = threading.Thread(target=read_b)
+            reader.start()
+            reader.join(timeout=0.05)
+            assert not handle_b.done()
+        finally:
+            model.gate.set()
+            flusher.join(timeout=10)
+        reader.join(timeout=10)
+        assert not flusher.is_alive() and not reader.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        np.testing.assert_array_equal(outcome["value"], _upscaled(img_b))
+        np.testing.assert_array_equal(handle_a.result(), _upscaled(img_a))
+
+    def test_flush_stopped_outside_a_forward_still_settles_every_image(
+            self):
+        # A raising on_batch stops the flush after the first forward;
+        # the images it never ran are settled, not left waiting.
+        def on_batch(n_images, seconds):
+            raise KeyError("observer failed")
+
+        pipe = InferencePipeline(_Upscale2x(), batch_size=1, n_threads=1,
+                                 on_batch=on_batch)
+        rng = np.random.default_rng(16)
+        images = [rng.random((4, 4, 3)) for _ in range(3)]
+        handles = [pipe.submit(img) for img in images]
+        with pytest.raises(KeyError, match="observer failed"):
+            pipe.flush()
+        assert all(h.done() for h in handles)
+        np.testing.assert_array_equal(handles[0].result(),
+                                      _upscaled(images[0]))
+        for handle in handles[1:]:
+            with pytest.raises(RuntimeError, match="stopped early"):
+                handle.result()
+
+    def test_threads_sharing_a_pipeline_each_get_their_own_outputs(self):
+        # Stress: more threads than cores submit and read concurrently,
+        # so flushes keep taking each other's images.
+        import sys
+        import time
+
+        class _Slow(_Upscale2x):
+            def forward(self, x):
+                time.sleep(5e-4)  # a forward that releases the GIL
+                return super().forward(x)
+
+        pipe = InferencePipeline(_Slow(), batch_size=2, n_threads=2)
+        failures = []
+
+        def client(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(40):
+                images = [rng.random((4, 4, 3)) for _ in range(3)]
+                handles = [pipe.submit(img) for img in images]
+                time.sleep(0)  # let other threads queue behind these
+                try:
+                    outs = [h.result() for h in handles]
+                except Exception as exc:  # the contract under test
+                    failures.append(exc)
+                    continue
+                for img, out in zip(images, outs):
+                    if not np.array_equal(out, _upscaled(img)):
+                        failures.append("wrong output")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert pipe.pending() == 0
+
+    def test_close_settles_queued_handles(self):
+        pipe = InferencePipeline(_Upscale2x())
+        handle = pipe.submit(np.zeros((4, 4, 3)))
+        pipe.close()
+        assert handle.done()
+        with pytest.raises(RuntimeError, match="closed"):
+            handle.result()
+        with pytest.raises(RuntimeError, match="closed"):
+            pipe.submit(np.zeros((4, 4, 3)))
 
 
 class TestGradModeInheritance:

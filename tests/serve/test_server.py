@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import grad as G
+from repro.api import ServeSession
 from repro.deploy import compile_model, scan_artifact_dir
 from repro.infer import InferencePipeline
 from repro.models import build_model
@@ -427,6 +428,85 @@ class TestFailureIsolation:
             # The model still serves good requests afterwards.
             good = server.map(_images(SHAPES[0], n=2), KEY_A)
             assert all(isinstance(out, np.ndarray) for out in good)
+
+    def test_bad_request_fails_alone_in_a_shared_flush(
+        self, artifact_dir, reference_outputs
+    ):
+        """One bad request rides in the same flush as two good ones for
+        the same model: only its own forward fails, so only it becomes
+        a ServeError and the good ones are bit-identical outputs."""
+        with G.default_dtype("float32"):
+            server = _manual_server(artifact_dir, FakeClock())
+            images = _images(SHAPES[0])
+            futures = [
+                server.submit(images[0], KEY_A),
+                server.submit(np.zeros((8, 8, 4), np.float32), KEY_A),
+                server.submit(images[1], KEY_A),
+            ]
+            assert server.poll(force=True) == 1  # one flush takes all 3
+            first, bad, second = (f.result(timeout=5) for f in futures)
+            assert isinstance(bad, ServeError)
+            assert bad.model == KEY_A
+            expected = reference_outputs[KEY_A][SHAPES[0]]
+            np.testing.assert_array_equal(first, expected[0])
+            np.testing.assert_array_equal(second, expected[1])
+            counters = server.stats()["counters"]
+            assert (counters["errors"], counters["responses"]) == (1, 2)
+
+
+class TestWaitsForItsOwnRequests:
+    def test_map_and_session_return_while_another_model_is_in_flight(
+        self, artifact_dir, reference_outputs, monkeypatch
+    ):
+        """``ModelServer.map`` and ``ServeSession.infer_many`` wait for
+        their own requests, not for an idle server: with model B's
+        flush held in flight, calls for model A still return."""
+        _GatedPipeline.started = threading.Event()
+        _GatedPipeline.gate = threading.Event()
+        real_pipeline = InferencePipeline
+        key_b_path = str(
+            {i.key: i for i in scan_artifact_dir(artifact_dir)[0]}[KEY_B].path
+        )
+
+        def gate_model_b(path, **kwargs):
+            if str(path) == key_b_path:
+                return _GatedPipeline(path, **kwargs)
+            return real_pipeline(path, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.serve.server.InferencePipeline", gate_model_b
+        )
+        images = _images(SHAPES[0])
+        results = {}
+        with G.default_dtype("float32"):
+            server = ModelServer(
+                artifact_dir, ServerConfig(latency_budget_s=0.001, n_threads=1)
+            )
+            try:
+                held = server.submit(images[0], KEY_B)
+                assert _GatedPipeline.started.wait(timeout=10)
+
+                def call_model_a():
+                    results["map"] = server.map(images[:2], KEY_A)
+                    session = ServeSession(server, default_model=KEY_A)
+                    results["session"] = session.infer_many(images[2:4])
+
+                caller = threading.Thread(target=call_model_a)
+                caller.start()
+                caller.join(timeout=5)
+                assert "session" in results, "A waited for B's flush"
+                assert not held.done()  # B's gate is still shut
+            finally:
+                _GatedPipeline.gate.set()
+            assert isinstance(held.result(timeout=10), np.ndarray)
+            caller.join(timeout=10)
+            assert not caller.is_alive()
+            server.close()
+        expected = reference_outputs[KEY_A][SHAPES[0]]
+        for out, ref in zip(results["map"], expected[:2]):
+            np.testing.assert_array_equal(out, ref)
+        for result, ref in zip(results["session"], expected[2:4]):
+            np.testing.assert_array_equal(result.unwrap(), ref)
 
 
 class TestConcurrentServing:
