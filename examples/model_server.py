@@ -30,6 +30,7 @@ import numpy as np
 
 from repro import grad as G
 from repro.api import Engine, EngineConfig, ModelSpec, serve_directory
+from repro.serve import ServerConfig
 
 ZOO = (
     ModelSpec("srresnet", scheme="scales", scale=2),
@@ -74,8 +75,8 @@ def main() -> None:
         print(f"\nOpening a serve session over {zoo_dir} ...")
         session = serve_directory(
             zoo_dir,
-            EngineConfig(
-                batch_size=8,
+            ServerConfig(
+                max_batch=8,
                 latency_budget_s=0.005,
                 max_models=2,          # smaller than the zoo: LRU works
                 max_queue_depth=total + 1,

@@ -10,8 +10,14 @@ The deployment story end to end, the way a serving process would run it:
    pipeline API with ``tile=`` set, stitching overlapping 32x32 tiles
    (the setting ``EngineConfig.tile`` gives ``Engine.infer``).
 
-Knob: ``REPRO_NUM_THREADS`` (or ``repro.infer.set_num_threads``) sets
-the worker-thread count.
+Both steps check their outputs bit for bit: each micro-batched output
+against its own one-image ``super_resolve`` forward (clipped to [0, 1]
+like the pipeline's), and the tiled output against a 1-thread
+``tiled_super_resolve`` with the same geometry.  The script exits
+non-zero on a mismatch.
+
+Knob: ``REPRO_NUM_THREADS`` sets the worker-thread count (a pipeline's
+``n_threads=`` overrides it).
 
 Run:  python examples/pipeline_serving.py
 """
@@ -23,10 +29,10 @@ import numpy as np
 from repro import grad as G
 from repro.data import training_pool
 from repro.deploy import compile_model
-from repro.infer import InferencePipeline, get_num_threads
+from repro.infer import InferencePipeline, get_num_threads, tiled_super_resolve
 from repro.models import build_model
 from repro.nn import init
-from repro.train import TrainConfig, Trainer
+from repro.train import TrainConfig, Trainer, super_resolve
 
 
 def main() -> None:
@@ -57,6 +63,10 @@ def main() -> None:
         elapsed = time.perf_counter() - t0
         print(f"  {len(results)} images in {elapsed * 1e3:.0f} ms "
               f"({len(batches)} batches, largest {max(batches)})")
+        batched_ok = sum(np.array_equal(out, super_resolve(compiled, img))
+                         for img, out in zip(requests, results))
+        print(f"  {batched_ok}/{len(requests)} bit-identical to one-image "
+              f"super_resolve")
 
         print("\nFull image through the tiled path...")
         big = rng.random((96, 128, 3)).astype(np.float32)
@@ -67,6 +77,15 @@ def main() -> None:
         elapsed = time.perf_counter() - t0
         print(f"  128x96 LR -> {sr.shape[1]}x{sr.shape[0]} SR "
               f"in {elapsed * 1e3:.0f} ms")
+        tiled_ok = np.array_equal(
+            sr, tiled_super_resolve(compiled, big, scale, tile=32, overlap=8,
+                                    batch_size=16, n_threads=1))
+        print(f"  bit-identical to 1-thread tiled_super_resolve: {tiled_ok}")
+
+    if batched_ok != len(requests) or not tiled_ok:
+        raise SystemExit("FAIL: a pipeline output differs from its reference")
+    print("\nOK: micro-batched and tiled outputs bit-identical to their "
+          "references")
 
 
 if __name__ == "__main__":

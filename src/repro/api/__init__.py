@@ -5,9 +5,9 @@ One coherent surface over the five execution layers that grew under it
 
 * :class:`ModelSpec` — declarative, validated description of a zoo
   cell (architecture, scheme, scale, preset, overrides);
-* :class:`EngineConfig` — every execution knob in one typed object;
-  the consolidated home of the ``REPRO_*`` environment variables with
-  documented precedence (explicit arg > env > default);
+* :class:`EngineConfig` — the engine's execution settings (threads,
+  dtype, seed, batch size, tiling) in one typed object; serving
+  settings live in :class:`repro.serve.ServerConfig` alone;
 * :class:`Engine` — the lifecycle facade:
   ``from_spec -> train -> compile -> export`` and
   ``from_artifact -> infer / infer_many / serve``;

@@ -48,6 +48,7 @@ from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..serve.server import ServerConfig
 from .capabilities import Capability, capability
 from .config import EngineConfig
 from .results import EngineError, InferRequest, InferResult
@@ -230,8 +231,10 @@ class Engine:
             if model is None:
                 raise EngineError("engine has no model to run")
             from ..infer.pipeline import InferencePipeline
-            self._pipeline = InferencePipeline.from_config(
-                model, self.config, scale=self.spec.scale)
+            self._pipeline = InferencePipeline(
+                model, batch_size=self.config.batch_size,
+                tile=self.config.tile, tile_overlap=self.config.tile_overlap,
+                scale=self.spec.scale, n_threads=self.config.n_threads)
         return self._pipeline
 
     def infer(self, image: Union[np.ndarray, InferRequest]) -> InferResult:
@@ -316,7 +319,7 @@ class Engine:
     # -- serving -----------------------------------------------------------
 
     def serve(self, artifact_dir=None,
-              config: Optional[EngineConfig] = None):
+              config: Optional[ServerConfig] = None):
         """Start a :class:`repro.api.ServeSession` for this engine.
 
         With no ``artifact_dir`` the engine serves the directory
@@ -331,12 +334,14 @@ class Engine:
         :class:`repro.serve.ModelServer` and returns the same
         :class:`InferResult` objects ``Engine.infer`` does.
 
-        Note on dtype: ``config.dtype`` is threaded into the server
-        (:meth:`EngineConfig.to_server_config`), which applies it as the
-        same thread-scoped override around every model load and flush —
-        so served outputs are bit-identical to direct ``infer`` under a
-        non-default dtype too (the cross-surface round-trip tests
-        enforce this).
+        ``config`` is the :class:`repro.serve.ServerConfig` to serve
+        under; without one the server runs under
+        :meth:`EngineConfig.to_server_config`: this engine's batch size,
+        thread count and dtype, and the serving defaults.  The engine's
+        ``dtype`` is then applied as the same thread-scoped override
+        around every model load and flush — so served outputs are
+        bit-identical to direct ``infer`` under a non-default dtype too
+        (the cross-surface round-trip tests enforce this).
         """
         from .serving import ServeSession
         self.capability().require("serve")
@@ -346,7 +351,8 @@ class Engine:
                 self.export(Path(workdir) / self.spec.artifact_name())
             artifact_dir = self.artifact_path.parent
         return ServeSession.over_directory(
-            artifact_dir, config if config is not None else self.config,
+            artifact_dir,
+            config if config is not None else self.config.to_server_config(),
             default_model=self.spec.key)
 
     def stream(self, stream_config=None, *, session=None,

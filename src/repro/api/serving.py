@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import EngineConfig
+from ..serve.server import ModelServer, ServerConfig
 from .results import EngineError, InferRequest, InferResult
 
 __all__ = ["ServeSession", "ServeTicket", "serve_directory"]
@@ -62,13 +62,12 @@ class ServeSession:
 
     @classmethod
     def over_directory(cls, artifact_dir,
-                       config: Optional[EngineConfig] = None,
+                       config: Optional[ServerConfig] = None,
                        default_model: Optional[ModelKey] = None
                        ) -> "ServeSession":
-        """Serve every packed artifact in a directory (lazy LRU zoo)."""
-        from ..serve.server import ModelServer
-        config = config if config is not None else EngineConfig()
-        return cls(ModelServer(artifact_dir, config.to_server_config()),
+        """Serve every packed artifact in a directory (lazy LRU zoo)
+        under ``config`` (``None``: ``ServerConfig()``)."""
+        return cls(ModelServer(artifact_dir, config),
                    default_model=default_model)
 
     # -- request path ------------------------------------------------------
@@ -137,7 +136,7 @@ class ServeSession:
         self.close(drain=exc_type is None)
 
 
-def serve_directory(artifact_dir, config: Optional[EngineConfig] = None,
+def serve_directory(artifact_dir, config: Optional[ServerConfig] = None,
                     default_model: Optional[ModelKey] = None) -> ServeSession:
     """Serve an artifact zoo directory through the typed facade
     (alias of :meth:`ServeSession.over_directory`)."""

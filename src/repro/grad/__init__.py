@@ -5,9 +5,9 @@ paper's networks are expressed with :class:`~repro.grad.Tensor` operations
 and trained with the optimizers in :mod:`repro.optim`.
 """
 
-from .tensor import (Tensor, as_tensor, custom_op, default_dtype, get_default_dtype,
-                     is_grad_enabled, no_grad, set_default_dtype,
-                     thread_default_dtype, unbroadcast)
+from .tensor import (Tensor, as_tensor, check_dtype, custom_op, default_dtype,
+                     get_default_dtype, is_grad_enabled, no_grad,
+                     set_default_dtype, thread_default_dtype, unbroadcast)
 from .activations import (
     absolute,
     clip,
@@ -45,8 +45,8 @@ from .conv import (
 )
 
 __all__ = [
-    "Tensor", "as_tensor", "custom_op", "default_dtype", "get_default_dtype",
-    "is_grad_enabled", "no_grad", "set_default_dtype",
+    "Tensor", "as_tensor", "check_dtype", "custom_op", "default_dtype",
+    "get_default_dtype", "is_grad_enabled", "no_grad", "set_default_dtype",
     "thread_default_dtype", "unbroadcast",
     "absolute", "clip", "exp", "gelu", "leaky_relu", "log", "maximum", "relu",
     "sigmoid", "softmax", "sqrt", "tanh", "where",

@@ -38,6 +38,25 @@ _default_dtype = np.float64
 _dtype_override = threading.local()
 
 
+def check_dtype(dtype) -> np.dtype:
+    """``dtype`` as a NumPy dtype; ``ValueError`` unless it is float32 or
+    float64, the two dtypes tensors are created in.
+
+    The one rule for every dtype setting: :func:`set_default_dtype`,
+    :func:`thread_default_dtype`, ``EngineConfig.dtype`` and
+    ``ServerConfig.dtype``.
+    """
+    try:
+        resolved = None if dtype is None else np.dtype(dtype)
+    except TypeError:
+        resolved = None
+    if resolved is None or resolved not in (np.dtype(np.float32),
+                                            np.dtype(np.float64)):
+        raise ValueError(
+            f"dtype must be 'float32' or 'float64', got {dtype!r}")
+    return resolved
+
+
 def set_default_dtype(dtype) -> None:
     """Set the dtype new tensors are created with.
 
@@ -45,10 +64,7 @@ def set_default_dtype(dtype) -> None:
     experiments switch to float32 for a ~2x NumPy speedup.
     """
     global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("default dtype must be float32 or float64")
-    _default_dtype = dtype.type
+    _default_dtype = check_dtype(dtype).type
 
 
 def get_default_dtype():
@@ -90,9 +106,7 @@ def thread_default_dtype(dtype):
     if dtype is None:
         yield
         return
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("default dtype must be float32 or float64")
+    dtype = check_dtype(dtype)
     previous = getattr(_dtype_override, "value", None)
     _dtype_override.value = dtype.type
     try:

@@ -13,8 +13,8 @@ provides:
   images fit through NumPy inference.
 
 Both stack tiles / transform variants into NCHW batches and fan them
-out over a thread pool (:func:`set_num_threads`
-/ ``REPRO_NUM_THREADS`` control the width; NumPy kernels release the
+out over a thread pool (a call's ``n_threads``, else
+``REPRO_NUM_THREADS``, sets the width; NumPy kernels release the
 GIL).  :class:`InferencePipeline` is the serving-layer entry point —
 submit images, run them as micro-batches, read results.  Its one batch
 contract: a ``flush()`` settles every image it takes, each with its
@@ -23,8 +23,7 @@ goes back on the queue.  Threads may flush one pipeline concurrently;
 a handle whose image another thread's flush took waits for that flush.
 """
 
-from .parallel import (get_num_threads, num_threads, parallel_map,
-                       set_num_threads, submit_task)
+from .parallel import get_num_threads, parallel_map, submit_task
 from .pipeline import InferencePipeline, PendingResult
 from .tiling import (TilePlan, TileSpec, plan_tiles, tile_view,
                      tiled_super_resolve)
@@ -34,6 +33,5 @@ __all__ = [
     "DIHEDRAL_TRANSFORMS", "self_ensemble", "tiled_super_resolve",
     "TilePlan", "TileSpec", "plan_tiles", "tile_view",
     "InferencePipeline", "PendingResult",
-    "get_num_threads", "set_num_threads", "num_threads", "parallel_map",
-    "submit_task",
+    "get_num_threads", "parallel_map", "submit_task",
 ]

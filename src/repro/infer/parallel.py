@@ -15,12 +15,12 @@ computes the same bits at any thread count, so outputs are unchanged.
 A thread count of ``1`` never creates the pool and leaves the cores to
 BLAS instead.
 
-The thread count resolves, in order: an explicit argument, the value set
-via :func:`set_num_threads` (or the :func:`num_threads` context
-manager), the ``REPRO_NUM_THREADS`` environment variable, and finally
-``os.cpu_count()``.  ``1`` disables the pool entirely (callers run
-inline on the calling thread), which is also the deterministic-latency
-choice for benchmarking single-core behaviour.
+The thread count resolves, in order: an explicit ``n_threads``
+argument, the ``REPRO_NUM_THREADS`` environment variable (read by
+:func:`get_num_threads` on every call; there is no process-wide
+setter), and finally ``os.cpu_count()``.  ``1`` disables the pool
+entirely (callers run inline on the calling thread), which is also the
+deterministic-latency choice for benchmarking single-core behaviour.
 
 Results are always returned in submission order, and callers stitch /
 reduce them on the calling thread afterwards, so outputs are identical
@@ -32,23 +32,20 @@ the caller would have computed inline.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 from ..grad import (get_default_dtype, is_grad_enabled, no_grad,
                     thread_default_dtype)
 
-__all__ = ["get_num_threads", "set_num_threads", "num_threads",
-           "parallel_map", "submit_task"]
+__all__ = ["check_num_threads", "get_num_threads", "parallel_map",
+           "submit_task"]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-_num_threads: Optional[int] = None
 
 # One long-lived pool, grown on demand: worker threads survive across
 # calls, so their thread-local workspace arenas (repro.deploy.workspace)
@@ -114,39 +111,35 @@ def _executor(workers: int) -> ThreadPoolExecutor:
         return _pool
 
 
-def _validated(n: int) -> int:
+def check_num_threads(n: Any) -> int:
+    """``n`` as a thread count; ``ValueError`` unless it is an integer >= 1.
+
+    The one rule for every ``n_threads`` setting (``EngineConfig``,
+    ``ServerConfig``, ``InferencePipeline``, a per-call argument) and
+    for ``REPRO_NUM_THREADS``.
+    """
     n = int(n)
     if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
+        raise ValueError(f"n_threads must be >= 1, got {n}")
     return n
 
 
-def set_num_threads(n: Optional[int]) -> None:
-    """Set the global inference thread count (``None`` -> re-read env)."""
-    global _num_threads
-    _num_threads = None if n is None else _validated(n)
-
-
 def get_num_threads() -> int:
-    """The effective thread count (see module docstring for precedence)."""
-    if _num_threads is not None:
-        return _num_threads
+    """The process default thread count: ``REPRO_NUM_THREADS`` when set
+    (read now, on every call), else ``os.cpu_count()``.
+
+    A value that is not an integer >= 1 raises ``ValueError`` naming the
+    variable.
+    """
     env = os.environ.get("REPRO_NUM_THREADS")
-    if env:
-        return _validated(env)
-    return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def num_threads(n: int) -> Iterator[None]:
-    """Temporarily pin the inference thread count."""
-    global _num_threads
-    previous = _num_threads
-    _num_threads = _validated(n)
+    if not env:
+        return os.cpu_count() or 1
     try:
-        yield
-    finally:
-        _num_threads = previous
+        return check_num_threads(env)
+    except ValueError as exc:
+        raise ValueError(
+            f"invalid environment variable REPRO_NUM_THREADS={env!r}: "
+            f"{exc}") from None
 
 
 def _in_caller_context(fn: Callable[..., R]) -> Callable[..., R]:
@@ -183,7 +176,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     cancelled, matching executor semantics).
     """
     items = list(items)
-    resolved = get_num_threads() if n_threads is None else _validated(n_threads)
+    resolved = (get_num_threads() if n_threads is None
+                else check_num_threads(n_threads))
     workers = min(resolved, len(items))
     if workers <= 1 or getattr(_in_worker, "active", False):
         return [fn(item) for item in items]

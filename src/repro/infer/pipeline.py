@@ -43,8 +43,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..grad import Tensor, no_grad
-from .parallel import parallel_map
-from .tiling import tiled_super_resolve
+from .parallel import check_num_threads, parallel_map
+from .tiling import check_tile_geometry, tiled_super_resolve
 
 __all__ = ["InferencePipeline", "PendingResult"]
 
@@ -109,11 +109,12 @@ class InferencePipeline:
     tile / tile_overlap:
         When ``tile`` is given, every image runs through the
         tiled path instead of a whole-image forward; ``scale`` is then
-        required (tile placement needs the upsampling factor up front).
+        required (tile placement needs the upsampling factor up front)
+        and ``0 <= tile_overlap < tile`` must hold.
     scale:
         The model's upsampling factor; only used by the tiled path.
     n_threads:
-        Worker threads for batches (default: the global setting, see
+        Worker threads for batches (default: the process default, see
         :func:`repro.infer.parallel.get_num_threads`).
     on_batch:
         Optional ``on_batch(n_images, seconds)`` callable, called once
@@ -130,15 +131,19 @@ class InferencePipeline:
                  scale: Optional[int] = None,
                  n_threads: Optional[int] = None,
                  on_batch: Optional[Callable[[int, float], None]] = None):
-        if isinstance(model, (str, os.PathLike)):
-            from ..deploy.serialize import load_artifact
-            model = load_artifact(model)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if n_threads is not None:
+            check_num_threads(n_threads)
         if tile is not None and scale is None:
             raise ValueError(
                 "tiled pipelines need the model's scale factor up front "
                 "(pass scale=...)")
+        if tile is not None:
+            check_tile_geometry(tile, tile_overlap)
+        if isinstance(model, (str, os.PathLike)):
+            from ..deploy.serialize import load_artifact
+            model = load_artifact(model)
         self.model = model
         self.batch_size = batch_size
         self.tile = tile
@@ -149,17 +154,6 @@ class InferencePipeline:
         self._pending: List[_Entry] = []
         self._queue_lock = threading.Lock()
         self._closed = False
-
-    @classmethod
-    def from_config(cls, model, config, scale: Optional[int] = None
-                    ) -> "InferencePipeline":
-        """Build a pipeline from an :class:`repro.api.EngineConfig`-style
-        object (anything with ``batch_size`` / ``tile`` / ``tile_overlap``
-        / ``n_threads`` attributes) — how the typed facade
-        (:class:`repro.api.Engine`) instantiates its execution layer."""
-        return cls(model, batch_size=config.batch_size, tile=config.tile,
-                   tile_overlap=config.tile_overlap, scale=scale,
-                   n_threads=config.n_threads)
 
     def submit(self, lr_image: np.ndarray) -> PendingResult:
         """Queue an ``(H, W, 3)`` image; returns a result handle."""

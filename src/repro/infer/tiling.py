@@ -34,8 +34,23 @@ from ..grad import Tensor, no_grad
 from ..nn import Module
 from .parallel import get_num_threads, parallel_map
 
-__all__ = ["TileSpec", "TilePlan", "plan_tiles", "tiled_super_resolve",
-           "iter_tile_batches", "TileStitcher", "tile_view"]
+__all__ = ["TileSpec", "TilePlan", "check_tile_geometry", "plan_tiles",
+           "tiled_super_resolve", "iter_tile_batches", "TileStitcher",
+           "tile_view"]
+
+
+def check_tile_geometry(tile: int, overlap: int) -> None:
+    """Raise ``ValueError`` unless ``tile >= 1`` and ``0 <= overlap < tile``.
+
+    The one rule every tiled surface applies when its tiling is set
+    (``EngineConfig``, ``StreamConfig``, ``InferencePipeline``), so a
+    geometry :func:`plan_tiles` would refuse fails when configured,
+    not on every later call.
+    """
+    if tile < 1:
+        raise ValueError(f"tile must be positive, got {tile}")
+    if not 0 <= overlap < tile:
+        raise ValueError(f"overlap {overlap} must be in [0, tile={tile})")
 
 
 def _tile_starts(full: int, tile: int, stride: int) -> list:
@@ -92,10 +107,7 @@ def plan_tiles(height: int, width: int, tile: int, overlap: int = 8,
     tile edges; ``2 * trim <= overlap`` keeps trimmed tiles covering the
     canvas with no gaps.
     """
-    if tile <= 0:
-        raise ValueError(f"tile must be positive, got {tile}")
-    if not 0 <= overlap < tile:
-        raise ValueError(f"overlap {overlap} must be in [0, tile={tile})")
+    check_tile_geometry(tile, overlap)
     trim = overlap // 2 if trim is None else trim
     if trim < 0 or 2 * trim > overlap:
         raise ValueError(f"trim {trim} needs 0 <= 2*trim <= overlap={overlap}")
@@ -256,7 +268,7 @@ def tiled_super_resolve(model: Module, lr_image: np.ndarray, scale: int,
         the original per-tile loop did, just up to ``batch_size`` tiles
         at a time.
     n_threads:
-        Worker threads for tile batches (default: the global setting,
+        Worker threads for tile batches (default: the process default,
         see :func:`repro.infer.parallel.get_num_threads`).
     """
     h, w = lr_image.shape[:2]

@@ -44,8 +44,8 @@ def self_ensemble(model: Module, lr_image: np.ndarray,
         How many of the 8 dihedral transforms to use (1 disables the
         ensemble; 4 is rotations only; 8 is the full "+'' protocol).
     n_threads:
-        Worker threads for the shape groups (default: the global
-        setting, see :func:`repro.infer.parallel.get_num_threads`).
+        Worker threads for the shape groups (default: the process
+        default, see :func:`repro.infer.parallel.get_num_threads`).
 
     Transform variants of equal shape — the unrotated and the
     90/270-degree views, two groups of up to 4 — are stacked into single

@@ -15,10 +15,10 @@ directly unit-testable with a simulated clock; the background thread,
 the executor handoff and the model registry all live in
 :mod:`repro.serve.server`.
 
-It also tracks per-model *in-flight* flush counts, which is how the
-server enforces its per-model concurrency cap: a model at its cap is
-never reported due, so its queue simply waits (or sheds at the
-admission-control bound) until a flush completes.
+It also tracks which models have a flush in flight.  A model runs one
+flush at a time: a busy model is never reported due, so its queue
+simply waits (or sheds at the admission-control bound) until its
+flush completes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Deque, Hashable, List, Optional, Set, Tuple
 
 __all__ = ["QueuedRequest", "MicroBatchScheduler"]
 
@@ -66,27 +66,22 @@ class MicroBatchScheduler:
         Queue length at which a model becomes due immediately (a full
         micro-batch is waiting; there is nothing to gain by waiting
         longer).
-    max_inflight:
-        Per-model concurrency cap: a model with this many flushes
-        running is never due, whatever its queue looks like.
 
     All methods are thread-safe; ``now`` is always an explicit caller
     argument so tests can drive a simulated clock.
     """
 
-    def __init__(self, max_batch: int, max_inflight: int = 1) -> None:
+    def __init__(self, max_batch: int) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_batch = max_batch
-        self.max_inflight = max_inflight
         self._lock = threading.Lock()
         # Insertion-ordered so round-robin across models is stable.
         self._queues: "OrderedDict[Hashable, Deque[QueuedRequest]]" = (
             OrderedDict()
         )
-        self._inflight: Dict[Hashable, int] = {}
+        # Models with a flush in flight (at most one each).
+        self._busy: Set[Hashable] = set()
         # Running total of queued requests, maintained by enqueue/take/
         # drain_queued: admission control consults it on every submit,
         # so it must stay O(1) however many models the zoo holds.
@@ -142,11 +137,11 @@ class MicroBatchScheduler:
             return len(queue) if queue else 0
 
     def inflight(self, model_key: Hashable = None) -> int:
-        """In-flight flushes for one model (or all models)."""
+        """In-flight flushes for one model (0 or 1), or all models."""
         with self._lock:
             if model_key is not None:
-                return self._inflight.get(model_key, 0)
-            return sum(self._inflight.values())
+                return int(model_key in self._busy)
+            return len(self._busy)
 
     # -- due policy --------------------------------------------------------
 
@@ -154,7 +149,7 @@ class MicroBatchScheduler:
         return len(queue) >= self.max_batch or queue[0].deadline <= now
 
     def due_keys(self, now: float, force: bool = False) -> List[Hashable]:
-        """Model keys that should flush at ``now`` (cap-respecting).
+        """Model keys that should flush at ``now`` (busy models skipped).
 
         ``force`` treats every non-empty queue as due — the drain /
         shutdown path, where latency budgets no longer matter.
@@ -162,9 +157,7 @@ class MicroBatchScheduler:
         with self._lock:
             due = []
             for key, queue in self._queues.items():
-                if not queue:
-                    continue
-                if self._inflight.get(key, 0) >= self.max_inflight:
+                if not queue or key in self._busy:
                     continue
                 if force or self._due(queue, now):
                     due.append(key)
@@ -173,16 +166,13 @@ class MicroBatchScheduler:
     def next_due(self, now: float) -> Optional[float]:
         """Seconds until the earliest queue becomes due (0 if one is).
 
-        ``None`` when nothing eligible is queued — models at their
-        concurrency cap don't count; their flush completion wakes the
-        server loop anyway.
+        ``None`` when nothing eligible is queued — busy models don't
+        count; their flush completion wakes the server loop anyway.
         """
         soonest: Optional[float] = None
         with self._lock:
             for key, queue in self._queues.items():
-                if not queue:
-                    continue
-                if self._inflight.get(key, 0) >= self.max_inflight:
+                if not queue or key in self._busy:
                     continue
                 wait = (
                     0.0
@@ -210,10 +200,10 @@ class MicroBatchScheduler:
             queue = self._queues.get(model_key)
             if not queue:
                 return [], "drain"
-            # Re-check the cap under the lock: due_keys() and take()
-            # are not atomic, so two racing pollers could otherwise
-            # both start a flush of the same model.
-            if self._inflight.get(model_key, 0) >= self.max_inflight:
+            # Re-check under the lock: due_keys() and take() are not
+            # atomic, so two racing pollers could otherwise both start
+            # a flush of the same model.
+            if model_key in self._busy:
                 return [], "drain"
             if len(queue) >= self.max_batch:
                 reason = "full"
@@ -224,17 +214,13 @@ class MicroBatchScheduler:
             taken = list(queue)
             queue.clear()
             self._depth -= len(taken)
-            self._inflight[model_key] = self._inflight.get(model_key, 0) + 1
+            self._busy.add(model_key)
             return taken, reason
 
     def release(self, model_key: Hashable) -> None:
-        """Mark one in-flight flush of ``model_key`` finished."""
+        """Mark the in-flight flush of ``model_key`` finished."""
         with self._lock:
-            count = self._inflight.get(model_key, 0) - 1
-            if count <= 0:
-                self._inflight.pop(model_key, None)
-            else:
-                self._inflight[model_key] = count
+            self._busy.discard(model_key)
 
     def drain_queued(self) -> List[QueuedRequest]:
         """Pop and return every queued (not in-flight) request.
@@ -256,6 +242,6 @@ class MicroBatchScheduler:
     def idle(self) -> bool:
         """True when nothing is queued and nothing is in flight."""
         with self._lock:
-            if self._inflight:
+            if self._busy:
                 return False
             return not any(self._queues.values())

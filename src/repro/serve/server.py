@@ -23,8 +23,8 @@ story (and the ROADMAP's heavy-traffic north star) assumes:
 * **Admission control.**  The global queue depth is bounded; beyond it
   requests are *shed* — resolved immediately with a typed
   :class:`ServerBusy` value instead of queueing unboundedly or raising
-  across threads.  A per-model in-flight cap keeps one hot model from
-  monopolizing the executor.
+  across threads.  A model runs one flush at a time, so one hot model
+  cannot monopolize the executor.
 * **Failure isolation.**  Each request resolves from its own pipeline
   handle: a request whose model forward raises becomes a typed
   :class:`ServeError`, while requests run by other forwards of the same
@@ -64,8 +64,8 @@ import numpy as np
 
 from ..deploy.registry import DeployEntry, classify_recipe
 from ..deploy.serialize import ArtifactInfo, scan_artifact_dir
-from ..grad import thread_default_dtype
-from ..infer.parallel import submit_task
+from ..grad import check_dtype, thread_default_dtype
+from ..infer.parallel import check_num_threads, submit_task
 from ..infer.pipeline import InferencePipeline
 from .cache import ResultCache, content_key
 from .metrics import MetricsRegistry
@@ -92,6 +92,10 @@ _LOG = logging.getLogger("repro.serve")
 
 #: How often :meth:`ModelServer.wait` re-dispatches while it waits.
 _REPOLL_S = 0.005
+
+#: Idle wake-up period of the background loop (its responsiveness
+#: floor when no deadline is pending).
+_POLL_INTERVAL_S = 0.05
 
 
 def model_label(key: ModelKey) -> str:
@@ -209,12 +213,11 @@ class ServerConfig:
     max_queue_depth:
         Global bound on queued (admitted, not yet executing) requests;
         beyond it new submissions are shed with :class:`ServerBusy`.
-    max_inflight_per_model:
-        Concurrency cap: flushes of one model running at once.
     cache_bytes:
         Result-cache budget (0 disables caching).
     n_threads:
-        Passed through to each model's ``InferencePipeline``.
+        Passed through to each model's ``InferencePipeline`` (``None``
+        = the process default, see :func:`repro.infer.get_num_threads`).
     dtype:
         When set (``"float32"`` / ``"float64"``), every model load and
         flush runs under this default dtype via the thread-scoped
@@ -227,15 +230,11 @@ class ServerConfig:
         ``False`` is manual mode: the caller drives ``poll()`` /
         ``drain()`` and each flush runs inline on the calling thread —
         what the deterministic scheduler tests use.
-    poll_interval_s:
-        Idle wake-up period of the background loop (responsiveness
-        floor when no deadline is pending).
     drain_timeout_s:
-        Default graceful-drain bound for :meth:`ModelServer.close`:
-        how long (wall clock) a closing server keeps working its
-        queues before shedding what remains as typed
-        ``ServerBusy("server closed")``.  ``None`` (the default)
-        drains without a bound, as before.
+        Graceful-drain bound for :meth:`ModelServer.close`: how long
+        (wall clock) a closing server keeps working its queues before
+        shedding what remains as typed ``ServerBusy("server closed")``.
+        ``None`` (the default) drains without a bound.
     slo_default_budget_s / slo_budgets:
         Per-model latency SLO: every served request's end-to-end
         latency is judged against its model's budget — ``slo_budgets``
@@ -252,12 +251,10 @@ class ServerConfig:
     max_batch: int = 8
     max_models: int = 4
     max_queue_depth: int = 256
-    max_inflight_per_model: int = 1
     cache_bytes: int = 64 << 20
     n_threads: Optional[int] = None
     dtype: Optional[str] = None
     background: bool = True
-    poll_interval_s: float = 0.05
     drain_timeout_s: Optional[float] = None
     slo_default_budget_s: float = 0.5
     slo_budgets: Optional[Dict[str, float]] = None
@@ -265,10 +262,10 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.latency_budget_s < 0:
             raise ValueError("latency_budget_s must be >= 0")
-        if self.dtype is not None and str(self.dtype) not in (
-                "float32", "float64"):
-            raise ValueError(
-                f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        if self.n_threads is not None:
+            check_num_threads(self.n_threads)
+        if self.dtype is not None:
+            check_dtype(self.dtype)
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_models < 1:
@@ -325,9 +322,7 @@ class ModelServer:
         }
         self._request_seq = itertools.count()
         self.cache = ResultCache(self.config.cache_bytes)
-        self._scheduler = MicroBatchScheduler(
-            self.config.max_batch, self.config.max_inflight_per_model
-        )
+        self._scheduler = MicroBatchScheduler(self.config.max_batch)
         infos, skipped = scan_artifact_dir(artifact_dir)
         #: ``(path, reason)`` for every file the scan or coverage
         #: classification refused to serve.
@@ -965,7 +960,7 @@ class ModelServer:
                     return
                 wait = self._scheduler.next_due(self._clock())
                 if wait is None:
-                    self._wake.wait(timeout=self.config.poll_interval_s)
+                    self._wake.wait(timeout=_POLL_INTERVAL_S)
                 elif wait > 0:
                     self._wake.wait(timeout=wait)
                 if self._stopped:
@@ -1083,22 +1078,20 @@ class ModelServer:
             )
         return "\n".join(lines)
 
-    def close(self, drain: bool = True,
-              drain_timeout_s: Optional[float] = None) -> None:
+    def close(self, drain: bool = True) -> None:
         """Stop serving gracefully: settle admitted work, then refuse.
 
         With ``drain=True`` the server first works its queues —
         in-flight flushes and queued requests settle normally —
-        *before* the stop flag goes up, bounded by ``drain_timeout_s``
-        (argument, else ``config.drain_timeout_s``, else unbounded).
+        *before* the stop flag goes up, bounded by
+        ``config.drain_timeout_s`` (``None``: unbounded).
         Once the deadline passes (or immediately with ``drain=False``)
         the flag is raised, the loop thread is joined, and everything
         still queued is resolved as a typed
         ``ServerBusy("server closed")`` — a closing server never
         strands a future, whatever state it is in.  Idempotent.
         """
-        timeout = (drain_timeout_s if drain_timeout_s is not None
-                   else self.config.drain_timeout_s)
+        timeout = self.config.drain_timeout_s
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         if drain and not self._stopped:

@@ -41,7 +41,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..infer.tiling import TilePlan, TileStitcher, plan_tiles, tile_view
+from ..infer.tiling import (
+    TilePlan,
+    TileStitcher,
+    check_tile_geometry,
+    plan_tiles,
+    tile_view,
+)
 from ..serve.cache import TileReuseCache
 from ..serve.metrics import MetricsRegistry
 from ..serve.server import model_label, parse_model_key
@@ -70,11 +76,11 @@ class _Aborted(Exception):
 class StreamConfig:
     """Per-stream knobs (geometry, reuse, deadline policy).
 
-    ``tile``/``overlap`` must match the engine's ``tile`` /
-    ``tile_overlap`` for the bit-parity guarantee to hold against
-    ``Engine.infer``.  ``tile_cache_bytes=0`` disables reuse;
-    ``max_pending_frames`` bounds the submit queue (``submit_frame``
-    blocks when full — backpressure, not shedding).
+    ``tile``/``overlap`` need ``0 <= overlap < tile``, and must match
+    the engine's ``tile`` / ``tile_overlap`` for the bit-parity
+    guarantee to hold against ``Engine.infer``.  ``tile_cache_bytes=0``
+    disables reuse; ``max_pending_frames`` bounds the submit queue
+    (``submit_frame`` blocks when full — backpressure, not shedding).
     """
 
     tile: int = 48
@@ -85,10 +91,7 @@ class StreamConfig:
     max_pending_frames: Optional[int] = None
 
     def __post_init__(self):
-        if self.tile < 1:
-            raise ValueError("tile must be >= 1")
-        if self.overlap < 0:
-            raise ValueError("overlap must be >= 0")
+        check_tile_geometry(self.tile, self.overlap)
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; expected one of {POLICIES}"

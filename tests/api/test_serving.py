@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import (Engine, EngineConfig, EngineError, InferRequest,
                        InferResult, ModelSpec, serve_directory)
+from repro.serve import ServerConfig
 
 SPECS = [
     ModelSpec("srresnet", scheme="scales", scale=2),
@@ -79,3 +80,19 @@ class TestServeSession:
             assert stats["server"]["available_models"] == len(SPECS)
             assert "cache" in stats
             assert "models:" in session.report()
+
+
+class TestServeConfig:
+    def test_engine_serves_under_the_given_config_or_its_own(self, zoo_dir):
+        """``Engine.serve(config=...)`` serves under exactly that
+        ``ServerConfig``; with none, under ``to_server_config()``."""
+        engine = Engine.from_artifact(
+            zoo_dir / SPECS[0].artifact_name(),
+            EngineConfig(batch_size=3, n_threads=1, dtype="float32"))
+        given = ServerConfig(max_models=1)
+        with engine.serve(config=given) as session:
+            assert session.server.config is given
+            assert session.infer(_image()).ok
+        with engine.serve() as session:
+            assert session.server.config == engine.config.to_server_config()
+            assert session.infer(_image()).ok

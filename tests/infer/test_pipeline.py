@@ -18,8 +18,8 @@ from repro import grad as G
 from repro.binarize.baselines import E2FIFBinaryConv2d
 from repro.deploy import compile_model
 from repro.grad import Tensor
-from repro.infer import (InferencePipeline, get_num_threads, num_threads,
-                         parallel_map, set_num_threads, tiled_super_resolve)
+from repro.infer import (InferencePipeline, get_num_threads, parallel_map,
+                         tiled_super_resolve)
 from repro.nn import Module, Sequential, init
 from repro.train import super_resolve
 
@@ -35,26 +35,13 @@ class TestThreadControls:
     def test_default_positive(self):
         assert get_num_threads() >= 1
 
-    def test_set_and_reset(self):
-        set_num_threads(3)
-        assert get_num_threads() == 3
-        set_num_threads(None)
-        assert get_num_threads() >= 1
-
     def test_env_variable(self, monkeypatch):
-        set_num_threads(None)
         monkeypatch.setenv("REPRO_NUM_THREADS", "5")
         assert get_num_threads() == 5
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
-            set_num_threads(0)
-        with pytest.raises(ValueError):
             parallel_map(lambda x: x, [1], n_threads=-1)
-
-    def test_context_manager(self):
-        with num_threads(2):
-            assert get_num_threads() == 2
 
     def test_parallel_map_preserves_order(self):
         items = list(range(50))
@@ -404,13 +391,13 @@ class TestGradModeInheritance:
             assert parallel_map(probe, range(6), n_threads=3) == [False] * 6
         assert parallel_map(probe, range(6), n_threads=3) == [True] * 6
 
-    def test_submit_task_inherits_no_grad(self):
+    def test_submit_task_inherits_no_grad(self, monkeypatch):
         from repro.infer import submit_task
 
-        with num_threads(2):
-            with G.no_grad():
-                assert submit_task(G.is_grad_enabled).result(5) is False
-            assert submit_task(G.is_grad_enabled).result(5) is True
+        monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+        with G.no_grad():
+            assert submit_task(G.is_grad_enabled).result(5) is False
+        assert submit_task(G.is_grad_enabled).result(5) is True
 
     def test_threaded_pipeline_builds_no_graph(self):
         model = _Upscale2x()

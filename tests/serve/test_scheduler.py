@@ -44,8 +44,6 @@ class TestQueueing:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             MicroBatchScheduler(max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(max_batch=1, max_inflight=0)
 
 
 class TestDuePolicy:
@@ -87,16 +85,18 @@ class TestDuePolicy:
 
 class TestFlushLifecycle:
     def test_take_reports_reason(self):
-        sched = MicroBatchScheduler(max_batch=2, max_inflight=3)
+        sched = MicroBatchScheduler(max_batch=2)
         sched.enqueue(_req(KEY_A, now=0.0, budget=0.5))
         taken, reason = sched.take(KEY_A, now=1.0)
         assert len(taken) == 1
         assert reason == "deadline"
+        sched.release(KEY_A)
         sched.enqueue(_req(KEY_A, now=2.0, budget=9.0))
         sched.enqueue(_req(KEY_A, now=2.0, budget=9.0))
         taken, reason = sched.take(KEY_A, now=2.0)
         assert len(taken) == 2
         assert reason == "full"
+        sched.release(KEY_A)
         sched.enqueue(_req(KEY_A, now=3.0, budget=9.0))
         taken, reason = sched.take(KEY_A, now=3.0)
         assert reason == "drain"
@@ -112,8 +112,8 @@ class TestFlushLifecycle:
     def test_take_rechecks_cap_under_its_own_lock(self):
         # due_keys() and take() are not atomic: a second poller whose
         # due_keys snapshot predates another take() must not start a
-        # second flush past the cap.
-        sched = MicroBatchScheduler(max_batch=1, max_inflight=1)
+        # second flush of a busy model.
+        sched = MicroBatchScheduler(max_batch=1)
         sched.enqueue(_req(KEY_A, now=0.0))
         taken, _ = sched.take(KEY_A, now=0.0)
         assert len(taken) == 1
@@ -133,7 +133,7 @@ class TestFlushLifecycle:
         assert sched.inflight(KEY_A) == 0
 
     def test_inflight_cap_suppresses_due(self):
-        sched = MicroBatchScheduler(max_batch=1, max_inflight=1)
+        sched = MicroBatchScheduler(max_batch=1)
         sched.enqueue(_req(KEY_A, now=0.0))
         assert sched.due_keys(now=0.0) == [KEY_A]
         sched.take(KEY_A, now=0.0)
@@ -147,7 +147,7 @@ class TestFlushLifecycle:
         assert sched.due_keys(now=5.0) == [KEY_A]
 
     def test_drain_queued_pops_queued_but_not_inflight(self):
-        sched = MicroBatchScheduler(max_batch=1, max_inflight=1)
+        sched = MicroBatchScheduler(max_batch=1)
         sched.enqueue(_req(KEY_A, now=0.0))
         taken, _ = sched.take(KEY_A, now=0.0)  # now in flight
         queued = [_req(KEY_A, now=0.0), _req(KEY_B, now=0.0)]
@@ -160,16 +160,17 @@ class TestFlushLifecycle:
         assert sched.drain_queued() == []
 
     def test_release_bookkeeping(self):
-        sched = MicroBatchScheduler(max_batch=1, max_inflight=2)
-        sched.enqueue(_req(KEY_A, now=0.0))
-        sched.take(KEY_A, now=0.0)
-        sched.enqueue(_req(KEY_A, now=0.0))
-        sched.take(KEY_A, now=0.0)
-        assert sched.inflight(KEY_A) == 2
+        sched = MicroBatchScheduler(max_batch=1)
+        for key in (KEY_A, KEY_B):
+            sched.enqueue(_req(key, now=0.0))
+            sched.take(key, now=0.0)
+        assert sched.inflight(KEY_A) == sched.inflight(KEY_B) == 1
         assert sched.inflight() == 2
         sched.release(KEY_A)
-        sched.release(KEY_A)
         assert sched.inflight(KEY_A) == 0
+        assert sched.inflight() == 1
+        sched.release(KEY_B)
+        assert sched.inflight() == 0
 
     def test_idle(self):
         sched = MicroBatchScheduler(max_batch=2)
@@ -188,8 +189,8 @@ class TestForceDrainEdgeCases:
     The drain/shutdown path treats every non-empty queue as due, but
     it must still skip queues with nothing in them (a model whose
     requests were all taken keeps an empty deque registered) and must
-    still respect the per-model in-flight cap — forcing latency does
-    not license exceeding concurrency.
+    still skip a model whose flush is in flight — forcing latency
+    does not license a second concurrent flush.
     """
 
     def test_force_with_no_queues_at_all(self):
@@ -208,18 +209,18 @@ class TestForceDrainEdgeCases:
         assert sched.due_keys(now=0.0, force=True) == [KEY_B]
 
     def test_force_respects_inflight_cap(self):
-        sched = MicroBatchScheduler(max_batch=1, max_inflight=1)
+        sched = MicroBatchScheduler(max_batch=1)
         sched.enqueue(_req(KEY_A, now=0.0))
-        sched.take(KEY_A, now=0.0)  # model now at its cap
+        sched.take(KEY_A, now=0.0)  # model now busy
         sched.enqueue(_req(KEY_A, now=0.0, budget=0.0))
-        # Force is about latency, not concurrency: the capped model
+        # Force is about latency, not concurrency: the busy model
         # stays suppressed until the in-flight flush releases.
         assert sched.due_keys(now=100.0, force=True) == []
         sched.release(KEY_A)
         assert sched.due_keys(now=100.0, force=True) == [KEY_A]
 
     def test_force_with_every_model_inflight(self):
-        sched = MicroBatchScheduler(max_batch=1, max_inflight=1)
+        sched = MicroBatchScheduler(max_batch=1)
         for key in (KEY_A, KEY_B):
             sched.enqueue(_req(key, now=0.0))
             sched.take(key, now=0.0)
@@ -282,7 +283,7 @@ class TestDepthCounter:
     def test_counter_consistent_under_concurrent_mutation(self):
         import threading
 
-        sched = MicroBatchScheduler(max_batch=4, max_inflight=8)
+        sched = MicroBatchScheduler(max_batch=4)
         keys = [KEY_A, KEY_B]
 
         def churn(key):

@@ -656,8 +656,8 @@ class TestShutdown:
     def test_drain_timeout_sheds_queued_but_settles_inflight(
         self, artifact_dir, monkeypatch
     ):
-        """close(drain_timeout_s=...) bounds the graceful phase: work
-        still *queued* past the deadline resolves as typed
+        """ServerConfig.drain_timeout_s bounds close()'s graceful
+        phase: work still *queued* past the deadline resolves as typed
         ServerBusy("server closed"), while the *in-flight* flush gets
         its bounded settle window and resolves to a real result."""
         _GatedPipeline.started = threading.Event()
@@ -669,20 +669,23 @@ class TestShutdown:
             server = ModelServer(
                 artifact_dir,
                 ServerConfig(
-                    latency_budget_s=0.001, max_batch=8, n_threads=1
+                    latency_budget_s=0.001,
+                    max_batch=8,
+                    n_threads=1,
+                    drain_timeout_s=0.05,
                 ),
             )
             images = _images(SHAPES[0], n=2)
             inflight = server.submit(images[0], KEY_A)
             # Wait until the flush holding `inflight` is blocked inside
-            # the gated pipeline, then queue a second request that the
-            # per-model in-flight cap keeps out of the batch.
+            # the gated pipeline, then queue a second request, which
+            # waits because a model runs one flush at a time.
             assert _GatedPipeline.started.wait(timeout=10)
             queued = server.submit(images[1], KEY_A)
             opener = threading.Timer(0.5, _GatedPipeline.gate.set)
             opener.start()
             try:
-                server.close(drain_timeout_s=0.05)
+                server.close()
             finally:
                 opener.cancel()
                 _GatedPipeline.gate.set()
