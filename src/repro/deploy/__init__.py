@@ -8,9 +8,9 @@ linears really do run on ``uint64`` words —
 
 * :mod:`repro.deploy.packing`  — {-1,+1} <-> packed ``uint64`` codecs;
 * :mod:`repro.deploy.kernels`  — XNOR-popcount GEMM (hardware
-  ``np.bitwise_count``) and the bit-domain conv/linear kernels (bitplane
-  or patch activation layouts, bit-exact against the float graph
-  including zero-padding correction);
+  ``np.bitwise_count``) and the bit-domain conv/linear kernels (each
+  pixel's channels packed into the narrowest 8/16/32/64·n-bit lane,
+  bit-exact against the float graph including zero-padding correction);
 * :mod:`repro.deploy.workspace` — per-thread scratch-buffer arena so
   repeated same-shape calls (tiles, batches) allocate nothing;
 * :mod:`repro.deploy.engine`   — ``compile_model``: walks a trained model
@@ -40,7 +40,7 @@ test suite verifies end-to-end.
 from .packing import pack_signs, unpack_signs, packed_words
 from .kernels import (binary_gemm, pack_weight_conv, pack_weight_linear,
                       FastConvWeight, FastLinearWeight, packed_conv2d_bits,
-                      packed_linear_bits, conv_fast_layout)
+                      packed_linear_bits)
 from .workspace import Workspace, workspace, clear_workspace
 from .engine import (PackedBinaryConv2d, PackedBinaryLinear, compile_model,
                      deployable_layers)
@@ -60,7 +60,7 @@ __all__ = [
     "pack_signs", "unpack_signs", "packed_words",
     "binary_gemm", "pack_weight_conv", "pack_weight_linear",
     "FastConvWeight", "FastLinearWeight", "packed_conv2d_bits",
-    "packed_linear_bits", "conv_fast_layout",
+    "packed_linear_bits",
     "Workspace", "workspace", "clear_workspace",
     "PackedBinaryConv2d", "PackedBinaryLinear", "compile_model",
     "deployable_layers",

@@ -117,10 +117,11 @@ class PackedBinaryConv2d(Module):
     4. FP re-scaling branches / BatchNorm / skip exactly as trained.
 
     The layer is weight-stationary: ``sign(w)`` is packed once at
-    construction (in the artifact's patch layout and in the kernel
-    layout, transposed GEMM panel included), and the zero-padding border
-    correction — a pure function of (input shape, stride, padding) and
-    the frozen weights — is memoized per input geometry as int32 dots.
+    construction (as the artifact's ``(C_in, kh, kw)`` rows and as the
+    kernel's lane-packed rows, transposed GEMM panel included), and the
+    zero-padding border correction — a pure function of (input shape,
+    stride, padding) and the frozen weights — is memoized per input
+    geometry as int32 dots.
     """
 
     binary = True
@@ -206,14 +207,17 @@ class PackedBinaryConv2d(Module):
         data = np.asarray(x.data)
         b, c, h, w = data.shape
         p, fw = self.padding, self.fast_weight
+        if c != fw.c_in:
+            raise ValueError(
+                f"input channels {c} != weight channels {fw.c_in}")
         ws = workspace()
         # The tag carries the true channel count and padding width: the
         # channels beyond c and the p-pixel border are zeroed once at
         # creation and never rewritten, so layers whose padded extents
         # coincide but whose written interiors differ (c_in 96 vs 128
-        # both pad to 128 bitplane channels; equal H+2p from different
-        # H, p) must not share a buffer — stale 1-bits would enter the
-        # XOR-popcount.
+        # both pad to a 128-bit lane, 20 vs 32 to a 32-bit one; equal
+        # H+2p from different H, p) must not share a buffer — stale
+        # 1-bits would enter the XOR-popcount.
         bits = ws.take(f"actbits{fw.c_pad}c{c}p{p}",
                        (b, h + 2 * p, w + 2 * p, fw.c_pad), np.uint8,
                        zero_on_create=True)
@@ -301,6 +305,9 @@ class PackedBinaryLinear(Module):
         data = np.asarray(x.data)
         *lead, k = data.shape
         fw = self.fast_weight
+        if k != self.in_features:
+            raise ValueError(f"input features {k} != weight features "
+                             f"{self.in_features}")
         m = int(np.prod(lead, dtype=np.int64)) if lead else 1
         ws = workspace()
         bits = ws.take(f"linbits{k}", (m, fw.words * 64), np.uint8,

@@ -16,20 +16,16 @@ The popcount runs through ``np.bitwise_count`` (hardware POPCNT), and
 the per-word counts accumulate in ``uint16`` — a quarter of the traffic
 of an ``int64`` accumulator on a loop that is purely memory-bound.
 
-Two activation-side layouts feed the GEMM (``conv_fast_layout`` picks
-per weight geometry):
-
-``patch``
-    Bits of one im2col row ordered ``(kh, kw, C_in)`` and packed
-    tightly; fewest words per row, but building rows costs a byte-wise
-    gather over the full ``K``-column patch matrix plus a ``packbits``.
-
-``bitplane``
-    Channels packed into words once per image (NHWC, ``ceil(C/64)``
-    words per pixel); im2col then gathers whole ``uint64`` words — ~64x
-    fewer elements moved — at the cost of padded channel words when
-    ``C`` is not a multiple of 64.  Wins whenever the word overhead is
-    moderate (wide layers), loses for very narrow inputs.
+Activations reach the GEMM as lane-packed bitplanes.  Each pixel's
+channels are packed once per image into the narrowest lane that holds
+them: 8, 16 or 32 bits when ``C_in`` <= 8, 16 or 32, otherwise
+``64 * ceil(C_in / 64)`` bits.  im2col then gathers whole lanes, so one
+GEMM row of a ``kh x kw`` conv is ``kh * kw`` lanes laid end to end,
+zero-filled to a whole number of 64-bit words: a 32-channel 3x3 conv
+runs ``ceil(9 * 32 / 64) = 5`` words per row where whole-word pixels
+would take 9.  The weight rows are staged the same way, so both
+operands hold 0-bits in the same lane tails and the GEMM identity
+holds.
 
 Scratch panels (XOR, counts, accumulators, staging rows, padded bit
 images) come from the per-thread :mod:`repro.deploy.workspace` arena,
@@ -55,7 +51,6 @@ __all__ = [
     "binary_gemm", "pack_weight_conv", "pack_weight_linear",
     "FastConvWeight", "packed_conv2d_bits",
     "FastLinearWeight", "packed_linear_bits",
-    "conv_fast_layout",
 ]
 
 #: Row-block size for the GEMM working set; (block, N) uint64 panels
@@ -203,17 +198,12 @@ def pack_weight_linear(weight: np.ndarray) -> Tuple[np.ndarray, int]:
 # Bit-domain conv/linear (the packed layers' kernels)
 # ----------------------------------------------------------------------
 
-def conv_fast_layout(c_in: int, kh: int, kw: int) -> str:
-    """Pick the activation layout for a conv geometry.
-
-    ``bitplane`` moves ~64x fewer elements per im2col gather but pads
-    each kernel tap to whole words; take it unless the word overhead
-    over tight ``patch`` packing exceeds 3x (narrow inputs, e.g. the
-    3-channel image head), where the smaller GEMM wins back the gather.
-    """
-    bitplane_w = kh * kw * packed_words(c_in)
-    patch_w = packed_words(c_in * kh * kw)
-    return "bitplane" if bitplane_w <= 3 * patch_w else "patch"
+def _lane_bits(c_in: int) -> int:
+    """Bits one pixel's channels occupy in the activation bitplane."""
+    for lane in (8, 16, 32):
+        if c_in <= lane:
+            return lane
+    return packed_words(c_in) * WORD_BITS
 
 
 class FastConvWeight:
@@ -221,45 +211,37 @@ class FastConvWeight:
 
     Attributes
     ----------
-    layout:
-        ``"bitplane"`` or ``"patch"`` (see :func:`conv_fast_layout`).
     packed / packed_t:
         ``(C_out, words)`` packed rows and the contiguous ``(words,
         C_out)`` transpose handed to :func:`binary_gemm` (transposed once
         here — weight-stationary).
     c_pad:
-        Channel count of the activation-bit image this weight expects:
-        ``C_in`` for ``patch``, ``ceil(C_in/64)*64`` for ``bitplane``
-        (the padded channels must hold 0-bits; both operands pad
-        identically so the GEMM identity is preserved).
+        Lane width in bits: the channel count of the activation-bit
+        image this weight expects (8, 16 or 32 for ``C_in`` up to that,
+        else ``ceil(C_in/64)*64``).  Channels beyond ``C_in`` hold
+        0-bits in both operands, so the GEMM identity is preserved.
+    words:
+        ``ceil(kh*kw*c_pad / 64)`` words per GEMM row; the bits past
+        ``kh*kw*c_pad`` are 0 in both operands too.
     """
 
-    __slots__ = ("layout", "packed", "packed_t", "k", "words",
+    __slots__ = ("packed", "packed_t", "k", "words",
                  "c_in", "c_out", "kh", "kw", "c_pad")
 
-    def __init__(self, weight: np.ndarray, layout: Optional[str] = None):
+    def __init__(self, weight: np.ndarray):
         weight = np.asarray(weight)
         c_out, c_in, kh, kw = weight.shape
         self.c_out, self.c_in, self.kh, self.kw = c_out, c_in, kh, kw
         self.k = c_in * kh * kw
-        self.layout = layout or conv_fast_layout(c_in, kh, kw)
-        bits_hwc = (weight >= 0).transpose(0, 2, 3, 1)  # (C_out, kh, kw, C)
-        if self.layout == "bitplane":
-            self.c_pad = packed_words(c_in) * WORD_BITS
-            self.words = kh * kw * packed_words(c_in)
-        elif self.layout == "patch":
-            self.c_pad = c_in
-            self.words = packed_words(self.k)
-        else:
-            raise ValueError(f"unknown fast conv layout {self.layout!r}")
+        self.c_pad = _lane_bits(c_in)
+        self.words = packed_words(kh * kw * self.c_pad)
         staged = np.zeros((c_out, kh, kw, self.c_pad), dtype=np.uint8)
-        staged[..., :c_in] = bits_hwc
-        flat = staged.reshape(c_out, kh * kw * self.c_pad)
-        if flat.shape[1] % WORD_BITS:
-            padded = np.zeros((c_out, self.words * WORD_BITS), dtype=np.uint8)
-            padded[:, :flat.shape[1]] = flat
-            flat = padded
-        self.packed = np.packbits(flat, axis=1, bitorder="little").view("<u8")
+        staged[..., :c_in] = (weight >= 0).transpose(0, 2, 3, 1)
+        lanes = np.packbits(staged.reshape(c_out, -1), axis=1,
+                            bitorder="little")
+        packed = np.zeros((c_out, self.words * 8), dtype=np.uint8)
+        packed[:, :lanes.shape[1]] = lanes
+        self.packed = packed.view("<u8")
         self.packed_t = np.ascontiguousarray(self.packed.T)
 
 
@@ -274,7 +256,9 @@ def packed_conv2d_bits(bits: np.ndarray, fw: FastConvWeight, stride: int = 1,
         ``(B, Hp, Wp, fw.c_pad)`` ``uint8`` 0/1 image, *already padded*:
         spatial border and channels beyond ``fw.c_in`` must hold 0-bits
         (the caller adds the cached zero-padding correction — a 0-bit
-        border is a -1 border to the packed kernel).
+        border is a -1 border to the packed kernel).  ``fw.c_pad`` is
+        the lane width: the channels of each pixel pack into one 8-,
+        16- or 32-bit lane, or into ``c_pad / 64`` words.
     fw:
         Packed weights from :class:`FastConvWeight`.
     out:
@@ -295,40 +279,32 @@ def packed_conv2d_bits(bits: np.ndarray, fw: FastConvWeight, stride: int = 1,
     kh, kw = fw.kh, fw.kw
     out_h, out_w = conv2d_output_shape((hp, wp), (kh, kw), stride, 0)
     m = b * out_h * out_w
-    if fw.layout == "bitplane":
-        wc = c_pad // WORD_BITS
-        planes = np.packbits(bits.reshape(b, hp, wp * c_pad), axis=2,
-                             bitorder="little").view("<u8")  # (B, Hp, Wp*wc)
-        planes = planes.reshape(b, hp, wp, wc)
-        view = sliding_window_view(planes, (kh, kw), axis=(1, 2))
-        if stride != 1:
-            view = view[:, ::stride, ::stride]
-        # view: (B, out_h, out_w, wc, kh, kw) -> rows (M, kh*kw*wc)
-        rows = ws.take(f"convrows_bp{fw.words}", (m, fw.words), np.uint64)
-        np.copyto(rows.reshape(b, out_h, out_w, kh, kw, wc),
-                  view.transpose(0, 1, 2, 4, 5, 3))
-        packed_rows = rows
-    else:
-        view = sliding_window_view(bits, (kh, kw), axis=(1, 2))
-        if stride != 1:
-            view = view[:, ::stride, ::stride]
-        # view: (B, out_h, out_w, C, kh, kw) -> byte rows (M, k), zero tail
-        # to the word boundary.  The tag carries k so two geometries with
-        # equal padded widths but different true k never share a buffer
-        # (the longer row's tail bits would leak into the shorter's).
-        k = fw.k
-        row_bytes = fw.words * WORD_BITS
-        staged = ws.take(f"convrows_u8_{k}", (m, row_bytes),
-                         np.uint8, zero_on_create=True)
-        # Writable 6-D window onto the leading k columns of each staged
-        # row (staged[:, :k].reshape(...) would silently copy).
-        target = np.lib.stride_tricks.as_strided(
-            staged, shape=(b, out_h, out_w, kh, kw, fw.c_pad),
-            strides=(out_h * out_w * row_bytes, out_w * row_bytes, row_bytes,
-                     kw * fw.c_pad, fw.c_pad, 1))
-        np.copyto(target, view.transpose(0, 1, 2, 4, 5, 3))
-        packed_rows = np.packbits(staged, axis=1, bitorder="little").view("<u8")
-    return binary_gemm(packed_rows, fw.packed, fw.k, b_t=fw.packed_t,
+    # One lane is `size` bytes; a pixel spans `n` lanes (n > 1 only for
+    # C_in > 64, whose lanes are whole words).
+    size = min(c_pad, WORD_BITS) // 8
+    n = c_pad // (8 * size)
+    lane = np.dtype(f"<u{size}")
+    planes = np.packbits(bits.reshape(b, hp, wp * c_pad), axis=2,
+                         bitorder="little").view(lane).reshape(b, hp, wp, n)
+    view = sliding_window_view(planes, (kh, kw), axis=(1, 2))
+    if stride != 1:
+        view = view[:, ::stride, ::stride]
+    # Rows are zero-created and only their leading kh*kw*n lanes are
+    # ever written, so the tail stays 0.  The tag carries the lane
+    # width and the taps: two geometries with equal M and words but
+    # different kh*kw*c_pad must not share a buffer (the fuller one's
+    # bits would leak into the other's tail).
+    rows = ws.take(f"convrows{c_pad}k{kh}x{kw}w{fw.words}", (m, fw.words),
+                   "<u8", zero_on_create=True)
+    row_bytes = fw.words * 8
+    # Writable 6-D window onto the leading lanes of each row
+    # (rows[:, :k].reshape(...) may silently copy).
+    target = np.lib.stride_tricks.as_strided(
+        rows.view(lane), shape=(b, out_h, out_w, kh, kw, n),
+        strides=(out_h * out_w * row_bytes, out_w * row_bytes, row_bytes,
+                 kw * n * size, n * size, size))
+    np.copyto(target, view.transpose(0, 1, 2, 4, 5, 3))
+    return binary_gemm(rows, fw.packed, fw.k, b_t=fw.packed_t,
                        out=out, ws=ws)
 
 

@@ -1,10 +1,10 @@
 """Bit-domain packed forward vs the seed forward (``tests.oracles``).
 
 The packed layers must be *bit-exact* against the seed implementation
-for every supported geometry — both activation layouts (patch /
-bitplane), strides, paddings, LSF thresholds including negative alpha,
-linears — because binarized networks amplify any last-bit difference
-into flipped sign bits downstream.
+for every supported geometry — every activation lane width (8, 16, 32
+and 64·n bits), strides, paddings, LSF thresholds including negative
+alpha, linears — because binarized networks amplify any last-bit
+difference into flipped sign bits downstream.
 """
 
 import numpy as np
@@ -14,12 +14,44 @@ from repro import grad as G
 from repro.binarize import SCALESBinaryConv2d, SCALESBinaryLinear
 from repro.binarize.baselines import BiBERTBinaryLinear, E2FIFBinaryConv2d
 from repro.deploy import (FastConvWeight, binary_gemm, compile_model,
-                          conv_fast_layout, pack_signs)
+                          pack_signs)
 from repro.deploy.engine import PackedBinaryConv2d, PackedBinaryLinear
 from repro.grad import Tensor, no_grad
-from repro.nn import init
+from repro.nn import Sequential, init
 
+from ..helpers import parse_table
 from ..oracles import binary_gemm_reference, reference_packed
+
+#: One packed conv geometry per row: its input channels, output
+#: channels, kernel size, stride and padding, the lane width in bits
+#: each pixel's channels pack into, and the 64-bit words per GEMM row
+#: (``ceil(k * k * lane / 64)``).
+LANES = """
+  c_in | c_out | k | stride | pad | lane | words
+  -----+-------+---+--------+-----+------+------
+     3 |    16 | 3 |      1 |   1 |    8 |     2
+     8 |     8 | 3 |      2 |   1 |    8 |     2
+    16 |    16 | 1 |      1 |   0 |   16 |     1
+    16 |    12 | 3 |      1 |   1 |   16 |     3
+    64 |    64 | 3 |      1 |   1 |   64 |     9
+     6 |     6 | 5 |      1 |   2 |    8 |     4
+    64 |    32 | 3 |      2 |   1 |   64 |     9
+     1 |     4 | 3 |      1 |   1 |    8 |     2
+    12 |     8 | 3 |      1 |   1 |   16 |     3
+    24 |     8 | 3 |      1 |   1 |   32 |     5
+    32 |     8 | 3 |      1 |   1 |   32 |     5
+    33 |     8 | 3 |      1 |   1 |   64 |     9
+    96 |     8 | 3 |      1 |   1 |  128 |    18
+   130 |     8 | 3 |      1 |   1 |  192 |    27
+"""
+
+
+def _lane_cases():
+    return [pytest.param(*(int(row[name]) for name in
+                           ("c_in", "c_out", "k", "stride", "pad", "lane",
+                            "words")),
+                         id="c{c_in}-k{k}-s{stride}-p{pad}".format(**row))
+            for row in parse_table(LANES)]
 
 
 @pytest.fixture(autouse=True)
@@ -62,56 +94,28 @@ class TestGemmEquivalence:
         np.testing.assert_array_equal(got, expected)
 
 
-class TestConvLayouts:
-    def test_layout_heuristic(self):
-        # Narrow inputs (image head) keep tight patch packing; wide
-        # layers take word-gather bitplanes.
-        assert conv_fast_layout(3, 3, 3) == "patch"
-        assert conv_fast_layout(64, 3, 3) == "bitplane"
-        assert conv_fast_layout(128, 3, 3) == "bitplane"
-
-    @pytest.mark.parametrize("c_in,c_out,k,stride,padding", [
-        (3, 16, 3, 1, 1),      # patch layout, padded
-        (8, 8, 3, 2, 1),       # patch, strided
-        (16, 16, 1, 1, 0),     # bitplane (words <= 3x patch), 1x1
-        (16, 12, 3, 1, 1),     # bitplane, padded, C not a word multiple
-        (64, 64, 3, 1, 1),     # bitplane, exact word multiple
-        (6, 6, 5, 1, 2),       # patch, 5x5, padding 2
-        (64, 32, 3, 2, 1),     # bitplane, strided
-    ])
-    def test_fast_bit_exact_vs_reference(self, c_in, c_out, k, stride, padding):
+class TestConvLanes:
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,lane,words",
+                             _lane_cases())
+    def test_fast_bit_exact_vs_reference(self, c_in, c_out, k, stride,
+                                         padding, lane, words):
         init.seed(0)
         layer = E2FIFBinaryConv2d(c_in, c_out, k, stride=stride,
                                   padding=padding)
         layer.eval()
         packed = PackedBinaryConv2d.from_e2fif(layer)
+        fw = FastConvWeight(layer.weight.data)
+        assert (fw.c_pad, fw.words) == (lane, words)
         x = np.random.default_rng(1).normal(
             size=(2, c_in, 11, 9)).astype(np.float32)
         ref, fast = _reference_and_packed(packed, x)
         np.testing.assert_array_equal(fast, ref)
-
-    def test_fast_weight_layouts_agree_on_dots(self):
-        # The same weights packed both ways must produce identical dots.
-        rng = np.random.default_rng(2)
-        w = rng.normal(size=(6, 16, 3, 3))
-        from repro.deploy import packed_conv2d_bits
-        bits = np.zeros((2, 9, 9, 64), dtype=np.uint8)
-        bits[:, 1:8, 1:8, :16] = rng.random((2, 7, 7, 16)) > 0.5
-        bp = packed_conv2d_bits(bits, FastConvWeight(w, layout="bitplane"))
-        patch = packed_conv2d_bits(
-            np.ascontiguousarray(bits[..., :16]), FastConvWeight(w, layout="patch"))
-        np.testing.assert_array_equal(bp, patch)
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError, match="layout"):
-            FastConvWeight(np.zeros((2, 2, 3, 3)), layout="diagonal")
 
     def test_shared_cpad_layers_do_not_leak_stale_bits(self):
         # Two bitplane layers with different true channel counts (96 and
         # 128) pad to the same 128-channel bit image at the same spatial
         # size; the arena must not hand them one buffer (the 96-channel
         # layer would read the other's stale bits in channels 96:128).
-        from repro.nn import Sequential
         init.seed(30)
         model = Sequential(E2FIFBinaryConv2d(128, 96, 3),
                            E2FIFBinaryConv2d(96, 64, 3))
@@ -123,6 +127,41 @@ class TestConvLayouts:
             ref = _forward(compiled, x)
         fast = _forward(compiled, x)
         np.testing.assert_array_equal(fast, ref)
+
+    def test_lane_geometries_do_not_leak_stale_bits(self):
+        # The second and third layers have equal M (8x8 outputs), an
+        # 8-bit lane and 2 words per row.  The 4x4 layer fills all 16
+        # lanes of its rows; the 3x3 layer writes 9 and needs the other
+        # 7 to stay 0, so the two must not share one row buffer.
+        init.seed(32)
+        model = Sequential(E2FIFBinaryConv2d(8, 6, 4, padding=2),
+                           E2FIFBinaryConv2d(6, 8, 4, padding=1),
+                           E2FIFBinaryConv2d(8, 8, 3, padding=1))
+        model.eval()
+        compiled = compile_model(model)
+        x = np.random.default_rng(33).normal(
+            size=(1, 8, 8, 8)).astype(np.float32)
+        with reference_packed():
+            ref = _forward(compiled, x)
+        for _ in range(2):
+            np.testing.assert_array_equal(_forward(compiled, x), ref)
+
+
+class TestInputWidth:
+    def test_conv_rejects_wrong_channel_count(self):
+        init.seed(34)
+        compiled = compile_model(Sequential(E2FIFBinaryConv2d(32, 16, 3)))
+        x = np.zeros((1, 24, 8, 8), dtype=np.float32)
+        with pytest.raises(ValueError,
+                           match="input channels 24 != weight channels 32"):
+            _forward(compiled, x)
+
+    def test_linear_rejects_wrong_feature_count(self):
+        init.seed(35)
+        compiled = compile_model(Sequential(BiBERTBinaryLinear(40, 8)))
+        x = np.zeros((2, 30), dtype=np.float32)
+        with pytest.raises(ValueError, match="input features 30"):
+            _forward(compiled, x)
 
 
 class TestThresholds:
