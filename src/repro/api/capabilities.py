@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..deploy.registry import DeployEntry, classify_recipe, deploy_registry
+from ..deploy.serialize import key_str
 from .results import EngineError
 from .spec import ModelSpec
 
@@ -68,8 +69,8 @@ class Capability:
             raise KeyError(f"unknown capability action {action!r}")
         if not allowed[action]:
             raise EngineError(
-                f"{self.architecture}/{self.scheme}/x{self.scale} cannot "
-                f"{action}: coverage is {self.coverage!r} ({self.detail})")
+                f"{key_str(self.key)} cannot {action}: coverage is "
+                f"{self.coverage!r} ({self.detail})")
 
 
 def _from_entry(entry: DeployEntry) -> Capability:

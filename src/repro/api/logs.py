@@ -1,94 +1,6 @@
-"""Structured JSON logging for the serving stack.
+"""Structured JSON logging: :mod:`repro.logs` under the public front
+door (``configure_logging``, ``log_event``, ``JsonLineFormatter``)."""
 
-The serve / gateway / jobs layers emit per-request events through
-plain stdlib logging (``logging.getLogger("repro.serve")`` etc.) with
-their structured payload attached as ``extra={"repro_fields": {...}}``.
-That keeps the emitting modules free of any dependency on this
-package — ``repro.serve`` must stay importable without ``repro.api``,
-which imports it — while this module owns the process-wide wiring:
-
-``configure_logging()``
-    Install a :class:`JsonLineFormatter` handler on the ``"repro"``
-    logger, once.  Every event from any ``repro.*`` logger then comes
-    out as one JSON object per line — the shape log aggregators and
-    the gateway's request-tracing tests consume.
-
-``log_event(logger, event, **fields)``
-    Emitter-side helper: one call, one line, fields attached the way
-    the formatter expects.
-
-Nothing here imports numpy or any repro sibling; it is safe to import
-from anywhere, including ``repro/api/__init__``.
-"""
-
-from __future__ import annotations
-
-import json
-import logging
-import sys
-from typing import IO, Optional, Union
+from ..logs import JsonLineFormatter, configure_logging, log_event
 
 __all__ = ["JsonLineFormatter", "configure_logging", "log_event"]
-
-#: Attribute tag marking handlers installed by :func:`configure_logging`
-#: so repeated calls reconfigure instead of stacking duplicates.
-_HANDLER_TAG = "_repro_json_handler"
-
-
-class JsonLineFormatter(logging.Formatter):
-    """Format a log record as a single sorted-key JSON object.
-
-    The payload is ``{"ts", "level", "logger", "event"}`` plus any
-    fields the emitter attached via ``extra={"repro_fields": {...}}``.
-    Reserved keys from the envelope win on collision; non-serialisable
-    field values degrade to ``str()`` rather than raising — a logging
-    call must never take down a request path.
-    """
-
-    def format(self, record: logging.LogRecord) -> str:
-        payload = {}
-        fields = getattr(record, "repro_fields", None)
-        if isinstance(fields, dict):
-            payload.update(fields)
-        payload["ts"] = round(record.created, 6)
-        payload["level"] = record.levelname.lower()
-        payload["logger"] = record.name
-        payload["event"] = record.getMessage()
-        if record.exc_info and record.exc_info[0] is not None:
-            payload["exception"] = self.formatException(record.exc_info)
-        return json.dumps(payload, sort_keys=True, default=str)
-
-
-def configure_logging(
-    level: Union[int, str] = logging.INFO,
-    stream: Optional[IO[str]] = None,
-) -> logging.Logger:
-    """Route all ``repro.*`` log events to ``stream`` as JSON lines.
-
-    Idempotent: calling again replaces the previously installed
-    handler (e.g. to change level or stream) instead of duplicating
-    output.  Returns the configured ``"repro"`` logger.  Propagation
-    to the root logger is disabled so embedding applications with
-    their own root handlers do not see events twice.
-    """
-    logger = logging.getLogger("repro")
-    for handler in list(logger.handlers):
-        if getattr(handler, _HANDLER_TAG, False):
-            logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
-    handler.setFormatter(JsonLineFormatter())
-    setattr(handler, _HANDLER_TAG, True)
-    logger.addHandler(handler)
-    logger.setLevel(level)
-    logger.propagate = False
-    return logger
-
-
-def log_event(logger: logging.Logger, event: str, **fields) -> None:
-    """Emit one structured event: ``log_event(log, "shed", model=key)``.
-
-    Timing fields are conventionally seconds as floats; emitters that
-    have a request id pass it as ``request_id=...`` so one request's
-    lines correlate across processes.
-    """
-    logger.info(event, extra={"repro_fields": dict(fields)})

@@ -6,6 +6,10 @@ server-side marker types (``ServerBusy`` / ``ServeError``).  A
 shared :class:`repro.api.InferResult` — the same type
 :meth:`repro.api.Engine.infer` returns — making "talk to a pipeline"
 and "talk to a server" interchangeable to calling code.
+:class:`ServeTicket` is that typed view of one server future; the
+server still counts, logs and resolves every request itself.  A
+:class:`repro.stream.StreamSession` given a session unwraps it and
+sends its tiles straight to ``session.server``.
 
 Sessions are created by :meth:`repro.api.Engine.serve` (serve this
 engine's artifact) or :func:`serve_directory` (serve a whole artifact

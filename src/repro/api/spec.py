@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..binarize import conv_scheme_names
+from ..deploy.serialize import key_str
 from ..models import (ARCHITECTURES, CNN_ARCHITECTURES, preset_names,
                       transformer_scheme_names)
 
@@ -95,7 +96,7 @@ class ModelSpec:
     @property
     def route(self) -> str:
         """The server route string, e.g. ``"srresnet/scales/x2"``."""
-        return f"{self.architecture}/{self.scheme}/x{self.scale}"
+        return key_str(self.key)
 
     def to_recipe(self) -> Dict[str, Any]:
         """The ``build_model`` recipe dict this spec is equivalent to."""

@@ -69,8 +69,8 @@ from .packing import unpack_signs
 __all__ = ["ARTIFACT_FORMAT", "ARTIFACT_VERSION", "REVISION_STATE_FILE",
            "save_artifact", "load_artifact", "read_artifact_meta",
            "default_artifact_name", "ArtifactInfo", "artifact_key",
-           "key_str", "scan_artifact_dir", "scan_artifact_revisions",
-           "read_revision_state"]
+           "key_str", "no_artifact_message", "scan_artifact_dir",
+           "scan_artifact_revisions", "read_revision_state"]
 
 ARTIFACT_FORMAT = "repro-packed-deploy"
 ARTIFACT_VERSION = 1
@@ -283,9 +283,15 @@ def artifact_key(recipe: Dict) -> Tuple[str, str, int]:
 
 def key_str(key: Tuple[str, str, int]) -> str:
     """Canonical ``"architecture/scheme/xN"`` string of a zoo key —
-    what the revision state file and metric labels use."""
+    the route, metric label, log field and revision-state key."""
     architecture, scheme, scale = key
     return f"{architecture}/{scheme}/x{int(scale)}"
+
+
+def no_artifact_message(key: Tuple[str, str, int], available) -> str:
+    """Why ``key`` cannot be served: it and every ``available`` key."""
+    known = ", ".join(key_str(k) for k in sorted(available))
+    return f"no artifact for model {key}; available: {known}"
 
 
 @dataclass(frozen=True)

@@ -58,22 +58,18 @@ import numpy as np
 
 from ..deploy.registry import classify_recipe
 from ..deploy.revision import CanaryConfig, CanaryController, RevisionStore
-from ..deploy.serialize import scan_artifact_dir
+from ..deploy.serialize import key_str, no_artifact_message, scan_artifact_dir
 from ..grad import thread_default_dtype
 from ..infer.pipeline import InferencePipeline
 from ..jobs.retry import RetryPolicy
+from ..logs import log_event
 from ..serve.metrics import (
     EXPOSITION_CONTENT_TYPE,
     MetricsRegistry,
     families_from_dump,
     render_families,
 )
-from ..serve.server import (
-    ModelKey,
-    ServerConfig,
-    model_label,
-    parse_model_key,
-)
+from ..serve.server import ModelKey, ServerConfig, parse_model_key
 from . import wire
 from .quota import QuotaRegistry
 from .ring import HashRing
@@ -81,7 +77,7 @@ from .worker import worker_main
 
 __all__ = ["Gateway", "GatewayConfig"]
 
-#: Structured gateway events (see :mod:`repro.api.logs`).
+#: Structured gateway events (see :mod:`repro.logs`).
 _LOG = logging.getLogger("repro.gateway")
 
 #: ``repro_canary_state`` gauge encoding.
@@ -192,8 +188,7 @@ class _FrontHandler(BaseHTTPRequestHandler):
             self._reply(503 if gateway.draining else 200, body)
         elif self.path == "/models":
             self._reply(200, wire.dumps({
-                "models": ["/".join((a, s, f"x{x}"))
-                           for a, s, x in sorted(gateway.catalog)]}))
+                "models": [key_str(k) for k in sorted(gateway.catalog)]}))
         elif self.path == "/stats":
             self._reply(200, wire.dumps(gateway.stats()))
         elif self.path == "/metrics":
@@ -517,12 +512,9 @@ class Gateway:
         except (wire.WireError, ValueError) as exc:
             return 400, wire.error_body("error", str(exc))[1]
         if key not in self.catalog:
-            known = ", ".join("/".join((a, s, f"x{x}"))
-                              for a, s, x in sorted(self.catalog))
             return 404, wire.error_body(
-                "error", f"no artifact for model {key}; available: "
-                f"{known}")[1]
-        route_key = model_label(key)
+                "error", no_artifact_message(key, self.catalog))[1]
+        route_key = key_str(key)
         tried: Set[int] = set()
         last_unavailable: Optional[Tuple[int, bytes]] = None
         for attempt in range(self.config.retry.max_attempts):
@@ -552,25 +544,15 @@ class Gateway:
             self._m_proxied.inc()
             if status == 200 and self.canary.should_sample(key):
                 self._verify_canary(key, request, payload, request_id)
-            _LOG.info("proxy", extra={"repro_fields": {
-                "request_id": request_id,
-                "model": route_key,
-                "client_id": client_id,
-                "worker": slot,
-                "status": status,
-                "attempts": attempt + 1,
-                "total_s": round(time.monotonic() - t0, 6),
-            }})
+            log_event(_LOG, "proxy", request_id=request_id,
+                      model=route_key, client_id=client_id, worker=slot,
+                      status=status, attempts=attempt + 1,
+                      total_s=round(time.monotonic() - t0, 6))
             return status, payload
         self._m_unrouted.inc()
-        _LOG.info("proxy", extra={"repro_fields": {
-            "request_id": request_id,
-            "model": route_key,
-            "client_id": client_id,
-            "status": 503,
-            "outcome": "unrouted",
-            "attempts": len(tried),
-        }})
+        log_event(_LOG, "proxy", request_id=request_id, model=route_key,
+                  client_id=client_id, status=503, outcome="unrouted",
+                  attempts=len(tried))
         if last_unavailable is not None:
             return last_unavailable
         return 503, wire.error_body(
@@ -625,7 +607,7 @@ class Gateway:
         is proof of a bad artifact and demotes it on the spot.  Errors
         here never propagate to the request path.
         """
-        label = model_label(key)
+        label = key_str(key)
         try:
             with self._canary_lock:
                 info = self.canary.candidate_info(key)
@@ -664,17 +646,14 @@ class Gateway:
         if state == "demoted":
             self._m_canary_demotions.labels(model=label).inc()
             self._drop_canary_pipelines(key)
-            _LOG.warning("canary_demoted", extra={"repro_fields": {
-                "request_id": request_id, "model": label,
-                "candidate": info.revision, "detail": detail,
-            }})
+            log_event(_LOG, "canary_demoted", level=logging.WARNING,
+                      request_id=request_id, model=label,
+                      candidate=info.revision, detail=detail)
         elif state == "promoted":
             self._m_canary_promotions.labels(model=label).inc()
             self._drop_canary_pipelines(key)
-            _LOG.info("canary_promoted", extra={"repro_fields": {
-                "request_id": request_id, "model": label,
-                "candidate": info.revision,
-            }})
+            log_event(_LOG, "canary_promoted", request_id=request_id,
+                      model=label, candidate=info.revision)
             if self.config.canary.restart_workers_on_promote:
                 thread = threading.Thread(
                     target=self._rolling_restart,
@@ -715,8 +694,7 @@ class Gateway:
                     # unpaused; the slot's dead entry stays visible.
                     self._m_respawn_failures.inc()
             self._m_rollouts.inc()
-            _LOG.info("rollout_complete", extra={"repro_fields": {
-                "workers": len(self._workers)}})
+            log_event(_LOG, "rollout_complete", workers=len(self._workers))
         finally:
             self._monitor_pause.clear()
 

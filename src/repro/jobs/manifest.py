@@ -181,14 +181,12 @@ def load_manifest(path: PathLike,
         return p if p.is_absolute() else base / p
 
     artifact_dir = resolve(raw["artifacts"])
-    from ..deploy.serialize import scan_artifact_dir
+    from ..deploy.serialize import key_str, scan_artifact_dir
     try:
         infos, _skipped = scan_artifact_dir(artifact_dir)
     except FileNotFoundError as exc:
         raise JobsError(str(exc)) from exc
-    available = {
-        f"{a}/{s}/x{x}": str(info.path)
-        for info in infos for a, s, x in [info.key]}
+    available = {key_str(info.key): str(info.path) for info in infos}
     if not available:
         raise JobsError(f"no deploy artifacts under {artifact_dir}")
 
@@ -199,8 +197,7 @@ def load_manifest(path: PathLike,
         from ..serve.server import parse_model_key
         models = []
         for spec in requested:
-            a, s, x = parse_model_key(spec)
-            route = f"{a}/{s}/x{x}"
+            route = key_str(parse_model_key(spec))
             if route not in available:
                 raise JobsError(
                     f"manifest model {spec!r}: no artifact for {route} "

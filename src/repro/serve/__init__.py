@@ -45,7 +45,6 @@ from .server import (
     ServeFuture,
     ServerBusy,
     ServerConfig,
-    model_label,
     parse_model_key,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "ServeFuture",
     "ServerBusy",
     "ServerConfig",
-    "model_label",
     "parse_model_key",
     "BUCKET_BOUNDS",
     "LatencyHistogram",

@@ -25,11 +25,14 @@ story (and the ROADMAP's heavy-traffic north star) assumes:
   :class:`ServerBusy` value instead of queueing unboundedly or raising
   across threads.  A model runs one flush at a time, so one hot model
   cannot monopolize the executor.
-* **Failure isolation.**  Each request resolves from its own pipeline
-  handle: a request whose model forward raises becomes a typed
-  :class:`ServeError`, while requests run by other forwards of the same
-  flush get their outputs.  A model that fails to load fails every
-  request of the flush, and loads afresh on the next one.
+* **One settle path.**  Every outcome of a request — shed, cache hit,
+  served, coalesced rider, failed — is counted, logged (one
+  ``repro.serve`` "request" line) and resolved by one method,
+  ``ModelServer._finish``.  A request whose model forward raises
+  becomes a typed :class:`ServeError`, while requests run by other
+  forwards of the same flush get their outputs; when loading the
+  model, queueing or flushing raises outside a forward, every request
+  of that flush becomes a :class:`ServeError` naming the exception.
 * **Metrics.**  Every decision is counted and timed once, into the
   server's :class:`~repro.serve.metrics.MetricsRegistry`
   (``server.metrics``, what ``/metrics`` renders).  ``server.stats()``
@@ -63,10 +66,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..deploy.registry import DeployEntry, classify_recipe
-from ..deploy.serialize import ArtifactInfo, scan_artifact_dir
+from ..deploy.serialize import (
+    ArtifactInfo,
+    key_str,
+    no_artifact_message,
+    scan_artifact_dir,
+)
 from ..grad import check_dtype, thread_default_dtype
 from ..infer.parallel import check_num_threads, submit_task
 from ..infer.pipeline import InferencePipeline
+from ..logs import log_event
 from .cache import ResultCache, content_key
 from .metrics import MetricsRegistry
 from .scheduler import MicroBatchScheduler, QueuedRequest
@@ -78,32 +87,22 @@ __all__ = [
     "ServeFuture",
     "ServerBusy",
     "ServerConfig",
-    "model_label",
     "parse_model_key",
 ]
 
 #: ``(architecture, scheme, scale)`` — how the zoo names a model.
 ModelKey = Tuple[str, str, int]
 
-#: Structured per-request events (see :mod:`repro.api.logs`): emitted
-#: through plain stdlib logging so this module never imports the api
-#: package that imports it.
+#: Where the per-request "request" lines go (see :mod:`repro.logs`).
 _LOG = logging.getLogger("repro.serve")
 
-#: How often :meth:`ModelServer.wait` re-dispatches while it waits.
+#: How often a waiting caller (``wait``, ``drain``, ``close``)
+#: re-dispatches the queues.
 _REPOLL_S = 0.005
 
 #: Idle wake-up period of the background loop (its responsiveness
 #: floor when no deadline is pending).
 _POLL_INTERVAL_S = 0.05
-
-
-def model_label(key: ModelKey) -> str:
-    """Canonical ``"architecture/scheme/xN"`` rendering of a zoo key —
-    the ``model=`` label value on every serve-layer metric series and
-    the key ``ServerConfig.slo_budgets`` are declared under."""
-    architecture, scheme, scale = key
-    return f"{architecture}/{scheme}/x{scale}"
 
 
 def parse_model_key(spec: Union[ModelKey, Sequence, str]) -> ModelKey:
@@ -166,20 +165,16 @@ class ServeError:
 
 
 class ServeFuture:
-    """Handle for a submitted request; resolves to the output array,
-    a :class:`ServerBusy` shed marker, or a :class:`ServeError`."""
+    """Handle for a submitted request — it resolves to the output
+    array, a :class:`ServerBusy` shed marker or a :class:`ServeError` —
+    or for a stream frame, which resolves to its
+    :class:`~repro.stream.FrameResult`."""
 
     __slots__ = ("_event", "_value")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._value = None
-
-    @classmethod
-    def resolved(cls, value) -> "ServeFuture":
-        future = cls()
-        future._resolve(value)
-        return future
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -285,11 +280,17 @@ def _ratio(num: float, den: float) -> Optional[float]:
     return num / den if den else None
 
 
-@dataclass
-class _LoadedModel:
-    info: ArtifactInfo
-    entry: DeployEntry
-    pipeline: InferencePipeline
+def _serve_error(key: ModelKey, exc: Exception) -> ServeError:
+    return ServeError(model=key, message=f"{type(exc).__name__}: {exc}")
+
+
+def _handle_value(key: ModelKey, handle):
+    """A settled pipeline handle's output, or a typed error for the
+    exception of the forward that ran it."""
+    try:
+        return handle.result()
+    except Exception as exc:
+        return _serve_error(key, exc)
 
 
 class ModelServer:
@@ -347,7 +348,8 @@ class ModelServer:
                 f"no servable deploy artifacts in {artifact_dir!s} "
                 f"(skipped: {[str(p) for p, _ in self.skipped]})"
             )
-        self._models: "OrderedDict[ModelKey, _LoadedModel]" = OrderedDict()
+        self._models: "OrderedDict[ModelKey, InferencePipeline]" = (
+            OrderedDict())
         self._models_lock = threading.Lock()
         self._init_metrics()
         # In-flight coalescing: cache_key -> the QueuedRequest computing
@@ -514,7 +516,7 @@ class ModelServer:
         )
         for key in self._catalog:
             # At 0 from the start, so breaches/responses rates exist.
-            self._m_breaches.labels(model=model_label(key))
+            self._m_breaches.labels(model=key_str(key))
 
     def _slo_budget(self, label: str) -> float:
         return self._slo_budgets.get(label, self.config.slo_default_budget_s)
@@ -563,10 +565,7 @@ class ModelServer:
     def _resolve_key(self, model: Union[ModelKey, str]) -> ModelKey:
         key = parse_model_key(model)
         if key not in self._catalog:
-            known = ", ".join(
-                "/".join((a, s, f"x{x}")) for a, s, x in sorted(self._catalog)
-            )
-            raise KeyError(f"no artifact for model {key}; available: {known}")
+            raise KeyError(no_artifact_message(key, self._catalog))
         return key
 
     # -- model registry (lazy load, LRU) -----------------------------------
@@ -574,7 +573,7 @@ class ModelServer:
     def _batch_recorder(self, key: ModelKey) -> Callable[[int, float], None]:
         """The ``on_batch`` callable counting and timing one model's
         pipeline forwards in the registry."""
-        label = model_label(key)
+        label = key_str(key)
         batches = self._m_batches.labels(model=label)
         images = self._m_batch_images.labels(model=label)
         latency = self._m_batch_latency.labels(model=label)
@@ -586,30 +585,26 @@ class ModelServer:
 
         return on_batch
 
-    def _model(self, key: ModelKey) -> _LoadedModel:
-        """The loaded model for ``key``; the caller holds the thread's
-        ``config.dtype`` scope, which the load runs under."""
+    def _model(self, key: ModelKey) -> InferencePipeline:
+        """The loaded pipeline for ``key``; the caller holds the
+        thread's ``config.dtype`` scope, which the load runs under."""
         with self._models_lock:
-            loaded = self._models.get(key)
-            if loaded is not None:
+            pipeline = self._models.get(key)
+            if pipeline is not None:
                 self._models.move_to_end(key)
-                return loaded
-            info = self._catalog[key]
+                return pipeline
             t0 = time.monotonic()
             pipeline = InferencePipeline(
-                str(info.path),
+                str(self._catalog[key].path),
                 batch_size=self.config.max_batch,
                 n_threads=self.config.n_threads,
                 on_batch=self._batch_recorder(key),
             )
             self._m_loads.inc()
             self._m_load_latency.observe(time.monotonic() - t0)
-            loaded = _LoadedModel(
-                info=info, entry=self._coverage[key], pipeline=pipeline
-            )
-            self._models[key] = loaded
+            self._models[key] = pipeline
             self._evict_over_bound(keep=key)
-            return loaded
+            return pipeline
 
     def _evict_over_bound(self, keep: ModelKey) -> None:
         """Drop LRU models over ``max_models`` (busy models are kept).
@@ -628,7 +623,7 @@ class ModelServer:
                     continue
                 if self._scheduler.pending(candidate):
                     continue
-                self._models.pop(candidate).pipeline.close()
+                self._models.pop(candidate).close()
                 self._m_evictions.inc()
                 break
             else:
@@ -636,34 +631,40 @@ class ModelServer:
 
     # -- request path ------------------------------------------------------
 
-    def _shed(
-        self, key: ModelKey, reason: str, depth: int, request_id: str
-    ) -> ServerBusy:
-        """The typed :class:`ServerBusy` refusal of one request, with
-        the admission decision counted and logged."""
-        label = model_label(key)
-        self._m_shed.labels(model=label, reason=reason).inc()
-        _LOG.info(
-            "request",
-            extra={
-                "repro_fields": {
-                    "request_id": request_id,
-                    "model": label,
-                    "outcome": "shed",
-                    "reason": reason,
-                    "queue_depth": depth,
-                }
-            },
-        )
-        return ServerBusy(model=key, reason=reason, queue_depth=depth)
+    def _finish(
+        self, future: ServeFuture, key: ModelKey, request_id: str, value,
+        cache: Optional[str] = None, **seconds: float,
+    ) -> ServeFuture:
+        """Count, log and resolve one request outcome; returns ``future``.
 
-    def _record_response(self, label: str, seconds: float) -> None:
-        """Count one served response and its latency, plus a breach
-        when it ran over its model's SLO budget."""
-        self._m_responses.labels(model=label).inc()
-        self._m_latency.labels(model=label).observe(seconds)
-        if seconds > self._slo_budget(label):
-            self._m_breaches.labels(model=label).inc()
+        The one place a request's future resolves.  ``value`` is a
+        :class:`ServerBusy` (counted as shed), a :class:`ServeError`
+        (counted as an error) or the output array: a response, whose
+        log line carries ``cache`` (``"hit"``, ``"miss"`` or
+        ``"coalesced"``) and ``seconds``: ``total_s`` (admission to
+        resolution, judged against the model's SLO budget) and, when a
+        flush ran it, ``queue_s`` and ``exec_s``.
+        """
+        label = key_str(key)
+        if isinstance(value, ServerBusy):
+            self._m_shed.labels(model=label, reason=value.reason).inc()
+            fields = {"outcome": "shed", "reason": value.reason,
+                      "queue_depth": value.queue_depth}
+        elif isinstance(value, ServeError):
+            self._m_errors.labels(model=label).inc()
+            fields = {"outcome": "error", "message": value.message}
+        else:
+            total = seconds["total_s"]
+            self._m_responses.labels(model=label).inc()
+            self._m_latency.labels(model=label).observe(total)
+            if total > self._slo_budget(label):
+                self._m_breaches.labels(model=label).inc()
+            fields = {"outcome": "ok", "cache": cache}
+            fields.update((k, round(v, 6)) for k, v in seconds.items())
+        log_event(_LOG, "request", request_id=request_id, model=label,
+                  **fields)
+        future._resolve(value)
+        return future
 
     def submit(
         self,
@@ -684,7 +685,6 @@ class ModelServer:
         through); the server assigns one when omitted.
         """
         key = self._resolve_key(model)
-        label = model_label(key)
         if request_id is None:
             request_id = self._request_id()
         image = np.asarray(image)
@@ -692,42 +692,27 @@ class ModelServer:
             raise ValueError(
                 f"expected an (H, W, C) image, got shape {image.shape}"
             )
+        future = ServeFuture()
+        t0 = self._clock()
+        label = key_str(key)
+        self._m_requests.labels(model=label).inc()
         if self._stopped:
             # Fast path: a server known to be closed refuses without
             # taking any lock.  (The authoritative check happens again
             # under the wake lock below — this one is advisory.)
-            return ServeFuture.resolved(
-                self._shed(
-                    key, "server closed", self._scheduler.depth(), request_id
-                )
-            )
-        t0 = self._clock()
-        self._m_requests.labels(model=label).inc()
+            return self._finish(future, key, request_id, ServerBusy(
+                key, "server closed", self._scheduler.depth()))
         cache_key = content_key(key, image)
         if self.config.cache_bytes:
             cached = self.cache.get(cache_key)
             if cached is not None:
-                elapsed = self._clock() - t0
                 self._m_cache.labels(model=label, outcome="hit").inc()
-                self._record_response(label, elapsed)
-                _LOG.info(
-                    "request",
-                    extra={
-                        "repro_fields": {
-                            "request_id": request_id,
-                            "model": label,
-                            "outcome": "ok",
-                            "cache": "hit",
-                            "total_s": round(elapsed, 6),
-                        }
-                    },
-                )
-                return ServeFuture.resolved(cached)
+                return self._finish(future, key, request_id, cached, "hit",
+                                    total_s=self._clock() - t0)
             self._m_cache.labels(model=label, outcome="miss").inc()
         budget = (
             self.config.latency_budget_s if deadline_s is None else deadline_s
         )
-        future = ServeFuture()
         request = QueuedRequest(
             image=image,
             cache_key=cache_key,
@@ -745,14 +730,8 @@ class ModelServer:
         # after the sweep — a future nothing would ever resolve.
         with self._wake:
             if self._stopped:
-                return ServeFuture.resolved(
-                    self._shed(
-                        key,
-                        "server closed",
-                        self._scheduler.depth(),
-                        request_id,
-                    )
-                )
+                return self._finish(future, key, request_id, ServerBusy(
+                    key, "server closed", self._scheduler.depth()))
             with self._inflight_lock:
                 existing = self._inflight_by_key.get(cache_key)
                 if existing is not None:
@@ -769,14 +748,8 @@ class ModelServer:
                 if depth >= 0:
                     self._inflight_by_key[cache_key] = request
             if depth < 0:
-                return ServeFuture.resolved(
-                    self._shed(
-                        key,
-                        "queue full",
-                        self.config.max_queue_depth,
-                        request_id,
-                    )
-                )
+                return self._finish(future, key, request_id, ServerBusy(
+                    key, "queue full", self.config.max_queue_depth))
             self._wake.notify_all()
         return future
 
@@ -801,25 +774,43 @@ class ModelServer:
     ) -> List:
         """The values of ``futures`` (from :meth:`submit`), in order.
 
-        Dispatches everything queued at once, deadlines ignored, then
-        waits for these futures alone — not for the whole server to go
-        idle, as :meth:`drain` does.  Between short waits it dispatches
-        again, so a request its model's in-flight cap held back runs as
-        soon as the cap frees.  Raises ``TimeoutError`` once
+        Dispatches everything queued, deadlines ignored, and waits for
+        these futures alone — not for the whole server to go idle, as
+        :meth:`drain` does.  Between short waits it dispatches again,
+        so a request held back by its model's flush in flight runs as
+        soon as that flush ends.  Raises ``TimeoutError`` once
         ``timeout`` seconds pass.
         """
-        deadline = time.monotonic() + timeout
-        self.poll(force=True)
-        for future in futures:
-            while not future.done():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError("request not served within timeout")
-                try:
-                    future.result(timeout=min(_REPOLL_S, remaining))
-                except TimeoutError:
-                    self.poll(force=True)
+        if not self._dispatch_until(
+            lambda: all(future.done() for future in futures),
+            time.monotonic() + timeout,
+        ):
+            raise TimeoutError("request not served within timeout")
         return [future.result() for future in futures]
+
+    def _dispatch_until(
+        self, settled: Callable[[], bool], deadline: Optional[float] = None
+    ) -> bool:
+        """Dispatch the queues, deadlines ignored, until ``settled()``;
+        returns whether it holds (``False`` once the monotonic
+        ``deadline`` passes; ``None``: no bound).
+
+        The one dispatch-and-wait loop of :meth:`wait`, :meth:`drain`
+        and both phases of :meth:`close`: every flush ends by notifying
+        the wake condition, and the wait is re-polled every
+        ``_REPOLL_S`` besides.
+        """
+        while not settled():
+            remaining = (None if deadline is None
+                         else deadline - time.monotonic())
+            if remaining is not None and remaining <= 0:
+                return False
+            self.poll(force=True)
+            with self._wake:
+                if not settled():
+                    self._wake.wait(timeout=_REPOLL_S if remaining is None
+                                    else min(_REPOLL_S, remaining))
+        return True
 
     # -- execution ---------------------------------------------------------
 
@@ -839,7 +830,7 @@ class ModelServer:
             taken, reason = self._scheduler.take(key, now)
             if not taken:
                 continue  # another poll got here first; nothing in flight
-            self._m_flushes.labels(model=model_label(key), reason=reason).inc()
+            self._m_flushes.labels(model=key_str(key), reason=reason).inc()
             if self.config.background:
                 submit_task(self._run_flush, key, taken)
             else:
@@ -848,106 +839,67 @@ class ModelServer:
         return dispatched
 
     def _settle(
-        self, req: QueuedRequest
-    ) -> List[Tuple[ServeFuture, float, str]]:
-        """Detach ``req`` from the coalescing map; every
-        ``(future, enqueued_at, request_id)`` triple to resolve.
-
-        After this returns, a new identical submission starts a fresh
-        computation (or hits the cache) — so no future can attach to a
-        request that has already been resolved.
-        """
-        with self._inflight_lock:
-            self._inflight_by_key.pop(req.cache_key, None)
-            futures = [
-                (req.future, req.enqueued_at, req.request_id)
-            ] + list(req.extra_futures)
-        return futures
-
-    def _respond(
         self,
         req: QueuedRequest,
         value,
-        done: float,
-        started: Optional[float] = None,
+        started: float = 0.0,
+        done: float = 0.0,
     ) -> None:
-        """Resolve ``req`` (and its coalesced riders) with ``value``.
+        """Settle ``req`` and every rider coalesced onto it with
+        ``value`` (an output, :class:`ServerBusy` or :class:`ServeError`).
 
-        ``started`` is the moment the flush began executing; when
-        known, each request's latency splits into queue time (arrival
-        to flush start) and exec time (flush start to resolution) on
-        its structured log line.
+        An output is cached first, then ``req`` leaves the coalescing
+        map: a new identical submission hits the cache or starts a
+        fresh computation, so no future attaches to a settled request.
+        Riders get their own copy of an output, and each request's
+        latency runs from its own arrival to ``done``, split at the
+        flush's ``started``.
         """
-        label = model_label(req.model_key)
-        if self.config.cache_bytes:
+        served = isinstance(value, np.ndarray)
+        if served and self.config.cache_bytes:
             self.cache.put(req.cache_key, value)
-        for i, (future, enqueued_at, request_id) in enumerate(
-            self._settle(req)
-        ):
-            # Each rider's latency runs from its own arrival: charging
-            # the primary's (earlier) enqueue time to every rider would
-            # inflate the request_latency histogram under coalescing.
-            total = max(0.0, done - enqueued_at)
-            self._record_response(label, total)
-            fields = {
-                "request_id": request_id,
-                "model": label,
-                "outcome": "ok",
-                "cache": "coalesced" if i else "miss",
-                "total_s": round(total, 6),
-            }
-            if started is not None:
-                fields["queue_s"] = round(
-                    max(0.0, started - enqueued_at), 6
-                )
-                fields["exec_s"] = round(max(0.0, done - started), 6)
-            _LOG.info("request", extra={"repro_fields": fields})
-            # Coalesced riders get their own copy: a caller mutating
-            # its result in place must never corrupt another caller's.
-            future._resolve(value if i == 0 else value.copy())
-
-    def _fail(self, req: QueuedRequest, exc: Exception) -> None:
-        """Resolve ``req`` and its riders with a typed error for ``exc``."""
-        label = model_label(req.model_key)
-        error = ServeError(
-            model=req.model_key, message=f"{type(exc).__name__}: {exc}"
-        )
-        for future, _, request_id in self._settle(req):
-            self._m_errors.labels(model=label).inc()
-            _LOG.info(
-                "request",
-                extra={
-                    "repro_fields": {
-                        "request_id": request_id,
-                        "model": label,
-                        "outcome": "error",
-                        "message": error.message,
-                    }
-                },
+        with self._inflight_lock:
+            self._inflight_by_key.pop(req.cache_key, None)
+            owners = [(req.future, req.enqueued_at, req.request_id)]
+            owners += req.extra_futures
+        for i, (future, arrived, request_id) in enumerate(owners):
+            if not served:
+                self._finish(future, req.model_key, request_id, value)
+                continue
+            # A caller mutating its result in place must never corrupt
+            # another caller's.
+            self._finish(
+                future, req.model_key, request_id,
+                value if i == 0 else value.copy(),
+                "coalesced" if i else "miss",
+                total_s=max(0.0, done - arrived),
+                queue_s=max(0.0, started - arrived),
+                exec_s=max(0.0, done - started),
             )
-            future._resolve(error)
 
     def _run_flush(self, key: ModelKey, requests: List[QueuedRequest]) -> None:
-        """Run ``requests`` as one pipeline flush and resolve each from
-        its own handle: the output, or a typed error for the forward
-        that failed it.  A model that fails to load fails them all."""
+        """Run ``requests`` as one pipeline flush and settle every one.
+
+        Each resolves from its own handle: the output, or a typed error
+        for the forward that failed it.  When loading the model,
+        queueing or flushing raises outside a forward, each resolves to
+        a typed error naming that exception.  The model's scheduler
+        key is released whatever raises.
+        """
         started = self._clock()
         try:
-            with thread_default_dtype(self.config.dtype):
-                try:
-                    pipeline = self._model(key).pipeline
-                except Exception as exc:
-                    for req in requests:
-                        self._fail(req, exc)
-                    return
-                handles = [pipeline.submit(req.image) for req in requests]
-                pipeline.flush()
-                done = self._clock()
-                for req, handle in zip(requests, handles):
-                    try:
-                        self._respond(req, handle.result(), done, started)
-                    except Exception as exc:
-                        self._fail(req, exc)
+            try:
+                with thread_default_dtype(self.config.dtype):
+                    pipeline = self._model(key)
+                    handles = [pipeline.submit(req.image) for req in requests]
+                    pipeline.flush()
+            except Exception as exc:
+                values = [_serve_error(key, exc)] * len(requests)
+            else:
+                values = [_handle_value(key, handle) for handle in handles]
+            done = self._clock()
+            for req, value in zip(requests, values):
+                self._settle(req, value, started, done)
         finally:
             self._scheduler.release(key)
             with self._wake:
@@ -969,13 +921,7 @@ class ModelServer:
 
     def drain(self) -> None:
         """Flush everything queued, deadlines ignored; block until idle."""
-        while True:
-            self.poll(force=True)
-            if self._scheduler.idle():
-                return
-            with self._wake:
-                if not self._scheduler.idle():
-                    self._wake.wait(timeout=0.005)
+        self._dispatch_until(self._scheduler.idle)
 
     def pending(self) -> int:
         """Requests admitted but not yet executing."""
@@ -1069,12 +1015,10 @@ class ModelServer:
         loaded = set(self.loaded_models())
         lines.append("  models:")
         for key in self.available_models:
-            arch, scheme, scale = key
-            entry = self._coverage[key]
             state = "loaded" if key in loaded else "cold"
             lines.append(
-                f"    {arch}/{scheme}/x{scale:<3} {state:<7} "
-                f"coverage={entry.coverage}"
+                f"    {key_str(key):<24} {state:<7} "
+                f"coverage={self._coverage[key].coverage}"
             )
         return "\n".join(lines)
 
@@ -1098,15 +1042,7 @@ class ModelServer:
             # Graceful phase: settle in-flight flushes and queued work
             # before raising the stop flag, so a clean shutdown looks
             # like a drain, not a shed.
-            while not self._scheduler.idle():
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                self.poll(force=True)
-                if self._scheduler.idle():
-                    break
-                with self._wake:
-                    if not self._scheduler.idle():
-                        self._wake.wait(timeout=0.005)
+            self._dispatch_until(self._scheduler.idle, deadline)
         with self._wake:
             already_stopped = self._stopped
             self._stopped = True
@@ -1119,23 +1055,16 @@ class ModelServer:
         # Past the deadline (or an undrained close): shed everything
         # still queued with a typed refusal instead of stranding it.
         for req in self._scheduler.drain_queued():
-            for future, _, request_id in self._settle(req):
-                future._resolve(
-                    self._shed(req.model_key, "server closed", 0, request_id)
-                )
+            self._settle(req, ServerBusy(req.model_key, "server closed", 0))
         if drain:
-            # In-flight flushes resolve their own futures; give them a
+            # In-flight flushes settle their own requests; give them a
             # bounded window to finish so close() returning means every
             # admitted future is resolved in the common case.
-            settle_deadline = time.monotonic() + (
-                5.0 if deadline is None
-                else max(0.0, deadline - time.monotonic()) + 5.0)
-            while self._scheduler.inflight():
-                if time.monotonic() >= settle_deadline:  # pragma: no cover
-                    break
-                with self._wake:
-                    if self._scheduler.inflight():
-                        self._wake.wait(timeout=0.01)
+            now = time.monotonic()
+            self._dispatch_until(
+                lambda: not self._scheduler.inflight(),
+                (now if deadline is None else max(now, deadline)) + 5.0,
+            )
         # Release the loaded models once nothing is executing: the same
         # close-on-evict contract the LRU applies, at end of life.  If
         # a flush is somehow still running past the settle window the
@@ -1144,8 +1073,8 @@ class ModelServer:
             with self._models_lock:
                 released, self._models = list(self._models.values()), (
                     OrderedDict())
-            for loaded in released:
-                loaded.pipeline.close()
+            for pipeline in released:
+                pipeline.close()
 
     def __enter__(self) -> "ModelServer":
         return self

@@ -21,7 +21,7 @@ tile reuse enabled is frame-for-frame bit-identical to one-shot
 from .deadline import BEST_EFFORT, DROP_LATE, POLICIES, DeadlinePolicy
 from .delta import FrameDelta, plan_frame_delta
 from .results import FrameDropped, FrameResult, StreamError
-from .session import FrameTicket, StreamConfig, StreamSession
+from .session import StreamConfig, StreamSession
 from .video import dirty_fraction, synthetic_clip
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "FrameDelta",
     "FrameDropped",
     "FrameResult",
-    "FrameTicket",
     "StreamConfig",
     "StreamError",
     "StreamSession",

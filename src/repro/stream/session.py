@@ -1,9 +1,10 @@
 """Ordered per-stream video SR sessions with cross-frame tile reuse.
 
-A :class:`StreamSession` sits on top of any single-image serving
-surface (:class:`~repro.api.serving.ServeSession`,
-:class:`~repro.serve.server.ModelServer`, or anything duck-typed
-like them) and turns it into a *video* surface:
+A :class:`StreamSession` sits on top of a single-image serving surface
+(:class:`~repro.serve.server.ModelServer`, a
+:class:`~repro.api.serving.ServeSession` — unwrapped to its server
+once, at construction — or anything duck-typed like a server) and
+turns it into a *video* surface:
 
 * **Ordering.**  Frames carry monotonically increasing sequence
   numbers and results are delivered strictly in-sequence per stream,
@@ -23,11 +24,17 @@ like them) and turns it into a *video* surface:
   remaining budget rides on its dirty-tile requests as their
   ``deadline_s``, plugging into the serving layer's deadline-aware
   micro-batcher.
+* **One settle path.**  ``submit_frame`` returns a
+  :class:`~repro.serve.server.ServeFuture`; the collector builds each
+  frame's :class:`~repro.stream.results.FrameResult` (ok, dropped or
+  error) and ``StreamSession._finish`` counts, logs (one
+  ``repro.stream`` "frame" line) and resolves it — the only place a
+  frame resolves.
 
 Bit-parity contract: with the backend serving the same artifact at
-the same dtype/clip settings, a streamed frame is **bit-identical**
-to one-shot ``Engine.infer`` on that frame with the same
-``tile``/``tile_overlap`` — the session stitches through the same
+the same dtype, a streamed frame is **bit-identical** to one-shot
+``Engine.infer`` on that frame with the same ``tile``/``tile_overlap``
+— the session stitches through the same
 ``repro.infer.tiling.TileStitcher`` in the same plan order.
 """
 
@@ -36,11 +43,12 @@ import logging
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..deploy.serialize import key_str
 from ..infer.tiling import (
     TilePlan,
     TileStitcher,
@@ -48,16 +56,17 @@ from ..infer.tiling import (
     plan_tiles,
     tile_view,
 )
+from ..logs import log_event
 from ..serve.cache import TileReuseCache
 from ..serve.metrics import MetricsRegistry
-from ..serve.server import model_label, parse_model_key
+from ..serve.server import ServeFuture, parse_model_key
 from .deadline import BEST_EFFORT, POLICIES, DeadlinePolicy
 from .delta import plan_frame_delta
 from .results import FrameResult, StreamError
 
 _LOG = logging.getLogger("repro.stream")
 
-__all__ = ["FrameTicket", "StreamConfig", "StreamSession"]
+__all__ = ["StreamConfig", "StreamSession"]
 
 # How often waiting code re-checks for close/deadline while blocked on
 # a tile future (seconds).  Bounds drop-late reaction latency.
@@ -107,42 +116,13 @@ class StreamConfig:
             raise ValueError("max_pending_frames must be >= 1")
 
 
-class FrameTicket:
-    """Handle for one submitted frame; resolves to a FrameResult."""
-
-    __slots__ = ("seq", "_event", "_value")
-
-    def __init__(self, seq: int) -> None:
-        self.seq = seq
-        self._event = threading.Event()
-        self._value: Optional[FrameResult] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> FrameResult:
-        """Block for the frame's typed result.
-
-        Raises ``TimeoutError`` if the result is not ready in time
-        (the frame itself is unaffected and still resolves).
-        """
-        if not self._event.wait(timeout):
-            raise TimeoutError(f"frame {self.seq} not resolved in time")
-        assert self._value is not None
-        return self._value
-
-    def _resolve(self, value: FrameResult) -> None:
-        self._value = value
-        self._event.set()
-
-
 @dataclass
 class _Frame:
     seq: int
     image: np.ndarray
     arrival: float
     deadline: Optional[float]
-    ticket: FrameTicket = field(repr=False)
+    future: ServeFuture = field(repr=False)
 
 
 class StreamSession:
@@ -151,10 +131,12 @@ class StreamSession:
     Parameters
     ----------
     backend:
-        A :class:`ServeSession`, :class:`ModelServer`, or any object
-        with ``submit(image, model=..., deadline_s=...)`` returning a
-        future/ticket whose ``result(timeout)`` yields an ndarray, a
-        typed ``InferResult``-alike, or a busy/error marker.
+        A :class:`ModelServer`, a :class:`ServeSession` (its
+        ``server`` serves the tiles), or any object with ``submit(image,
+        model=..., deadline_s=...)`` returning a future whose
+        ``result(timeout)`` yields an ndarray or a busy/error marker
+        (``reason`` / ``message``).  A backend's ``poll(force=True)``,
+        when it has one, dispatches a frame's tiles at once.
     model:
         Zoo key (``(architecture, scheme, scale)`` or
         ``"arch/scheme/xN"``) every tile of this stream is routed to.
@@ -163,7 +145,7 @@ class StreamSession:
         ``tile * scale`` on each side).
     metrics:
         Registry for the per-stream metric families; defaults to the
-        backend server's own registry so stream series appear on the
+        backend's own registry so stream series appear on the
         existing ``/metrics`` surfaces.  Re-registration of the same
         families by concurrent streams is safe (label ``stream``
         disambiguates).  ``stats()`` reads this stream's children of
@@ -171,7 +153,7 @@ class StreamSession:
         one registry share (merge) both their ``/metrics`` series and
         their ``stats()`` counts and latency.
 
-    Frames must not be mutated by the caller until their ticket
+    Frames must not be mutated by the caller until their future
     resolves (same no-copy admission contract as the pipeline).
     """
 
@@ -199,6 +181,8 @@ class StreamSession:
             if stream_id is not None
             else f"stream-{next(self._ids)}"
         )
+        # A ServeSession serves through its ModelServer: tiles go there.
+        backend = getattr(backend, "server", backend)
         self._backend = backend
         self._owns_backend = owns_backend
         self._clock = clock
@@ -213,8 +197,8 @@ class StreamSession:
         self._closed = False
         self._drain_on_close = True
         # server.poll(force=True) skips the batch window for a frame's
-        # freshly queued tiles; resolved lazily so bare fakes work.
-        self._kick = self._find_kick(backend)
+        # freshly queued tiles; bare backends have none.
+        self._kick = getattr(backend, "poll", None)
         self._register_metrics(metrics)
         self._thread = threading.Thread(
             target=self._collect_loop,
@@ -230,8 +214,8 @@ class StreamSession:
         frame: np.ndarray,
         seq: Optional[int] = None,
         deadline_s: Optional[float] = None,
-    ) -> FrameTicket:
-        """Admit one HWC frame; returns its ticket immediately.
+    ) -> ServeFuture:
+        """Admit one HWC frame; returns its future immediately.
 
         ``seq`` must be strictly greater than every previously
         submitted sequence number (auto-assigned when omitted).
@@ -267,27 +251,27 @@ class StreamSession:
                         f"after {self._last_seq}"
                     )
             arrival = self._clock()
-            ticket = FrameTicket(seq)
+            future = ServeFuture()
             self._frames.append(
                 _Frame(
                     seq=seq,
                     image=frame,
                     arrival=arrival,
                     deadline=self._policy.deadline(arrival, deadline_s),
-                    ticket=ticket,
+                    future=future,
                 )
             )
             self._last_seq = seq
             self._m_in.labels(stream=self.stream_id).inc()
             self._lock.notify_all()
-        return ticket
+        return future
 
     def submit_clip(
         self,
         frames: Sequence[np.ndarray],
         deadline_s: Optional[float] = None,
-    ) -> List[FrameTicket]:
-        """Admit a whole clip in order; returns one ticket per frame."""
+    ) -> List[ServeFuture]:
+        """Admit a whole clip in order; returns one future per frame."""
         return [self.submit_frame(f, deadline_s=deadline_s) for f in frames]
 
     # -- lifecycle -----------------------------------------------------
@@ -338,7 +322,7 @@ class StreamSession:
         counts["frames_out"] = self._m_out.total(stream=sid)
         return {
             "stream": self.stream_id,
-            "model": model_label(self.model),
+            "model": key_str(self.model),
             "policy": self.config.policy,
             "frames": counts,
             "tiles": self.tile_cache.stats(),
@@ -347,26 +331,13 @@ class StreamSession:
 
     # -- internals -----------------------------------------------------
 
-    @staticmethod
-    def _find_kick(backend):
-        poll = getattr(backend, "poll", None)
-        if poll is None:
-            server = getattr(backend, "server", None)
-            poll = getattr(server, "poll", None)
-        return poll
-
     def _force_flush(self) -> None:
-        if self._kick is None:
-            return
-        try:
+        if self._kick is not None:
             self._kick(force=True)
-        except TypeError:
-            self._kick()
 
     def _register_metrics(self, metrics: Optional[MetricsRegistry]) -> None:
         if metrics is None:
-            server = getattr(self._backend, "server", self._backend)
-            metrics = getattr(server, "metrics", None)
+            metrics = getattr(self._backend, "metrics", None)
         if not isinstance(metrics, MetricsRegistry):
             metrics = MetricsRegistry()
         self.metrics = metrics
@@ -413,19 +384,19 @@ class StreamSession:
                 shed = self._closed and not self._drain_on_close
                 frame = self._frames.popleft()
                 self._lock.notify_all()
-            if shed:
-                self._finish_dropped(
-                    frame, self._clock(), "session closed without drain"
-                )
-                continue
             try:
-                self._process(frame)
+                if shed:
+                    raise _Aborted()
+                result = self._process(frame)
             except _Aborted:
-                self._finish_dropped(
-                    frame, self._clock(), "session closed without drain"
+                result = FrameResult(
+                    "dropped", frame.seq, detail="session closed without drain"
                 )
             except Exception as exc:  # never kill the collector
-                self._finish_error(frame, f"{type(exc).__name__}: {exc}")
+                result = FrameResult(
+                    "error", frame.seq, detail=f"{type(exc).__name__}: {exc}"
+                )
+            self._finish(frame, result)
 
     def _plan_for(self, shape) -> TilePlan:
         h, w = int(shape[0]), int(shape[1])
@@ -435,13 +406,12 @@ class StreamSession:
             self._plans[(h, w)] = plan
         return plan
 
-    def _process(self, frame: _Frame) -> None:
-        now = self._clock()
-        if self._policy.should_drop(frame.deadline, now):
-            self._finish_dropped(
-                frame, now, "deadline expired before inference"
+    def _process(self, frame: _Frame) -> FrameResult:
+        """Run one frame: its delta plan, dirty tiles and stitch."""
+        if self._policy.should_drop(frame.deadline, self._clock()):
+            return FrameResult(
+                "dropped", frame.seq, detail="deadline expired before inference"
             )
-            return
         plan = self._plan_for(frame.image.shape)
         cache = self.tile_cache if self.config.tile_cache_bytes > 0 else None
         delta = plan_frame_delta(frame.image, plan, self.model, cache)
@@ -460,24 +430,27 @@ class StreamSession:
             for key, fut in futures.items():
                 fresh[key] = self._await_tile(fut, frame)
         except _TileFailed as exc:
-            self._finish_error(frame, str(exc))
-            return
+            return FrameResult("error", frame.seq, detail=str(exc))
         except TimeoutError:
-            self._finish_dropped(
-                frame,
-                self._clock(),
-                f"deadline expired with {len(futures) - len(fresh)} of "
-                f"{len(futures)} dirty tiles outstanding",
+            return FrameResult(
+                "dropped",
+                frame.seq,
+                detail=f"deadline expired with {len(futures) - len(fresh)} "
+                f"of {len(futures)} dirty tiles outstanding",
                 tiles_total=len(plan.tiles),
                 tiles_reused=len(delta.reused),
             )
-            return
         out = self._stitch(plan, delta, fresh)
         if cache is not None:
             for key, sr in fresh.items():
                 cache.put(key, sr)
-        done = self._clock()
-        self._finish_ok(frame, plan, delta, out, done)
+        return FrameResult(
+            "ok",
+            frame.seq,
+            image=out,
+            tiles_total=len(plan.tiles),
+            tiles_reused=len(delta.reused),
+        )
 
     def _submit_tile(self, tile: np.ndarray, frame: _Frame):
         deadline_s = self._policy.remaining(frame.deadline, self._clock())
@@ -508,22 +481,16 @@ class StreamSession:
             except TimeoutError:
                 # Re-kick each slice: a long tile deadline is a *drop*
                 # deadline, not a flush budget — tiles that missed the
-                # first forced poll (model at its in-flight cap when a
-                # full batch auto-flushed mid-submit) must dispatch as
-                # soon as the cap frees, not when the deadline is due.
+                # first forced poll (their model had a flush in flight)
+                # must dispatch as soon as that flush ends, not when
+                # the deadline is due.
                 self._force_flush()
                 continue
             return self._tile_value(value)
 
     @staticmethod
     def _tile_value(value) -> np.ndarray:
-        """Normalize a backend result to an SR array or _TileFailed."""
-        status = getattr(value, "status", None)
-        if status is not None:  # InferResult-alike
-            if status == "ok":
-                return np.asarray(value.image)
-            detail = getattr(value, "detail", "")
-            raise _TileFailed(f"tile request {status}: {detail}")
+        """A backend's tile value as an SR array, or _TileFailed."""
         if isinstance(value, np.ndarray):
             return value
         reason = getattr(value, "reason", None)  # ServerBusy marker
@@ -549,84 +516,42 @@ class StreamSession:
 
     # -- completion ----------------------------------------------------
 
-    def _finish_ok(self, frame, plan, delta, out, done) -> None:
-        late = self._policy.lateness(frame.deadline, done)
-        total = len(plan.tiles)
-        reused = len(delta.reused)
-        self.tile_cache.record_frame(reused, total - reused)
-        elapsed = max(0.0, done - frame.arrival)
-        sid = self.stream_id
-        self._m_out.labels(stream=sid, outcome="ok").inc()
-        self._m_tiles.labels(stream=sid, outcome="reused").inc(reused)
-        self._m_tiles.labels(stream=sid, outcome="computed").inc(
-            total - reused
-        )
-        self._m_reuse.labels(stream=sid).set(self.tile_cache.reuse_ratio)
-        self._m_latency.labels(stream=sid).observe(elapsed)
-        self._log_frame(frame, "ok", elapsed, late, total, reused)
-        frame.ticket._resolve(
-            FrameResult(
-                status="ok",
-                seq=frame.seq,
-                image=out,
-                late_s=late,
-                tiles_total=total,
-                tiles_reused=reused,
-            )
-        )
+    def _finish(self, frame: _Frame, result: FrameResult) -> None:
+        """Count, log and resolve one frame outcome.
 
-    def _finish_dropped(
-        self,
-        frame,
-        now: float,
-        detail: str,
-        tiles_total: int = 0,
-        tiles_reused: int = 0,
-    ) -> None:
-        late = self._policy.lateness(frame.deadline, now)
-        self._m_out.labels(stream=self.stream_id, outcome="dropped").inc()
-        self._log_frame(
-            frame, "dropped", max(0.0, now - frame.arrival), late,
-            tiles_total, tiles_reused, detail,
-        )
-        frame.ticket._resolve(
-            FrameResult(
-                status="dropped",
-                seq=frame.seq,
-                detail=detail,
-                late_s=late,
-                tiles_total=tiles_total,
-                tiles_reused=tiles_reused,
-            )
-        )
-
-    def _finish_error(self, frame, detail: str) -> None:
+        The one place a frame's future resolves.  Lateness and latency
+        are measured here, at delivery; an ok frame also counts its
+        tiles and feeds the latency histogram.
+        """
         now = self._clock()
-        late = self._policy.lateness(frame.deadline, now)
-        self._m_out.labels(stream=self.stream_id, outcome="error").inc()
-        self._log_frame(
-            frame, "error", max(0.0, now - frame.arrival), late, 0, 0,
-            detail,
+        elapsed = max(0.0, now - frame.arrival)
+        result = replace(
+            result, late_s=self._policy.lateness(frame.deadline, now)
         )
-        frame.ticket._resolve(
-            FrameResult(
-                status="error", seq=frame.seq, detail=detail, late_s=late
-            )
+        sid = self.stream_id
+        self._m_out.labels(stream=sid, outcome=result.status).inc()
+        if result.ok:
+            reused = result.tiles_reused
+            computed = result.tiles_total - reused
+            self.tile_cache.record_frame(reused, computed)
+            self._m_tiles.labels(stream=sid, outcome="reused").inc(reused)
+            self._m_tiles.labels(stream=sid, outcome="computed").inc(computed)
+            self._m_reuse.labels(stream=sid).set(self.tile_cache.reuse_ratio)
+            self._m_latency.labels(stream=sid).observe(elapsed)
+        fields = {}
+        if result.detail:
+            fields["detail"] = result.detail
+        log_event(
+            _LOG,
+            "frame",
+            stream=sid,
+            model=key_str(self.model),
+            seq=result.seq,
+            outcome=result.status,
+            total_s=round(elapsed, 6),
+            late_s=round(result.late_s, 6),
+            tiles_total=result.tiles_total,
+            tiles_reused=result.tiles_reused,
+            **fields,
         )
-
-    def _log_frame(
-        self, frame, outcome, elapsed, late, total, reused, detail=""
-    ) -> None:
-        fields = {
-            "stream": self.stream_id,
-            "model": model_label(self.model),
-            "seq": frame.seq,
-            "outcome": outcome,
-            "total_s": round(elapsed, 6),
-            "late_s": round(late, 6),
-            "tiles_total": total,
-            "tiles_reused": reused,
-        }
-        if detail:
-            fields["detail"] = detail
-        _LOG.info("frame", extra={"repro_fields": fields})
+        frame.future._resolve(result)

@@ -1,13 +1,16 @@
-"""Shared test utilities: finite-difference gradient checking and the
-``|``-separated row tables of the table-driven tests."""
+"""Shared test utilities: finite-difference gradient checking, the
+``|``-separated row tables of the table-driven tests, and the clock,
+counter and log-line checks of the serving outcome tables."""
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.grad import Tensor
+from repro.serve import ServeFuture
 
 
 def numeric_grad(f: Callable[[], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -61,3 +64,56 @@ def parse_table(text: str) -> List[Dict[str, str]]:
     names = [token.strip() for token in header.split("|")]
     return [dict(zip(names, (token.strip() for token in line.split("|"))))
             for line in lines]
+
+
+class FakeClock:
+    """Injectable monotonic clock that moves only when told to."""
+
+    def __init__(self, start: float = 100.0):
+        self.now = start
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+def parse_counts(text: str) -> Dict[str, int]:
+    """A table cell of counter deltas: ``"a b=2"`` is ``{a: 1, b: 2}``."""
+    counts: Dict[str, int] = {}
+    for token in text.split():
+        name, _, count = token.partition("=")
+        counts[name] = counts.get(name, 0) + int(count or 1)
+    return counts
+
+
+def check_fields(fields: Dict, spec: str, always: Sequence[str]) -> None:
+    """Assert a structured log line holds exactly the ``always`` keys
+    plus those ``spec`` names, ``;``-separated: ``k=v`` pins the value
+    (compared as text), ``k~v`` a substring, a bare ``k`` any number."""
+    expected = set(always)
+    for item in spec.split(";"):
+        name, op, value = re.fullmatch(
+            r"(\w+)(?:([=~])(.*))?", item.strip()).groups()
+        if op == "=":
+            assert str(fields[name]) == value, (name, fields)
+        elif op == "~":
+            assert value in fields[name], (name, fields)
+        else:
+            assert fields[name] >= 0.0, (name, fields)
+        expected.add(name)
+    assert set(fields) == expected, fields
+
+
+def record_resolves(monkeypatch) -> List[ServeFuture]:
+    """Every ``ServeFuture`` resolved from now on, once per resolve."""
+    resolved: List[ServeFuture] = []
+    real_resolve = ServeFuture._resolve
+
+    def resolve(future, value):
+        resolved.append(future)
+        real_resolve(future, value)
+
+    monkeypatch.setattr(ServeFuture, "_resolve", resolve)
+    return resolved

@@ -30,6 +30,14 @@ from repro.serve import (
     parse_model_key,
 )
 
+from ..helpers import (
+    FakeClock,
+    check_fields,
+    parse_counts,
+    parse_table,
+    record_resolves,
+)
+
 KEY_A = ("srresnet", "scales", 2)
 KEY_B = ("edsr", "e2fif", 2)
 LABEL_A, LABEL_B = "srresnet/scales/x2", "edsr/e2fif/x2"
@@ -81,15 +89,224 @@ def _manual_server(artifact_dir, clock, **overrides):
     )
 
 
-class FakeClock:
-    def __init__(self, start=100.0):
-        self.now = start
+#: One row per way a request resolves, each run by the ``_outcome_*``
+#: scenario of the same name on a manual server under ``FakeClock``:
+#: the value its future resolves to, the change it makes to
+#: ``stats()["counters"]`` (``parse_counts``), and the fields of its
+#: one ``repro.serve`` "request" line beyond ``request_id`` and
+#: ``model`` (``check_fields``).
+OUTCOMES = """
+  row            | value      | delta                                                     | log
+  ---------------+------------+-----------------------------------------------------------+---------------------------------------------------
+  queue_full     | ServerBusy | requests cache_misses shed                                | outcome=shed; reason=queue full; queue_depth=1
+  closed         | ServerBusy | requests shed                                             | outcome=shed; reason=server closed; queue_depth=0
+  cache_hit      | ndarray    | requests cache_hits responses                             | outcome=ok; cache=hit; total_s
+  served         | ndarray    | requests cache_misses responses batches batch_images flush_drain | outcome=ok; cache=miss; total_s; queue_s; exec_s
+  coalesced      | ndarray    | requests cache_misses coalesced responses=2 batches batch_images flush_drain | outcome=ok; cache=coalesced; total_s; queue_s; exec_s
+  failed_forward | ServeError | requests cache_misses errors flush_drain                  | outcome=error; message~ValueError: input channels 4
+  failed_load    | ServeError | requests cache_misses errors flush_drain                  | outcome=error; message~RuntimeError: chaos: artifact load failed
+  flush_raises   | ServeError | requests cache_misses errors flush_drain                  | outcome=error; message~RuntimeError: chaos: flush failed outside a forward
+  undrained      | ServerBusy | requests cache_misses shed                                | outcome=shed; reason=server closed; queue_depth=0
+"""
 
-    def __call__(self):
-        return self.now
+_VALUE_TYPES = {
+    "ServerBusy": ServerBusy, "ServeError": ServeError, "ndarray": np.ndarray,
+}
 
-    def advance(self, seconds):
-        self.now += seconds
+
+def _warm(server):
+    """Load KEY_A with an image no row submits."""
+    assert isinstance(server.map(_images(SHAPES[1], n=1), KEY_A)[0],
+                      np.ndarray)
+
+
+def _raise_once(message):
+    """A callable that raises ``RuntimeError(message)`` on its first
+    call and returns ``None`` after."""
+    fired = []
+
+    def fault(*args, **kwargs):
+        if not fired:
+            fired.append(True)
+            raise RuntimeError(message)
+
+    return fault
+
+
+def _outcome_queue_full(server, submit, mark, monkeypatch):
+    server.submit(_images(SHAPES[1], n=1)[0], KEY_A)  # fills the queue
+    mark()
+    return submit(_images(SHAPES[0], n=1)[0])
+
+
+def _outcome_closed(server, submit, mark, monkeypatch):
+    server.close()
+    mark()
+    return submit(_images(SHAPES[0], n=1)[0])
+
+
+def _outcome_cache_hit(server, submit, mark, monkeypatch):
+    image = _images(SHAPES[0], n=1)[0]
+    server.map([image], KEY_A)
+    mark()
+    return submit(image)
+
+
+def _outcome_served(server, submit, mark, monkeypatch):
+    _warm(server)
+    mark()
+    future = submit(_images(SHAPES[0], n=1)[0])
+    assert server.poll(force=True) == 1
+    return future
+
+
+def _outcome_coalesced(server, submit, mark, monkeypatch):
+    _warm(server)
+    image = _images(SHAPES[0], n=1)[0]
+    server.submit(image, KEY_A)  # the primary the row's request rides
+    mark()
+    future = submit(image.copy())
+    assert server.poll(force=True) == 1
+    return future
+
+
+def _outcome_failed_forward(server, submit, mark, monkeypatch):
+    _warm(server)
+    mark()
+    future = submit(np.zeros((8, 8, 4), np.float32))  # 3-channel head
+    assert server.poll(force=True) == 1
+    return future
+
+
+def _outcome_failed_load(server, submit, mark, monkeypatch):
+    real_pipeline = InferencePipeline
+    fault = _raise_once("chaos: artifact load failed")
+
+    def flaky_pipeline(path, **kwargs):
+        fault()
+        return real_pipeline(path, **kwargs)
+
+    monkeypatch.setattr("repro.serve.server.InferencePipeline",
+                        flaky_pipeline)
+    mark()
+    future = submit(_images(SHAPES[0], n=1)[0])
+    assert server.poll(force=True) == 1
+    return future
+
+
+def _fail_next_flush(server, monkeypatch):
+    """Make KEY_A's loaded pipeline raise once from ``flush()`` itself,
+    outside any model forward."""
+    pipeline = server._models[KEY_A]
+    real_flush = pipeline.flush
+    fault = _raise_once("chaos: flush failed outside a forward")
+
+    def flaky_flush():
+        fault()
+        return real_flush()
+
+    monkeypatch.setattr(pipeline, "flush", flaky_flush, raising=False)
+
+
+def _outcome_flush_raises(server, submit, mark, monkeypatch):
+    _warm(server)
+    _fail_next_flush(server, monkeypatch)
+    mark()
+    future = submit(_images(SHAPES[0], n=1)[0])
+    assert server.poll(force=True) == 1
+    return future
+
+
+def _outcome_undrained(server, submit, mark, monkeypatch):
+    mark()
+    future = submit(_images(SHAPES[0], n=1)[0])
+    server.close(drain=False)
+    return future
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "row", parse_table(OUTCOMES), ids=lambda row: row["row"])
+    def test_each_outcome_is_counted_logged_and_resolved_once(
+        self, artifact_dir, monkeypatch, caplog, row, threads
+    ):
+        resolves = record_resolves(monkeypatch)
+        server = _manual_server(
+            artifact_dir, FakeClock(), max_queue_depth=1, n_threads=threads
+        )
+        before = {}
+        request_id = f"row-{row['row']}"
+
+        def submit(image):
+            return server.submit(image, KEY_A, request_id=request_id)
+
+        def mark():
+            before.update(server.stats()["counters"])
+
+        scenario = globals()[f"_outcome_{row['row']}"]
+        with G.default_dtype("float32"), \
+                caplog.at_level(logging.INFO, logger="repro.serve"):
+            future = scenario(server, submit, mark, monkeypatch)
+            server._scheduler.audit_depth()
+            assert future.done()
+            value = future.result(timeout=0)
+            assert isinstance(value, _VALUE_TYPES[row["value"]])
+            if not isinstance(value, np.ndarray):
+                assert value.model == KEY_A
+            assert sum(f is future for f in resolves) == 1
+            after = server.stats()["counters"]
+            delta = {k: after[k] - before[k] for k in after
+                     if after[k] != before[k]}
+            assert delta == parse_counts(row["delta"])
+            lines = [r.repro_fields for r in caplog.records
+                     if r.name == "repro.serve"
+                     and r.getMessage() == "request"
+                     and r.repro_fields["request_id"] == request_id]
+            assert len(lines) == 1, lines
+            assert lines[0]["model"] == LABEL_A
+            check_fields(lines[0], row["log"], ("request_id", "model"))
+            # The server keeps serving after every outcome.
+            if not server._stopped:
+                server.drain()
+                assert isinstance(
+                    server.map(_images(SHAPES[0], n=2)[1:], KEY_A)[0],
+                    np.ndarray)
+            server.close()
+        assert server._scheduler.audit_depth() == 0
+
+
+class TestFlushRaisingOutsideAForward:
+    @pytest.mark.parametrize("background", [True, False])
+    def test_every_taken_request_settles_and_the_next_is_served(
+        self, artifact_dir, monkeypatch, background
+    ):
+        """A flush whose ``pipeline.flush()`` raises outside any model
+        forward settles every request it took with a ServeError naming
+        the exception and releases its model: nothing is stranded."""
+        with G.default_dtype("float32"):
+            server = ModelServer(
+                artifact_dir,
+                ServerConfig(background=background, latency_budget_s=0.001,
+                             n_threads=1),
+            )
+            try:
+                _warm(server)
+                _fail_next_flush(server, monkeypatch)
+                images = _images(SHAPES[0], n=3)
+                futures = [server.submit(img, KEY_A) for img in images[:2]]
+                if not background:
+                    assert server.poll(force=True) == 1
+                for future in futures:
+                    value = future.result(timeout=1.0)
+                    assert isinstance(value, ServeError)
+                    assert "flush failed outside a forward" in value.message
+                server._scheduler.audit_depth()
+                assert isinstance(server.map([images[2]], KEY_A)[0],
+                                  np.ndarray)
+            finally:
+                server.close()
+            assert server._scheduler.audit_depth() == 0
 
 
 class TestParseModelKey:
@@ -260,12 +477,7 @@ class TestAdmissionControl:
         f2 = server.submit(images[1], KEY_A)
         f3 = server.submit(images[2], KEY_A)
         assert not f1.done() and not f2.done()
-        assert f3.done()
-        shed = f3.result()
-        assert isinstance(shed, ServerBusy)
-        assert shed.model == KEY_A
-        assert shed.queue_depth == 2
-        assert server.stats()["counters"]["shed"] == 1
+        assert isinstance(f3.result(timeout=0), ServerBusy)
         server.drain()
         assert isinstance(f1.result(timeout=5), np.ndarray)
         assert server.stats()["derived"]["shed_rate"] == pytest.approx(1 / 3)
@@ -414,20 +626,6 @@ class TestFailureIsolation:
             recovered = server.map(_images(SHAPES[0], n=2), KEY_A)
             assert all(isinstance(out, np.ndarray) for out in recovered)
             assert KEY_A in server.loaded_models()
-
-    def test_bad_request_gets_typed_error_not_poison(self, artifact_dir):
-        with G.default_dtype("float32"):
-            server = _manual_server(artifact_dir, FakeClock())
-            # 4-channel input cannot run through a 3-channel head.
-            bad = server.submit(np.zeros((8, 8, 4), np.float32), KEY_A)
-            server.drain()
-            result = bad.result(timeout=5)
-            assert isinstance(result, ServeError)
-            assert result.model == KEY_A
-            assert server.stats()["counters"]["errors"] == 1
-            # The model still serves good requests afterwards.
-            good = server.map(_images(SHAPES[0], n=2), KEY_A)
-            assert all(isinstance(out, np.ndarray) for out in good)
 
     def test_bad_request_fails_alone_in_a_shared_flush(
         self, artifact_dir, reference_outputs
@@ -586,61 +784,46 @@ class TestConcurrentServing:
 
 
 class TestShutdown:
-    def test_submit_after_close_is_shed_not_stranded(self, artifact_dir):
-        with G.default_dtype("float32"):
-            server = _manual_server(artifact_dir, FakeClock())
-            image = _images(SHAPES[0], n=1)[0]
-            server.map([image], KEY_A)
-            server.close()
-            future = server.submit(_images(SHAPES[1], n=1)[0], KEY_A)
-            assert future.done()
-            result = future.result()
-            assert isinstance(result, ServerBusy)
-            assert result.reason == "server closed"
-
     def test_close_is_idempotent(self, artifact_dir):
         server = _manual_server(artifact_dir, FakeClock())
         server.close()
         server.close()
 
-    def test_undrained_close_sheds_queued_work_not_strands_it(
-        self, artifact_dir
+    def test_undrained_close_sheds_and_logs_each_queued_request(
+        self, artifact_dir, monkeypatch, caplog
     ):
+        """close(drain=False) sheds every queued request and every rider
+        coalesced onto one: each resolves once to ServerBusy("server
+        closed"), counts as one shed and gets its own "request" line,
+        so its id stays traceable."""
+        ids = ["close-a", "close-b", "close-c", "close-rider"]
+        resolves = record_resolves(monkeypatch)
         with G.default_dtype("float32"):
             server = _manual_server(artifact_dir, FakeClock())
-            future = server.submit(_images(SHAPES[0], n=1)[0], KEY_A)
-            assert not future.done()
-            server.close(drain=False)
-            # The queued request was never executed, but its future is
-            # resolved — with a typed refusal, not a hang.
-            assert future.done()
-            result = future.result()
-            assert isinstance(result, ServerBusy)
-            assert result.reason == "server closed"
-            assert server.stats()["counters"]["shed"] == 1
-
-    def test_undrained_close_logs_each_shed_request(
-        self, artifact_dir, caplog
-    ):
-        """Requests shed at close get the same "request" log line as
-        any other shed, so their ids stay traceable."""
-        ids = ["close-a", "close-b", "close-c"]
-        with G.default_dtype("float32"):
-            server = _manual_server(artifact_dir, FakeClock())
-            for image, request_id in zip(_images(SHAPES[0], n=3), ids):
-                server.submit(image, KEY_A, request_id=request_id)
+            images = _images(SHAPES[0], n=3)
+            images.append(images[0].copy())  # rides on close-a
+            futures = [server.submit(image, KEY_A, request_id=request_id)
+                       for image, request_id in zip(images, ids)]
+            assert server.pending() == 3
+            before = server.stats()["counters"]
             with caplog.at_level(logging.INFO, logger="repro.serve"):
                 server.close(drain=False)
-        logged = [
-            r.repro_fields for r in caplog.records
-            if r.getMessage() == "request"
-        ]
-        assert sorted(f["request_id"] for f in logged) == ids
+        for future in futures:
+            assert sum(f is future for f in resolves) == 1
+            shed = future.result(timeout=0)
+            assert isinstance(shed, ServerBusy)
+            assert (shed.model, shed.reason) == (KEY_A, "server closed")
+        logged = [r.repro_fields for r in caplog.records
+                  if r.getMessage() == "request"]
+        assert sorted(f["request_id"] for f in logged) == sorted(ids)
         for fields in logged:
-            assert fields["outcome"] == "shed"
-            assert fields["reason"] == "server closed"
+            check_fields(fields, "outcome=shed; reason=server closed; "
+                         "queue_depth=0", ("request_id", "model"))
             assert fields["model"] == LABEL_A
-        assert server.stats()["counters"]["shed"] == 3
+        after = server.stats()["counters"]
+        assert {k: after[k] - before[k] for k in after
+                if after[k] != before[k]} == {"shed": 4}
+        assert server._scheduler.audit_depth() == 0
 
     def test_graceful_close_settles_queued_work_as_results(self, artifact_dir):
         with G.default_dtype("float32"):
@@ -768,7 +951,7 @@ class TestEvictionReleasesResources:
         with G.default_dtype("float32"):
             server = _manual_server(artifact_dir, FakeClock(), max_models=1)
             server.map(_images(SHAPES[0], n=1), KEY_A)
-            pipeline_a = server._models[KEY_A].pipeline
+            pipeline_a = server._models[KEY_A]
             assert not pipeline_a.closed
             server.map(_images(SHAPES[1], n=1), KEY_B)  # LRU evicts A
             assert server.loaded_models() == (KEY_B,)
@@ -781,7 +964,7 @@ class TestEvictionReleasesResources:
         with G.default_dtype("float32"):
             server = _manual_server(artifact_dir, FakeClock())
             server.map(_images(SHAPES[0], n=1), KEY_A)
-            pipeline = server._models[KEY_A].pipeline
+            pipeline = server._models[KEY_A]
             server.close()
             assert pipeline.closed
             assert server.loaded_models() == ()

@@ -8,6 +8,7 @@ milliseconds.  The fake "SR" at ``scale=1`` is the identity, so a
 correctly stitched frame equals its input exactly (overlap 0).
 """
 
+import logging
 import threading
 import time
 
@@ -16,6 +17,14 @@ import pytest
 
 from repro.serve import MetricsRegistry, lint_exposition
 from repro.stream import StreamConfig, StreamError, StreamSession
+
+from ..helpers import (
+    FakeClock,
+    check_fields,
+    parse_counts,
+    parse_table,
+    record_resolves,
+)
 
 MODEL = ("srresnet", "scales", 2)
 
@@ -86,6 +95,127 @@ def _session(backend, **cfg):
 def _frames(n, seed=0, h=16, w=16):
     rng = np.random.default_rng(seed)
     return [rng.random((h, w, 3)).astype(np.float32) for _ in range(n)]
+
+
+class Busy:
+    """A shed marker, duck-typed like ``ServerBusy``."""
+
+    reason = "queue full"
+
+
+#: One row per way a frame resolves, each run by the ``_frame_*``
+#: scenario of the same name over ``FakeBackend`` under ``FakeClock``:
+#: the status of its ``FrameResult``, the change it makes to
+#: ``stats()["frames"]`` (``parse_counts``), the fields of its one
+#: ``repro.stream`` "frame" line beyond ``stream``, ``model``, ``seq``
+#: and ``outcome`` (``check_fields``), and the status of the stream's
+#: next frame (``-``: the stream is closed).
+FRAMES = """
+  row         | status  | delta                               | log                                                                                           | next
+  ------------+---------+-------------------------------------+-----------------------------------------------------------------------------------------------+------
+  ok          | ok      | frames_in frames_out frames_ok      | total_s=0.0; late_s=0.0; tiles_total=4; tiles_reused=0                                        | ok
+  deadline    | dropped | frames_in frames_out frames_dropped | total_s=2.0; late_s=1.0; tiles_total=4; tiles_reused=0; detail=deadline expired with 4 of 4 dirty tiles outstanding | ok
+  undrained   | dropped | frames_in frames_out frames_dropped | total_s=0.0; late_s=0.0; tiles_total=0; tiles_reused=0; detail=session closed without drain    | -
+  busy        | error   | frames_in frames_out frames_error   | total_s=0.0; late_s=0.0; tiles_total=0; tiles_reused=0; detail=tile request shed: queue full   | ok
+  wrong_scale | error   | frames_in frames_out frames_error   | total_s=0.0; late_s=0.0; tiles_total=0; tiles_reused=0; detail~expected (16, 16) at scale 2   | error
+"""
+
+
+def _serve_tiles(backend, n, first=None):
+    """Wait for ``n`` tile submissions in all; resolve the pending ones
+    as identity SR, the first with ``first`` when given."""
+    backend.wait_for_submissions(n)
+    for i, fut in enumerate(backend.pop_pending()):
+        fut.resolve(first if i == 0 else None)
+
+
+def _frame_ok(session, backend, clock):
+    future = session.submit_frame(_frames(1, seed=20)[0])
+    _serve_tiles(backend, 4)
+    return future
+
+
+def _frame_deadline(session, backend, clock):
+    future = session.submit_frame(_frames(1, seed=21)[0], deadline_s=1.0)
+    backend.wait_for_submissions(4)  # and withheld past the deadline
+    clock.advance(2.0)
+    future.result(timeout=10.0)
+    backend.pop_pending()
+    return future
+
+
+def _frame_undrained(session, backend, clock):
+    future = session.submit_frame(_frames(1, seed=22)[0])
+    backend.wait_for_submissions(4)  # in flight, withheld
+    session.close(drain=False)
+    return future
+
+
+def _frame_busy(session, backend, clock):
+    future = session.submit_frame(_frames(1, seed=23)[0])
+    _serve_tiles(backend, 4, first=Busy())
+    return future
+
+
+def _frame_wrong_scale(session, backend, clock):
+    # Identity tiles are x1; this session stitches at x2.
+    future = session.submit_frame(_frames(1, seed=24)[0])
+    _serve_tiles(backend, 4)
+    return future
+
+
+class TestFrameOutcomeTable:
+    @pytest.mark.parametrize(
+        "row", parse_table(FRAMES), ids=lambda row: row["row"])
+    def test_each_outcome_is_counted_logged_and_resolved_once(
+        self, monkeypatch, caplog, row
+    ):
+        resolves = record_resolves(monkeypatch)
+        backend = FakeBackend()
+        clock = FakeClock()
+        session = StreamSession(
+            backend,
+            MODEL,
+            scale=2 if row["row"] == "wrong_scale" else 1,
+            config=StreamConfig(tile=8, overlap=0, tile_cache_bytes=0,
+                                policy="drop-late"),
+            clock=clock,
+        )
+        before = session.stats()["frames"]
+        scenario = globals()[f"_frame_{row['row']}"]
+        try:
+            with caplog.at_level(logging.INFO, logger="repro.stream"):
+                future = scenario(session, backend, clock)
+                result = future.result(timeout=10.0)
+            assert result.status == row["status"] and result.seq == 0
+            if not result.ok:
+                with pytest.raises(
+                        StreamError,
+                        match="dropped" if result.dropped else "failed"):
+                    result.unwrap()
+            assert sum(f is future for f in resolves) == 1
+            after = session.stats()["frames"]
+            delta = {k: after[k] - before[k] for k in after
+                     if after[k] != before[k]}
+            assert delta == parse_counts(row["delta"])
+            lines = [r.repro_fields for r in caplog.records
+                     if r.name == "repro.stream"
+                     and r.getMessage() == "frame"
+                     and r.repro_fields["stream"] == session.stream_id]
+            assert len(lines) == 1, lines
+            fields = lines[0]
+            assert (fields["model"], fields["seq"], fields["outcome"]) == (
+                "srresnet/scales/x2", 0, row["status"])
+            check_fields(fields, row["log"],
+                         ("stream", "model", "seq", "outcome"))
+            assert session.pending() == 0
+            if row["next"] != "-":
+                # The stream survives: its next frame runs as usual.
+                following = session.submit_frame(_frames(1, seed=25)[0])
+                _serve_tiles(backend, backend.submitted + 4)
+                assert following.result(timeout=10.0).status == row["next"]
+        finally:
+            session.close(drain=False)
 
 
 class TestOrderingUnderAdversarialScheduler:
@@ -345,9 +475,10 @@ class TestSessionContract:
             with pytest.raises(StreamError, match="must increase"):
                 session.submit_frame(frame, seq=3)
             ticket = session.submit_frame(frame, seq=9)
-            assert ticket.seq == 9
         finally:
             session.close(drain=False)
+        # Dropped by the undrained close, still under its own seq.
+        assert ticket.result(timeout=10.0).seq == 9
 
     def test_non_hwc_frame_rejected(self):
         backend = FakeBackend()
@@ -376,56 +507,6 @@ class TestSessionContract:
             result = t.result(timeout=10.0)
             assert result.dropped
             assert "closed" in result.detail
-
-    def test_busy_marker_resolves_frame_as_error(self):
-        class Busy:
-            reason = "queue full"
-
-        backend = FakeBackend()
-        session = _session(backend)
-        frames = _frames(2, seed=9)
-        try:
-            t0 = session.submit_frame(frames[0])
-            backend.wait_for_submissions(4)
-            pending = backend.pop_pending()
-            pending[0].resolve(Busy())
-            for fut in pending[1:]:
-                fut.resolve()
-            r0 = t0.result(timeout=10.0)
-            assert r0.status == "error"
-            assert "queue full" in r0.detail
-            with pytest.raises(StreamError, match="failed"):
-                r0.unwrap()
-            # The stream survives: the next frame is unaffected.
-            t1 = session.submit_frame(frames[1])
-            backend.wait_for_submissions(8)
-            for fut in backend.pop_pending():
-                fut.resolve()
-            assert t1.result(timeout=10.0).ok
-        finally:
-            session.close(drain=False)
-
-    def test_wrong_tile_scale_resolves_frame_as_error(self):
-        # The fake backend's identity tiles are x1; a x2 stream must
-        # fail the frame with a typed error, and the stream survives.
-        backend = FakeBackend()
-        session = StreamSession(
-            backend,
-            MODEL,
-            scale=2,
-            config=StreamConfig(tile=8, overlap=0, tile_cache_bytes=0),
-        )
-        try:
-            ticket = session.submit_frame(_frames(1, seed=11)[0])
-            backend.wait_for_submissions(4)
-            for fut in backend.pop_pending():
-                fut.resolve()
-            result = ticket.result(timeout=10.0)
-            assert result.status == "error"
-            assert "expected (16, 16) at scale 2" in result.detail
-            assert session.pending() == 0
-        finally:
-            session.close(drain=False)
 
     def test_backpressure_blocks_submit_until_space(self):
         backend = FakeBackend()
