@@ -65,9 +65,7 @@ def zoo_dir(tmp_path_factory):
 def gateway(zoo_dir):
     config = GatewayConfig(
         n_workers=2,
-        server=ServerConfig(
-            n_threads=1, latency_budget_s=0.002, dtype="float32"
-        ),
+        server=ServerConfig(n_threads=1, dtype="float32"),
     )
     with Gateway(zoo_dir, config) as gw:
         yield gw

@@ -3,7 +3,7 @@
 The acceptance bar for the serving layer: under sustained traffic over
 a small artifact zoo — the serving regime, where inputs repeat and
 same-model requests arrive together — :class:`repro.serve.ModelServer`
-(deadline-aware micro-batching + content-hash result cache) must
+(work-conserving micro-batching + content-hash result cache) must
 deliver at least ``MIN_SERVE_SPEEDUP`` x the throughput of the naive
 loop that handles one request at a time against the same artifacts,
 with **bit-identical outputs** (equivalence is asserted before any
@@ -110,7 +110,6 @@ class TestServeThroughput:
                 zoo_dir,
                 ServerConfig(
                     max_batch=8,
-                    latency_budget_s=0.002,
                     max_queue_depth=len(requests) + 1,
                 ),
             )
@@ -140,7 +139,6 @@ class TestServeThroughput:
                 zoo_dir,
                 ServerConfig(
                     max_batch=8,
-                    latency_budget_s=0.002,
                     max_queue_depth=len(requests) + 1,
                 ),
             )
@@ -202,7 +200,7 @@ class TestServeThroughput:
             expected = _naive_loop(models, requests)
             server = ModelServer(
                 zoo_dir,
-                ServerConfig(max_batch=8, latency_budget_s=0.002, cache_bytes=0),
+                ServerConfig(max_batch=8, cache_bytes=0),
             )
 
             def serve_all():

@@ -83,7 +83,7 @@ def main() -> None:
     config = GatewayConfig(
         n_workers=2,
         quota_rate_per_s=500.0,  # generous: metering on, nobody shed
-        server=ServerConfig(latency_budget_s=0.005, dtype="float32"),
+        server=ServerConfig(dtype="float32"),
     )
     print(f"\nStarting the gateway ({config.n_workers} workers)...")
     with Gateway(zoo_dir, config) as gateway:

@@ -8,7 +8,7 @@ driven through the typed public API (:mod:`repro.api`):
    ``Engine.from_spec(...).export(...)``;
 2. open a :func:`repro.api.serve_directory` session over the directory:
    models load lazily into an LRU registry, requests coalesce into
-   deadline-aware micro-batches, repeat inputs hit the content-hash
+   work-conserving micro-batches, repeat inputs hit the content-hash
    result cache;
 3. fire a few hundred mixed requests (models x shapes x repeats) from
    several client threads; every outcome is a typed
@@ -77,7 +77,6 @@ def main() -> None:
             zoo_dir,
             ServerConfig(
                 max_batch=8,
-                latency_budget_s=0.005,
                 max_models=2,          # smaller than the zoo: LRU works
                 max_queue_depth=total + 1,
             ),

@@ -27,8 +27,9 @@ Subpackages
     Batched/tiled inference, self-ensemble TTA, the micro-batching
     ``InferencePipeline`` and the shared thread pool.
 ``repro.serve``
-    Multi-model artifact server: deadline-aware micro-batching, result
-    cache, admission control, telemetry.
+    Multi-model artifact server: work-conserving micro-batching (a
+    model's queue runs as soon as the model is idle), result cache,
+    admission control, telemetry.
 ``repro.jobs``
     Crash-safe bulk inference: manifests, write-ahead journal,
     retry/backoff + quarantine, deterministic fault injection,

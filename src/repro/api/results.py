@@ -7,8 +7,7 @@ an array, a :class:`repro.serve.ServerBusy` shed marker, or a
 :class:`repro.serve.ServeError` — types that existed only server-side.
 This module is the common vocabulary:
 
-* :class:`InferRequest` — one image plus optional routing (model key)
-  and per-request deadline;
+* :class:`InferRequest` — one image plus optional routing (model key);
 * :class:`InferResult` — the one result type **every** path returns:
   ``Engine.infer`` and a served round-trip produce the same object for
   the same outcome, so calling code handles overload and failure
@@ -45,14 +44,10 @@ class InferRequest:
 
     ``model`` may be ``None`` (the engine / session default applies), a
     zoo key tuple, or a route string like ``"srresnet/scales/x2"``.
-    ``deadline_s`` is the per-request micro-batching latency budget; it
-    only has an effect on the served path (a direct ``Engine.infer``
-    executes immediately).
     """
 
     image: np.ndarray
     model: Optional[Union[ModelKey, str]] = None
-    deadline_s: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,8 +90,8 @@ class ServeSession:
                 "model=... (a zoo key or 'arch/scheme/xN' route)")
         return parse_model_key(model)
 
-    def submit(self, image: Union[np.ndarray, InferRequest], model=None,
-               deadline_s: Optional[float] = None) -> ServeTicket:
+    def submit(self, image: Union[np.ndarray, InferRequest], model=None
+               ) -> ServeTicket:
         """Admit one image (or :class:`InferRequest`); never blocks.
 
         Shed and failed requests resolve as typed ``"busy"`` /
@@ -100,12 +100,9 @@ class ServeSession:
         """
         if isinstance(image, InferRequest):
             model = model if model is not None else image.model
-            deadline_s = (deadline_s if deadline_s is not None
-                          else image.deadline_s)
             image = image.image
         key = self._resolve(model)
-        return ServeTicket(
-            self.server.submit(np.asarray(image), key, deadline_s), key)
+        return ServeTicket(self.server.submit(np.asarray(image), key), key)
 
     def infer(self, image: Union[np.ndarray, InferRequest],
               model=None) -> InferResult:

@@ -82,14 +82,11 @@ class GatewayClient:
         finally:
             conn.close()
 
-    def infer(self, image: np.ndarray, model: str,
-              deadline_s: Optional[float] = None) -> GatewayResult:
+    def infer(self, image: np.ndarray, model: str) -> GatewayResult:
         """Run one ``(H, W, C)`` image; returns a :class:`GatewayResult`
         (network errors still raise — there is no response to type)."""
-        request: Dict[str, Any] = {
+        request = {
             "model": model, "image": wire.encode_array(np.asarray(image))}
-        if deadline_s is not None:
-            request["deadline_s"] = deadline_s
         status, body = self._request("POST", "/infer", wire.dumps(request))
         if status == 200 and body.get("status") == "ok":
             return GatewayResult(http_status=status, status="ok",

@@ -208,8 +208,14 @@ class _FrontHandler(BaseHTTPRequestHandler):
         gateway = self.server.gateway
         client_id = self.headers.get("X-Client-Id", "anonymous")
         request_id = self.headers.get("X-Request-Id") or None
-        length = int(self.headers.get("Content-Length", "0"))
-        body = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0").strip()
+        if not length.isdecimal():
+            # No way to find the body's end: answer and hang up.
+            self.close_connection = True
+            self._reply(400, wire.error_body(
+                "error", f"bad Content-Length {length!r}")[1])
+            return
+        body = self.rfile.read(int(length))
         self._reply(*gateway.proxy_infer(body, client_id,
                                          request_id=request_id))
 

@@ -129,17 +129,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(503, wire.error_body(
                 "busy", "worker draining", retryable=True)[1])
             return
+        length = self.headers.get("Content-Length", "0").strip()
+        if not length.isdecimal():
+            # No way to find the body's end: answer and hang up.
+            self.close_connection = True
+            self._reply(400, wire.error_body(
+                "error", f"bad Content-Length {length!r}")[1])
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            request = wire.loads(self.rfile.read(length))
+            request = wire.loads(self.rfile.read(int(length)))
             if not isinstance(request, dict) or "model" not in request \
                     or "image" not in request:
                 raise wire.WireError(
                     "request must be an object with 'model' and 'image'")
             image = wire.decode_array(request["image"])
-            deadline_s = request.get("deadline_s")
-            if deadline_s is not None:
-                deadline_s = float(deadline_s)
         except wire.WireError as exc:
             self._reply(400, wire.error_body("error", str(exc))[1])
             return
@@ -150,7 +153,6 @@ class _Handler(BaseHTTPRequestHandler):
         request_id = self.headers.get("X-Request-Id") or None
         try:
             future = server.submit(image, str(request["model"]),
-                                   deadline_s=deadline_s,
                                    request_id=request_id)
         except KeyError as exc:
             self._reply(404, wire.error_body("error", str(exc))[1])

@@ -9,9 +9,9 @@ of those artifacts into a *server* —
   multi-model registry keyed by ``(architecture, scheme, scale)``,
   admission control with typed :class:`ServerBusy` shedding, the
   background scheduling loop;
-* :mod:`repro.serve.scheduler` — deadline-aware micro-batch policy:
-  coalesce same-model requests, flush on full batch or expired latency
-  budget, enforce per-model concurrency caps;
+* :mod:`repro.serve.scheduler` — work-conserving micro-batch policy:
+  per-model queues, each due whenever it holds work and its model has
+  no flush in flight (a model runs one flush at a time);
 * :mod:`repro.serve.cache`     — content-hash result cache with
   byte-size LRU eviction (repeat inputs never touch the engine);
 * :mod:`repro.serve.metrics`   — the one metrics store: a

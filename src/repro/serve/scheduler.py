@@ -1,24 +1,15 @@
-"""Deadline-aware micro-batch scheduling policy.
+"""Work-conserving micro-batch scheduling policy.
 
-The serving trade-off: every queued request gets *cheaper* to run the
-longer it waits (more same-model work to coalesce into one stacked
-forward) and *later* the longer it waits.  The scheduler resolves it
-with a per-request deadline: a model's queue becomes *due* the moment
-its oldest deadline arrives — flushing a partial batch rather than
-blowing the latency budget — or as soon as a full batch's worth of
-work is queued, whichever comes first.
+A model's queue is *due* whenever it holds work and the model has no
+flush in flight.  A flush takes everything queued, so requests that
+arrive while a model runs form its next batch: batching happens under
+load, and an idle model never makes a request wait for batch-mates.
 
 :class:`MicroBatchScheduler` is deliberately just the policy and the
-queues: it never reads the clock (callers pass ``now``), never runs a
-model, and never sleeps.  That makes every decision deterministic and
-directly unit-testable with a simulated clock; the background thread,
-the executor handoff and the model registry all live in
-:mod:`repro.serve.server`.
-
-It also tracks which models have a flush in flight.  A model runs one
-flush at a time: a busy model is never reported due, so its queue
-simply waits (or sheds at the admission-control bound) until its
-flush completes.
+queues: it never reads the clock, never runs a model, and never
+sleeps.  That makes every decision deterministic and directly
+unit-testable; the background thread, the executor handoff and the
+model registry all live in :mod:`repro.serve.server`.
 """
 
 from __future__ import annotations
@@ -26,7 +17,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Hashable, List, Optional, Set, Tuple
+from typing import Any, Deque, Hashable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["QueuedRequest", "MicroBatchScheduler"]
 
@@ -51,24 +42,22 @@ class QueuedRequest:
     cache_key: str
     future: Any
     enqueued_at: float
-    deadline: float
     model_key: Hashable = None
     extra_futures: List[Any] = field(default_factory=list)
     request_id: Optional[str] = None
 
 
 class MicroBatchScheduler:
-    """Per-model request queues with deadline/full-batch due policy.
+    """Per-model request queues, due whenever their model is idle.
 
     Parameters
     ----------
     max_batch:
-        Queue length at which a model becomes due immediately (a full
-        micro-batch is waiting; there is nothing to gain by waiting
-        longer).
+        Queue length at which a flush counts as ``"full"`` rather than
+        ``"idle"`` (it only labels the flush; either way the flush
+        takes everything queued).
 
-    All methods are thread-safe; ``now`` is always an explicit caller
-    argument so tests can drive a simulated clock.
+    All methods are thread-safe.
     """
 
     def __init__(self, max_batch: int) -> None:
@@ -90,24 +79,30 @@ class MicroBatchScheduler:
     # -- enqueue / inspect -------------------------------------------------
 
     def enqueue(
-        self, request: QueuedRequest, max_depth: Optional[int] = None
+        self,
+        requests: Sequence[QueuedRequest],
+        max_depth: Optional[int] = None,
     ) -> int:
-        """Queue ``request`` under its model key; returns the new depth.
+        """Queue ``requests`` in order under their model keys, in one
+        hold of the queue lock; returns how many were admitted.
 
         With ``max_depth``, admission control happens atomically under
-        the queue lock: if the total queued depth is already at the
-        bound the request is refused and ``-1`` is returned — two
-        racing submitters can never both squeeze past the bound.
+        the lock: requests are admitted while the total queued depth is
+        below the bound, so the admitted ones are a prefix of
+        ``requests`` and two racing submitters can never both squeeze
+        past the bound.  No flush can take part of the call's requests
+        before the rest are queued.
         """
         with self._lock:
-            if max_depth is not None and self._depth >= max_depth:
-                return -1
-            queue = self._queues.get(request.model_key)
-            if queue is None:
-                queue = self._queues[request.model_key] = deque()
-            queue.append(request)
-            self._depth += 1
-            return self._depth
+            room = len(requests)
+            if max_depth is not None:
+                room = max(0, min(room, max_depth - self._depth))
+            for request in requests[:room]:
+                self._queues.setdefault(request.model_key, deque()).append(
+                    request
+                )
+            self._depth += room
+            return room
 
     def depth(self) -> int:
         """Total queued (not yet taken) requests across all models."""
@@ -145,72 +140,38 @@ class MicroBatchScheduler:
 
     # -- due policy --------------------------------------------------------
 
-    def _due(self, queue: Deque[QueuedRequest], now: float) -> bool:
-        return len(queue) >= self.max_batch or queue[0].deadline <= now
-
-    def due_keys(self, now: float, force: bool = False) -> List[Hashable]:
-        """Model keys that should flush at ``now`` (busy models skipped).
-
-        ``force`` treats every non-empty queue as due — the drain /
-        shutdown path, where latency budgets no longer matter.
-        """
+    def due_keys(self) -> List[Hashable]:
+        """Model keys with queued work and no flush in flight."""
         with self._lock:
-            due = []
-            for key, queue in self._queues.items():
-                if not queue or key in self._busy:
-                    continue
-                if force or self._due(queue, now):
-                    due.append(key)
-            return due
-
-    def next_due(self, now: float) -> Optional[float]:
-        """Seconds until the earliest queue becomes due (0 if one is).
-
-        ``None`` when nothing eligible is queued — busy models don't
-        count; their flush completion wakes the server loop anyway.
-        """
-        soonest: Optional[float] = None
-        with self._lock:
-            for key, queue in self._queues.items():
-                if not queue or key in self._busy:
-                    continue
-                wait = (
-                    0.0
-                    if len(queue) >= self.max_batch
-                    else max(0.0, queue[0].deadline - now)
-                )
-                if soonest is None or wait < soonest:
-                    soonest = wait
-        return soonest
+            return [
+                key
+                for key, queue in self._queues.items()
+                if queue and key not in self._busy
+            ]
 
     # -- flush lifecycle ---------------------------------------------------
 
     def take(
-        self, model_key: Hashable, now: float
-    ) -> Tuple[List[QueuedRequest], str]:
+        self, model_key: Hashable
+    ) -> Tuple[List[QueuedRequest], Optional[str]]:
         """Pop every queued request for ``model_key`` and mark it in-flight.
 
         Returns ``(requests, reason)`` where ``reason`` is ``"full"``
-        (a complete micro-batch was waiting), ``"deadline"`` (the
-        oldest request's deadline forced a partial batch) or
-        ``"drain"`` (taken before it was due).  The caller **must**
-        pair a non-empty take with :meth:`release`.
+        (at least ``max_batch`` were queued) or ``"idle"`` (fewer: the
+        model was idle, so its queue ran without waiting for
+        batch-mates).  Nothing is taken, and ``reason`` is ``None``,
+        when the queue is empty or the model already has a flush in
+        flight.  The caller **must** pair a non-empty take with
+        :meth:`release`.
         """
         with self._lock:
             queue = self._queues.get(model_key)
-            if not queue:
-                return [], "drain"
             # Re-check under the lock: due_keys() and take() are not
             # atomic, so two racing pollers could otherwise both start
             # a flush of the same model.
-            if model_key in self._busy:
-                return [], "drain"
-            if len(queue) >= self.max_batch:
-                reason = "full"
-            elif queue[0].deadline <= now:
-                reason = "deadline"
-            else:
-                reason = "drain"
+            if not queue or model_key in self._busy:
+                return [], None
+            reason = "full" if len(queue) >= self.max_batch else "idle"
             taken = list(queue)
             queue.clear()
             self._depth -= len(taken)

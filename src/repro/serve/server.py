@@ -11,12 +11,12 @@ story (and the ROADMAP's heavy-traffic north star) assumes:
   coverage classification confirms the cell actually packs.  Models
   load lazily on first request and live in an LRU bound of
   ``max_models`` — a zoo larger than RAM still serves.
-* **Deadline-aware micro-batching.**  Requests are coalesced per model
+* **Work-conserving micro-batching.**  Requests are queued per model
   by :class:`repro.serve.scheduler.MicroBatchScheduler` and executed
-  as :class:`repro.infer.InferencePipeline` micro-batches: a batch
-  runs the moment it is full, or when the oldest request's latency
-  budget expires — whichever comes first — so batching never costs
-  more latency than the configured budget.
+  as :class:`repro.infer.InferencePipeline` micro-batches: a model's
+  queue runs as soon as the model is idle, and a flush takes
+  everything queued, so the requests that arrive while a model runs
+  form its next batch.  No request waits for batch-mates.
 * **Result cache.**  Outputs are cached by input content hash
   (:mod:`repro.serve.cache`); repeat inputs are served without
   touching the engine, bounded by bytes.
@@ -99,10 +99,6 @@ _LOG = logging.getLogger("repro.serve")
 #: How often a waiting caller (``wait``, ``drain``, ``close``)
 #: re-dispatches the queues.
 _REPOLL_S = 0.005
-
-#: Idle wake-up period of the background loop (its responsiveness
-#: floor when no deadline is pending).
-_POLL_INTERVAL_S = 0.05
 
 
 def parse_model_key(spec: Union[ModelKey, Sequence, str]) -> ModelKey:
@@ -194,13 +190,10 @@ class ServeFuture:
 class ServerConfig:
     """Operational knobs of :class:`ModelServer`.
 
-    latency_budget_s:
-        Default micro-batching budget: a queued request waits at most
-        this long for batch-mates before a (possibly partial) batch is
-        forced out.  Per-request ``deadline_s`` overrides it.
     max_batch:
-        Images per micro-batch; also the immediate-flush threshold (a
-        model with a full batch queued never waits out the budget).
+        Images per micro-batch forward; a flush that takes at least
+        this many requests counts as ``full``, a smaller one as
+        ``idle``.
     max_models:
         LRU bound on concurrently loaded models.  Models with queued or
         in-flight work are never evicted, so the bound can be exceeded
@@ -242,7 +235,6 @@ class ServerConfig:
         gets a windowed p99 from ``rate()`` over its buckets).
     """
 
-    latency_budget_s: float = 0.02
     max_batch: int = 8
     max_models: int = 4
     max_queue_depth: int = 256
@@ -255,8 +247,6 @@ class ServerConfig:
     slo_budgets: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
-        if self.latency_budget_s < 0:
-            raise ValueError("latency_budget_s must be >= 0")
         if self.n_threads is not None:
             check_num_threads(self.n_threads)
         if self.dtype is not None:
@@ -422,8 +412,7 @@ class ModelServer:
         )
         self._m_flushes = metrics.counter(
             "repro_serve_flushes_total",
-            "Micro-batch flushes dispatched, by reason "
-            "(full/deadline/drain).",
+            "Micro-batch flushes dispatched, by reason (full/idle).",
             ("model", "reason"),
         )
         self._m_batches = metrics.counter(
@@ -670,58 +659,94 @@ class ModelServer:
         self,
         image: np.ndarray,
         model: Union[ModelKey, str],
-        deadline_s: Optional[float] = None,
         request_id: Optional[str] = None,
     ) -> ServeFuture:
         """Admit one ``(H, W, C)`` image for ``model``; never blocks.
 
         Returns a :class:`ServeFuture` that resolves to the output
-        array — immediately on a cache hit, after the next due flush
-        otherwise — or to :class:`ServerBusy` when the queue-depth
-        bound sheds the request.  ``deadline_s`` overrides the
-        configured latency budget for this request alone.
-        ``request_id`` is the correlation id stamped on this request's
-        structured log lines (a front door passes its ``X-Request-Id``
-        through); the server assigns one when omitted.
+        array — immediately on a cache hit, after its model's next
+        flush otherwise — or to :class:`ServerBusy` when the
+        queue-depth bound sheds the request.  ``request_id`` is the
+        correlation id stamped on this request's structured log lines
+        (a front door passes its ``X-Request-Id`` through); the server
+        assigns one when omitted.  The one-image case of
+        :meth:`submit_many`.
         """
+        return self._admit([image], model, [request_id])[0]
+
+    def submit_many(
+        self, images: Sequence[np.ndarray], model: Union[ModelKey, str]
+    ) -> List[ServeFuture]:
+        """Admit ``images`` for ``model`` together; never blocks.
+
+        Returns one :class:`ServeFuture` per image, in order, resolved
+        as :meth:`submit` resolves its one.  The images are queued in
+        one scheduler call, so the next flush of an idle model takes
+        them all.  Each is checked against ``max_queue_depth`` in order
+        and one past the bound sheds as ``ServerBusy("queue full")``.
+        An image that is not ``(H, W, C)`` raises ``ValueError`` before
+        any image is queued.
+        """
+        return self._admit(images, model, [None] * len(images))
+
+    def _admit(
+        self,
+        images: Sequence[np.ndarray],
+        model: Union[ModelKey, str],
+        request_ids: Sequence[Optional[str]],
+    ) -> List[ServeFuture]:
+        """Count, cache-check and queue ``images``; the admission path
+        of :meth:`submit` and :meth:`submit_many`."""
         key = self._resolve_key(model)
-        if request_id is None:
-            request_id = self._request_id()
-        image = np.asarray(image)
-        if image.ndim != 3:
-            raise ValueError(
-                f"expected an (H, W, C) image, got shape {image.shape}"
-            )
-        future = ServeFuture()
+        images = [np.asarray(image) for image in images]
+        for image in images:
+            if image.ndim != 3:
+                raise ValueError(
+                    f"expected an (H, W, C) image, got shape {image.shape}"
+                )
         t0 = self._clock()
         label = key_str(key)
-        self._m_requests.labels(model=label).inc()
-        if self._stopped:
-            # Fast path: a server known to be closed refuses without
-            # taking any lock.  (The authoritative check happens again
-            # under the wake lock below — this one is advisory.)
-            return self._finish(future, key, request_id, ServerBusy(
-                key, "server closed", self._scheduler.depth()))
-        cache_key = content_key(key, image)
-        if self.config.cache_bytes:
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                self._m_cache.labels(model=label, outcome="hit").inc()
-                return self._finish(future, key, request_id, cached, "hit",
-                                    total_s=self._clock() - t0)
-            self._m_cache.labels(model=label, outcome="miss").inc()
-        budget = (
-            self.config.latency_budget_s if deadline_s is None else deadline_s
-        )
-        request = QueuedRequest(
-            image=image,
-            cache_key=cache_key,
-            future=future,
-            enqueued_at=t0,
-            deadline=t0 + budget,
-            model_key=key,
-            request_id=request_id,
-        )
+        futures: List[ServeFuture] = []
+        queued: List[QueuedRequest] = []
+        for image, request_id in zip(images, request_ids):
+            future = ServeFuture()
+            futures.append(future)
+            if request_id is None:
+                request_id = self._request_id()
+            self._m_requests.labels(model=label).inc()
+            if self._stopped:
+                # Fast path: a server known to be closed refuses without
+                # taking any lock.  (The authoritative check happens
+                # again under the wake lock in _enqueue — this one is
+                # advisory.)
+                self._finish(future, key, request_id, ServerBusy(
+                    key, "server closed", self._scheduler.depth()))
+                continue
+            cache_key = content_key(key, image)
+            if self.config.cache_bytes:
+                cached = self.cache.get(cache_key)
+                if cached is not None:
+                    self._m_cache.labels(model=label, outcome="hit").inc()
+                    self._finish(future, key, request_id, cached, "hit",
+                                 total_s=self._clock() - t0)
+                    continue
+                self._m_cache.labels(model=label, outcome="miss").inc()
+            queued.append(QueuedRequest(
+                image=image,
+                cache_key=cache_key,
+                future=future,
+                enqueued_at=t0,
+                model_key=key,
+                request_id=request_id,
+            ))
+        if queued:
+            self._enqueue(key, queued)
+        return futures
+
+    def _enqueue(self, key: ModelKey, requests: List[QueuedRequest]) -> None:
+        """Queue ``requests`` for ``key`` in one scheduler call; a
+        request identical to one already queued or executing rides on
+        it instead, and one past the depth bound sheds."""
         # Check-and-enqueue is atomic with respect to close(): the stop
         # flag is raised under the wake lock, so a submission either
         # lands in the queue *before* the flag goes up (and close()'s
@@ -730,38 +755,46 @@ class ModelServer:
         # after the sweep — a future nothing would ever resolve.
         with self._wake:
             if self._stopped:
-                return self._finish(future, key, request_id, ServerBusy(
-                    key, "server closed", self._scheduler.depth()))
+                for req in requests:
+                    self._finish(req.future, key, req.request_id, ServerBusy(
+                        key, "server closed", self._scheduler.depth()))
+                return
             with self._inflight_lock:
-                existing = self._inflight_by_key.get(cache_key)
-                if existing is not None:
+                fresh, riders = [], 0
+                for req in requests:
+                    primary = self._inflight_by_key.setdefault(
+                        req.cache_key, req)
+                    if primary is req:
+                        fresh.append(req)
+                        continue
                     # Identical request already queued or executing:
                     # ride along on its computation instead of queueing
                     # a twin.  The rider keeps its own enqueue time so
                     # its latency is measured from *its* arrival.
-                    existing.extra_futures.append((future, t0, request_id))
-                    self._m_coalesced.labels(model=label).inc()
-                    return future
-                depth = self._scheduler.enqueue(
-                    request, max_depth=self.config.max_queue_depth
-                )
-                if depth >= 0:
-                    self._inflight_by_key[cache_key] = request
-            if depth < 0:
-                return self._finish(future, key, request_id, ServerBusy(
-                    key, "queue full", self.config.max_queue_depth))
-            self._wake.notify_all()
-        return future
+                    primary.extra_futures.append(
+                        (req.future, req.enqueued_at, req.request_id))
+                    riders += 1
+                admitted = self._scheduler.enqueue(
+                    fresh, max_depth=self.config.max_queue_depth)
+                refused = fresh[admitted:]
+                for req in refused:
+                    del self._inflight_by_key[req.cache_key]
+            if admitted:
+                self._wake.notify_all()
+        # A refused request's riders came with it, in this call: they
+        # shed with it rather than count as coalesced.
+        riders -= sum(len(req.extra_futures) for req in refused)
+        if riders:
+            self._m_coalesced.labels(model=key_str(key)).inc(riders)
+        for req in refused:
+            self._settle(req, ServerBusy(
+                key, "queue full", self.config.max_queue_depth))
 
     def map(
-        self,
-        images: Sequence[np.ndarray],
-        model: Union[ModelKey, str],
-        deadline_s: Optional[float] = None,
+        self, images: Sequence[np.ndarray], model: Union[ModelKey, str]
     ) -> List:
-        """Submit ``images`` and return their results in order."""
-        futures = [self.submit(img, model, deadline_s) for img in images]
-        return self.wait(futures)
+        """Submit ``images`` together and return their results in order."""
+        return self.wait(self.submit_many(images, model))
 
     def __call__(
         self, image: np.ndarray, model: Union[ModelKey, str]
@@ -774,8 +807,8 @@ class ModelServer:
     ) -> List:
         """The values of ``futures`` (from :meth:`submit`), in order.
 
-        Dispatches everything queued, deadlines ignored, and waits for
-        these futures alone — not for the whole server to go idle, as
+        Dispatches every idle model's queue and waits for these
+        futures alone — not for the whole server to go idle, as
         :meth:`drain` does.  Between short waits it dispatches again,
         so a request held back by its model's flush in flight runs as
         soon as that flush ends.  Raises ``TimeoutError`` once
@@ -791,7 +824,7 @@ class ModelServer:
     def _dispatch_until(
         self, settled: Callable[[], bool], deadline: Optional[float] = None
     ) -> bool:
-        """Dispatch the queues, deadlines ignored, until ``settled()``;
+        """Dispatch the idle models' queues until ``settled()``;
         returns whether it holds (``False`` once the monotonic
         ``deadline`` passes; ``None``: no bound).
 
@@ -805,7 +838,7 @@ class ModelServer:
                          else deadline - time.monotonic())
             if remaining is not None and remaining <= 0:
                 return False
-            self.poll(force=True)
+            self.poll()
             with self._wake:
                 if not settled():
                     self._wake.wait(timeout=_REPOLL_S if remaining is None
@@ -814,20 +847,19 @@ class ModelServer:
 
     # -- execution ---------------------------------------------------------
 
-    def poll(self, now: Optional[float] = None, force: bool = False) -> int:
-        """Dispatch every due model's flush once; returns the count.
+    def poll(self) -> int:
+        """Dispatch a flush of every idle model with queued work;
+        returns the count.
 
-        The background loop calls this continuously and hands each
-        flush to the inference pool.  In manual mode
-        (``background=False``) the test/caller drives it, optionally
-        with a simulated ``now``, and each flush runs inline: the
-        dispatched work has settled when ``poll`` returns, whatever the
-        thread count.  ``force`` ignores deadlines (drain).
+        The background loop calls this whenever it is woken and hands
+        each flush to the inference pool.  In manual mode
+        (``background=False``) the test/caller drives it, and each
+        flush runs inline: the dispatched work has settled when
+        ``poll`` returns, whatever the thread count.
         """
-        now = self._clock() if now is None else now
         dispatched = 0
-        for key in self._scheduler.due_keys(now, force=force):
-            taken, reason = self._scheduler.take(key, now)
+        for key in self._scheduler.due_keys():
+            taken, reason = self._scheduler.take(key)
             if not taken:
                 continue  # another poll got here first; nothing in flight
             self._m_flushes.labels(model=key_str(key), reason=reason).inc()
@@ -859,7 +891,8 @@ class ModelServer:
         if served and self.config.cache_bytes:
             self.cache.put(req.cache_key, value)
         with self._inflight_lock:
-            self._inflight_by_key.pop(req.cache_key, None)
+            if self._inflight_by_key.get(req.cache_key) is req:
+                del self._inflight_by_key[req.cache_key]
             owners = [(req.future, req.enqueued_at, req.request_id)]
             owners += req.extra_futures
         for i, (future, arrived, request_id) in enumerate(owners):
@@ -906,21 +939,19 @@ class ModelServer:
                 self._wake.notify_all()
 
     def _serve_loop(self) -> None:
+        # Checking for due work under the wake lock before each wait
+        # loses no wake-up: a submit queues and notifies under this
+        # lock, and a flush releases its model before it notifies.
         while True:
             with self._wake:
-                if self._stopped:
-                    return
-                wait = self._scheduler.next_due(self._clock())
-                if wait is None:
-                    self._wake.wait(timeout=_POLL_INTERVAL_S)
-                elif wait > 0:
-                    self._wake.wait(timeout=wait)
+                while not self._stopped and not self._scheduler.due_keys():
+                    self._wake.wait()
                 if self._stopped:
                     return
             self.poll()
 
     def drain(self) -> None:
-        """Flush everything queued, deadlines ignored; block until idle."""
+        """Flush everything queued; block until idle."""
         self._dispatch_until(self._scheduler.idle)
 
     def pending(self) -> int:
@@ -954,7 +985,7 @@ class ModelServer:
             "batches": self._m_batches.total(),
             "batch_images": self._m_batch_images.total(),
         }
-        for reason in ("full", "deadline", "drain"):
+        for reason in ("full", "idle"):
             counters[f"flush_{reason}"] = self._m_flushes.total(reason=reason)
         hits, misses = counters["cache_hits"], counters["cache_misses"]
         return {

@@ -3,8 +3,9 @@
 Turns the single-image serving stack into a temporal workload:
 ordered per-stream sessions over ``ServeSession``/``ModelServer``,
 cross-frame tile reuse via content-hashed tile deltas, and
-frame-deadline scheduling (``drop-late`` vs ``best-effort``) on top
-of the deadline-aware micro-batcher.  Entry points:
+frame-deadline policies (``drop-late`` vs ``best-effort``) decided by
+the stream itself; a frame's dirty tiles reach the server's
+micro-batcher together.  Entry points:
 
 * :meth:`repro.api.Engine.stream` — open a stream over an engine's
   exported artifact.

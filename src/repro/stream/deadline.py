@@ -1,9 +1,9 @@
 """Frame-deadline policies for streaming sessions.
 
-This is the pure-policy half of the frame scheduler, in the same
-spirit as ``serve/scheduler.py``: every decision takes an explicit
-``now`` so tests drive it with a simulated clock.  The session owns
-the clock and the waiting; this module owns the arithmetic.
+This is the pure-policy half of the frame scheduler: every decision
+takes an explicit ``now`` so tests drive it with a simulated clock.
+The session owns the clock and the waiting; this module owns the
+arithmetic.
 
 Two policies:
 
@@ -13,11 +13,9 @@ Two policies:
   expires resolves as a dropped :class:`FrameResult` immediately, so
   it can never block its successors.
 
-The bridge to the serving layer's deadline-aware micro-batcher: a
-frame's *remaining* budget at tile-submit time becomes the
-``deadline_s`` of each dirty-tile request, so
-``MicroBatchScheduler`` flushes those tiles no later than the frame
-deadline instead of idling out its default batch window.
+Frame deadlines stay in the stream: the serving layer runs a model's
+queued tiles as soon as the model is idle and is never told a frame's
+deadline.
 """
 
 from typing import Optional
@@ -74,9 +72,8 @@ class DeadlinePolicy:
     def expired(deadline: Optional[float], now: float) -> bool:
         """True once the remaining budget reaches zero.
 
-        A deadline expiring *exactly at* ``now`` counts as expired —
-        the same boundary ``MicroBatchScheduler._due`` uses — but a
-        frame that already completed by then is delivered, not
+        A deadline expiring *exactly at* ``now`` counts as expired,
+        but a frame that already completed by then is delivered, not
         dropped: drop-late only sheds frames still incomplete at
         expiry.
         """
@@ -95,11 +92,10 @@ class DeadlinePolicy:
 
     @staticmethod
     def remaining(deadline: Optional[float], now: float) -> Optional[float]:
-        """Budget left for this frame's tiles (``None`` = unbounded).
+        """Budget left for this frame (``None`` = unbounded).
 
-        Clamped at zero: once expired, tile requests are submitted
-        with a zero budget so the micro-batcher flushes them on its
-        next pass rather than holding them for a full batch window.
+        Clamped at zero.  The session bounds its waits on a frame's
+        tiles by it, so a drop-late frame resolves soon after expiry.
         """
         if deadline is None:
             return None

@@ -20,10 +20,10 @@ turns it into a *video* surface:
   already cached, which is what makes consecutive-frame reuse work.
 * **Deadlines.**  ``drop-late`` resolves a frame still incomplete at
   its deadline as a typed dropped result (successors unaffected);
-  ``best-effort`` always completes and reports lateness.  A frame's
-  remaining budget rides on its dirty-tile requests as their
-  ``deadline_s``, plugging into the serving layer's deadline-aware
-  micro-batcher.
+  ``best-effort`` always completes and reports lateness.  Both are
+  decided here, from the frame's deadline; the server is not told
+  it.  A frame's dirty tiles are admitted in one ``submit_many``
+  call, so an idle model runs them as one flush.
 * **One settle path.**  ``submit_frame`` returns a
   :class:`~repro.serve.server.ServeFuture`; the collector builds each
   frame's :class:`~repro.stream.results.FrameResult` (ok, dropped or
@@ -132,11 +132,12 @@ class StreamSession:
     ----------
     backend:
         A :class:`ModelServer`, a :class:`ServeSession` (its
-        ``server`` serves the tiles), or any object with ``submit(image,
-        model=..., deadline_s=...)`` returning a future whose
-        ``result(timeout)`` yields an ndarray or a busy/error marker
-        (``reason`` / ``message``).  A backend's ``poll(force=True)``,
-        when it has one, dispatches a frame's tiles at once.
+        ``server`` serves the tiles), or any object with
+        ``submit_many(images, model=...)`` returning one future per
+        image whose ``result(timeout)`` yields an ndarray or a
+        busy/error marker (``reason`` / ``message``).  A backend's
+        ``poll()``, when it has one, is called after a frame's tiles
+        are admitted: a manual-mode server runs them only then.
     model:
         Zoo key (``(architecture, scheme, scale)`` or
         ``"arch/scheme/xN"``) every tile of this stream is routed to.
@@ -196,8 +197,8 @@ class StreamSession:
         self._last_seq: Optional[int] = None
         self._closed = False
         self._drain_on_close = True
-        # server.poll(force=True) skips the batch window for a frame's
-        # freshly queued tiles; bare backends have none.
+        # A manual-mode server runs queued tiles only when polled;
+        # bare backends have no poll.
         self._kick = getattr(backend, "poll", None)
         self._register_metrics(metrics)
         self._thread = threading.Thread(
@@ -331,9 +332,9 @@ class StreamSession:
 
     # -- internals -----------------------------------------------------
 
-    def _force_flush(self) -> None:
+    def _dispatch(self) -> None:
         if self._kick is not None:
-            self._kick(force=True)
+            self._kick()
 
     def _register_metrics(self, metrics: Optional[MetricsRegistry]) -> None:
         if metrics is None:
@@ -416,15 +417,17 @@ class StreamSession:
         cache = self.tile_cache if self.config.tile_cache_bytes > 0 else None
         delta = plan_frame_delta(frame.image, plan, self.model, cache)
         th, tw = plan.tile_h, plan.tile_w
-        futures = {}
+        # One request per distinct dirty tile, all admitted together.
+        first = {}
         for i in delta.dirty:
-            key = delta.keys[i]
-            if key in futures:
-                continue
-            tile = tile_view(frame.image, plan.tiles[i], th, tw)
-            futures[key] = self._submit_tile(tile, frame)
-        if futures:
-            self._force_flush()
+            first.setdefault(delta.keys[i], i)
+        futures = {}
+        if first:
+            tiles = [tile_view(frame.image, plan.tiles[i], th, tw)
+                     for i in first.values()]
+            futures = dict(zip(
+                first, self._backend.submit_many(tiles, model=self.model)))
+            self._dispatch()
         fresh: Dict[str, np.ndarray] = {}
         try:
             for key, fut in futures.items():
@@ -452,12 +455,6 @@ class StreamSession:
             tiles_reused=len(delta.reused),
         )
 
-    def _submit_tile(self, tile: np.ndarray, frame: _Frame):
-        deadline_s = self._policy.remaining(frame.deadline, self._clock())
-        return self._backend.submit(
-            tile, model=self.model, deadline_s=deadline_s
-        )
-
     def _await_tile(self, fut, frame: _Frame) -> np.ndarray:
         """Wait for one tile, honoring close and the frame deadline.
 
@@ -479,12 +476,11 @@ class StreamSession:
             try:
                 value = fut.result(timeout=wait)
             except TimeoutError:
-                # Re-kick each slice: a long tile deadline is a *drop*
-                # deadline, not a flush budget — tiles that missed the
-                # first forced poll (their model had a flush in flight)
-                # must dispatch as soon as that flush ends, not when
-                # the deadline is due.
-                self._force_flush()
+                # Poll again each slice: on a manual-mode server, tiles
+                # that missed the first poll (their model had a flush
+                # in flight) run only when someone polls after that
+                # flush ends.
+                self._dispatch()
                 continue
             return self._tile_value(value)
 

@@ -13,8 +13,10 @@ The acceptance criteria of the network front door, exercised for real:
   get 503, the process exits 0.
 """
 
+import http.client
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -30,6 +32,7 @@ from repro.gateway import (
     GatewayClient,
     GatewayConfig,
     run_open_loop,
+    wire,
 )
 from repro.serve import ServerConfig
 
@@ -39,8 +42,8 @@ from .conftest import MODEL_A, MODEL_B, images
 def _config(**overrides):
     defaults = dict(
         n_workers=2,
-        server=ServerConfig(n_threads=1, latency_budget_s=0.005,
-                            dtype="float32", drain_timeout_s=10.0),
+        server=ServerConfig(n_threads=1, dtype="float32",
+                            drain_timeout_s=10.0),
     )
     defaults.update(overrides)
     return GatewayConfig(**defaults)
@@ -99,8 +102,6 @@ class TestCorrectnessOverHTTP:
         assert "available" in result.reason
 
     def test_malformed_body_is_400(self, gateway):
-        import http.client
-
         host, port = gateway.address
         conn = http.client.HTTPConnection(host, port, timeout=30)
         try:
@@ -128,6 +129,56 @@ class TestCorrectnessOverHTTP:
         assert report.ok == report.sent - report.shed
         assert report.ok > 0
         assert report.p99_ms >= report.p50_ms >= 0.0
+
+
+def _raw_post_status(address, content_length):
+    """POST ``/infer`` with a raw ``Content-Length`` header over a bare
+    socket; the response's status code, or ``None`` when the server
+    closed the connection without answering."""
+    request = (f"POST /infer HTTP/1.1\r\nHost: test\r\n"
+               f"Content-Length: {content_length}\r\n\r\n{{}}")
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request.encode("ascii"))
+        received = b""
+        while b"\r\n" not in received:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return None
+            received += chunk
+    return int(received.split(b" ", 2)[1])
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("content_length", ["abc", "-5"])
+    @pytest.mark.parametrize("hop", ["front door", "worker"])
+    def test_bad_content_length_is_400(self, gateway, hop, content_length):
+        host, port = gateway.address
+        if hop == "worker":
+            port = gateway._workers[0].port
+        assert _raw_post_status((host, port), content_length) == 400
+        # The hop keeps serving.
+        assert GatewayClient(gateway.address).infer(
+            images(n=1, seed=31)[0], MODEL_A).ok
+
+    def test_a_leftover_deadline_field_is_ignored(self, gateway, references):
+        client = GatewayClient(gateway.address)
+        before = client.stats()["gateway"]
+        body = wire.dumps({
+            "model": MODEL_A, "deadline_s": "soon",
+            "image": wire.encode_array(images(n=4, seed=11)[0])})
+        conn = http.client.HTTPConnection(*gateway.address, timeout=60)
+        try:
+            conn.request("POST", "/infer", body=body)
+            response = conn.getresponse()
+            status, reply = response.status, wire.loads(response.read())
+        finally:
+            conn.close()
+        assert status == 200, reply
+        np.testing.assert_array_equal(
+            wire.decode_array(reply["output"]), references[MODEL_A][0])
+        after = client.stats()["gateway"]
+        for counter in ("unrouted", "reroutes"):
+            assert after[counter] == before[counter], counter
 
 
 class TestAdmission:

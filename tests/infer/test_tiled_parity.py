@@ -165,8 +165,8 @@ class _PipelineBackend:
     def __init__(self, model, n_threads):
         self.pipeline = InferencePipeline(model, n_threads=n_threads)
 
-    def submit(self, image, model=None, deadline_s=None):
-        return _Ready(self.pipeline(image))
+    def submit_many(self, images, model=None):
+        return [_Ready(self.pipeline(image)) for image in images]
 
 
 def _run(surface, name, model, artifact, image, row, threads):

@@ -1,112 +1,161 @@
-"""Micro-batch scheduler policy under a simulated clock.
+"""Micro-batch scheduler policy.
 
-Every decision is a pure function of (queues, now), so these tests
-drive the clock explicitly — no sleeps, no racy timing assumptions.
+Every decision is a pure function of the queues and the in-flight
+set, so these tests drive it directly — no clock, no sleeps.
 """
 
 import pytest
 
 from repro.serve import MicroBatchScheduler, QueuedRequest
 
+from ..helpers import parse_table
+
 KEY_A = ("srresnet", "scales", 2)
 KEY_B = ("edsr", "e2fif", 2)
 
 
-def _req(key, now, budget=1.0):
+def _req(key, now=0.0):
     return QueuedRequest(
         image=None,
         cache_key="",
         future=None,
         enqueued_at=now,
-        deadline=now + budget,
         model_key=key,
     )
+
+
+def _enqueue(sched, key, n=1):
+    assert sched.enqueue([_req(key) for _ in range(n)]) == n
 
 
 class TestQueueing:
     def test_depth_and_pending(self):
         sched = MicroBatchScheduler(max_batch=4)
         assert sched.depth() == 0
-        sched.enqueue(_req(KEY_A, 0.0))
-        sched.enqueue(_req(KEY_A, 0.0))
-        sched.enqueue(_req(KEY_B, 0.0))
+        _enqueue(sched, KEY_A, 2)
+        _enqueue(sched, KEY_B)
         assert sched.depth() == 3
         assert sched.pending(KEY_A) == 2
         assert sched.pending(KEY_B) == 1
 
     def test_max_depth_refusal_is_atomic_with_enqueue(self):
         sched = MicroBatchScheduler(max_batch=4)
-        assert sched.enqueue(_req(KEY_A, 0.0), max_depth=2) == 1
-        assert sched.enqueue(_req(KEY_A, 0.0), max_depth=2) == 2
-        assert sched.enqueue(_req(KEY_A, 0.0), max_depth=2) == -1
+        assert sched.enqueue([_req(KEY_A)], max_depth=2) == 1
+        assert sched.enqueue([_req(KEY_A)], max_depth=2) == 1
+        assert sched.enqueue([_req(KEY_A)], max_depth=2) == 0
         assert sched.depth() == 2
+
+    def test_enqueue_admits_a_prefix_up_to_the_bound(self):
+        sched = MicroBatchScheduler(max_batch=4)
+        _enqueue(sched, KEY_B)
+        batch = [_req(KEY_A) for _ in range(4)]
+        assert sched.enqueue(batch, max_depth=3) == 2
+        assert sched.pending(KEY_A) == 2
+        taken, _ = sched.take(KEY_A)
+        assert [id(r) for r in taken] == [id(r) for r in batch[:2]]
+        assert sched.audit_depth() == 1
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             MicroBatchScheduler(max_batch=0)
 
 
-class TestDuePolicy:
-    def test_not_due_before_deadline(self):
-        sched = MicroBatchScheduler(max_batch=4)
-        sched.enqueue(_req(KEY_A, now=10.0, budget=0.5))
-        assert sched.due_keys(now=10.4) == []
-        assert sched.due_keys(now=10.5) == [KEY_A]
+def _state_empty(sched):
+    pass
 
-    def test_full_batch_is_due_immediately(self):
+
+def _state_one_queued(sched):
+    _enqueue(sched, KEY_A)
+
+
+def _state_full(sched):
+    _enqueue(sched, KEY_A, sched.max_batch)
+
+
+def _state_over_full(sched):
+    _enqueue(sched, KEY_A, sched.max_batch + 1)
+
+
+def _state_busy_with_work(sched):
+    _enqueue(sched, KEY_A)
+    sched.take(KEY_A)
+    _enqueue(sched, KEY_A)  # arrives while the flush runs
+
+
+def _state_busy_released(sched):
+    _state_busy_with_work(sched)
+    sched.release(KEY_A)
+
+
+def _state_emptied_deque(sched):
+    _enqueue(sched, KEY_A)
+    sched.take(KEY_A)
+    sched.release(KEY_A)  # KEY_A keeps an empty deque registered
+
+
+def _state_two_models(sched):
+    _enqueue(sched, KEY_A)
+    _enqueue(sched, KEY_B, sched.max_batch)
+
+
+def _state_two_models_one_busy(sched):
+    _state_two_models(sched)
+    sched.take(KEY_B)
+    _enqueue(sched, KEY_B)
+
+
+#: One row per queue state, built by the ``_state_*`` function of the
+#: same name on a ``max_batch=2`` scheduler: the keys ``due_keys()``
+#: reports (in order, ``-`` for none) and, per model, what ``take()``
+#: then returns — ``N:reason``, or ``0:-`` when nothing is taken.
+DISPATCH = """
+  state               | due  | take_a  | take_b
+  --------------------+------+---------+--------
+  empty               | -    | 0:-     | 0:-
+  one_queued          | A    | 1:idle  | 0:-
+  full                | A    | 2:full  | 0:-
+  over_full           | A    | 3:full  | 0:-
+  busy_with_work      | -    | 0:-     | 0:-
+  busy_released       | A    | 1:idle  | 0:-
+  emptied_deque       | -    | 0:-     | 0:-
+  two_models          | A B  | 1:idle  | 2:full
+  two_models_one_busy | A    | 1:idle  | 0:-
+"""
+
+_KEYS = {"A": KEY_A, "B": KEY_B}
+
+
+class TestDispatchTable:
+    @pytest.mark.parametrize(
+        "row", parse_table(DISPATCH), ids=lambda row: row["state"])
+    def test_due_keys_and_take(self, row):
         sched = MicroBatchScheduler(max_batch=2)
-        sched.enqueue(_req(KEY_A, now=0.0, budget=100.0))
-        assert sched.due_keys(now=0.0) == []
-        sched.enqueue(_req(KEY_A, now=0.0, budget=100.0))
-        assert sched.due_keys(now=0.0) == [KEY_A]
-
-    def test_force_makes_everything_due(self):
-        sched = MicroBatchScheduler(max_batch=8)
-        sched.enqueue(_req(KEY_A, now=0.0, budget=100.0))
-        sched.enqueue(_req(KEY_B, now=0.0, budget=100.0))
-        assert sched.due_keys(now=0.0) == []
-        assert set(sched.due_keys(now=0.0, force=True)) == {KEY_A, KEY_B}
-
-    def test_next_due_tracks_earliest_deadline(self):
-        sched = MicroBatchScheduler(max_batch=4)
-        assert sched.next_due(now=0.0) is None
-        sched.enqueue(_req(KEY_A, now=0.0, budget=0.8))
-        sched.enqueue(_req(KEY_B, now=0.0, budget=0.3))
-        assert sched.next_due(now=0.0) == pytest.approx(0.3)
-        assert sched.next_due(now=0.2) == pytest.approx(0.1)
-        assert sched.next_due(now=0.5) == 0.0  # KEY_B already overdue
-        assert sched.next_due(now=2.0) == 0.0
-
-    def test_next_due_zero_for_full_batch(self):
-        sched = MicroBatchScheduler(max_batch=1)
-        sched.enqueue(_req(KEY_A, now=0.0, budget=100.0))
-        assert sched.next_due(now=0.0) == 0.0
+        globals()[f"_state_{row['state']}"](sched)
+        due = [_KEYS[k] for k in row["due"].split() if k != "-"]
+        assert sched.due_keys() == due
+        depth = sched.depth()
+        for name, key in _KEYS.items():
+            count, reason = row[f"take_{name.lower()}"].split(":")
+            busy = sched.inflight(key)
+            taken, got = sched.take(key)
+            assert (len(taken), got) == (
+                int(count), None if reason == "-" else reason)
+            depth -= len(taken)
+            # A take starts a flush; an empty one (or one refused to a
+            # busy model) leaves the model as it was.
+            assert sched.inflight(key) == (1 if taken else busy)
+        assert sched.audit_depth() == depth
+        # Nothing is due while every taken model is still in flight.
+        assert not set(sched.due_keys()) & {
+            _KEYS[k] for k in row["due"].split() if k != "-"}
 
 
 class TestFlushLifecycle:
-    def test_take_reports_reason(self):
-        sched = MicroBatchScheduler(max_batch=2)
-        sched.enqueue(_req(KEY_A, now=0.0, budget=0.5))
-        taken, reason = sched.take(KEY_A, now=1.0)
-        assert len(taken) == 1
-        assert reason == "deadline"
-        sched.release(KEY_A)
-        sched.enqueue(_req(KEY_A, now=2.0, budget=9.0))
-        sched.enqueue(_req(KEY_A, now=2.0, budget=9.0))
-        taken, reason = sched.take(KEY_A, now=2.0)
-        assert len(taken) == 2
-        assert reason == "full"
-        sched.release(KEY_A)
-        sched.enqueue(_req(KEY_A, now=3.0, budget=9.0))
-        taken, reason = sched.take(KEY_A, now=3.0)
-        assert reason == "drain"
-
     def test_take_coalesces_everything_queued(self):
         sched = MicroBatchScheduler(max_batch=2)
-        for _ in range(5):
-            sched.enqueue(_req(KEY_A, now=0.0))
-        taken, _ = sched.take(KEY_A, now=0.0)
-        assert len(taken) == 5
+        _enqueue(sched, KEY_A, 5)
+        taken, reason = sched.take(KEY_A)
+        assert (len(taken), reason) == (5, "full")
         assert sched.pending(KEY_A) == 0
 
     def test_take_rechecks_cap_under_its_own_lock(self):
@@ -114,45 +163,25 @@ class TestFlushLifecycle:
         # due_keys snapshot predates another take() must not start a
         # second flush of a busy model.
         sched = MicroBatchScheduler(max_batch=1)
-        sched.enqueue(_req(KEY_A, now=0.0))
-        taken, _ = sched.take(KEY_A, now=0.0)
+        _enqueue(sched, KEY_A)
+        assert sched.due_keys() == [KEY_A]
+        taken, _ = sched.take(KEY_A)
         assert len(taken) == 1
-        sched.enqueue(_req(KEY_A, now=0.0))  # arrives while in flight
-        stolen, reason = sched.take(KEY_A, now=99.0)
-        assert stolen == []
+        _enqueue(sched, KEY_A)  # arrives while in flight
+        stolen, reason = sched.take(KEY_A)
+        assert (stolen, reason) == ([], None)
         assert sched.inflight(KEY_A) == 1
         assert sched.pending(KEY_A) == 1
         sched.release(KEY_A)
-        taken, _ = sched.take(KEY_A, now=99.0)
+        taken, _ = sched.take(KEY_A)
         assert len(taken) == 1
-
-    def test_empty_take_does_not_go_inflight(self):
-        sched = MicroBatchScheduler(max_batch=2)
-        taken, _ = sched.take(KEY_A, now=0.0)
-        assert taken == []
-        assert sched.inflight(KEY_A) == 0
-
-    def test_inflight_cap_suppresses_due(self):
-        sched = MicroBatchScheduler(max_batch=1)
-        sched.enqueue(_req(KEY_A, now=0.0))
-        assert sched.due_keys(now=0.0) == [KEY_A]
-        sched.take(KEY_A, now=0.0)
-        assert sched.inflight(KEY_A) == 1
-        # More work arrives while the flush runs: not due, not counted
-        # toward next_due, until release().
-        sched.enqueue(_req(KEY_A, now=0.0, budget=0.0))
-        assert sched.due_keys(now=5.0) == []
-        assert sched.next_due(now=5.0) is None
-        sched.release(KEY_A)
-        assert sched.due_keys(now=5.0) == [KEY_A]
 
     def test_drain_queued_pops_queued_but_not_inflight(self):
         sched = MicroBatchScheduler(max_batch=1)
-        sched.enqueue(_req(KEY_A, now=0.0))
-        taken, _ = sched.take(KEY_A, now=0.0)  # now in flight
-        queued = [_req(KEY_A, now=0.0), _req(KEY_B, now=0.0)]
-        for req in queued:
-            sched.enqueue(req)
+        _enqueue(sched, KEY_A)
+        sched.take(KEY_A)  # now in flight
+        queued = [_req(KEY_A), _req(KEY_B)]
+        assert sched.enqueue(queued) == 2
         drained = sched.drain_queued()
         assert sorted(id(r) for r in drained) == sorted(id(r) for r in queued)
         assert sched.depth() == 0
@@ -162,8 +191,8 @@ class TestFlushLifecycle:
     def test_release_bookkeeping(self):
         sched = MicroBatchScheduler(max_batch=1)
         for key in (KEY_A, KEY_B):
-            sched.enqueue(_req(key, now=0.0))
-            sched.take(key, now=0.0)
+            _enqueue(sched, key)
+            sched.take(key)
         assert sched.inflight(KEY_A) == sched.inflight(KEY_B) == 1
         assert sched.inflight() == 2
         sched.release(KEY_A)
@@ -175,80 +204,12 @@ class TestFlushLifecycle:
     def test_idle(self):
         sched = MicroBatchScheduler(max_batch=2)
         assert sched.idle()
-        sched.enqueue(_req(KEY_A, now=0.0))
+        _enqueue(sched, KEY_A)
         assert not sched.idle()
-        sched.take(KEY_A, now=0.0)
+        sched.take(KEY_A)
         assert not sched.idle()  # in flight
         sched.release(KEY_A)
         assert sched.idle()
-
-
-class TestForceDrainEdgeCases:
-    """due_keys(force=True) drain-path edges under the simulated clock.
-
-    The drain/shutdown path treats every non-empty queue as due, but
-    it must still skip queues with nothing in them (a model whose
-    requests were all taken keeps an empty deque registered) and must
-    still skip a model whose flush is in flight — forcing latency
-    does not license a second concurrent flush.
-    """
-
-    def test_force_with_no_queues_at_all(self):
-        sched = MicroBatchScheduler(max_batch=4)
-        assert sched.due_keys(now=0.0, force=True) == []
-
-    def test_force_skips_emptied_queues(self):
-        sched = MicroBatchScheduler(max_batch=4)
-        sched.enqueue(_req(KEY_A, now=0.0))
-        sched.enqueue(_req(KEY_B, now=0.0))
-        taken, _ = sched.take(KEY_A, now=0.0)
-        assert len(taken) == 1
-        sched.release(KEY_A)
-        # KEY_A's deque still exists but is empty: force must not
-        # resurrect it as due.
-        assert sched.due_keys(now=0.0, force=True) == [KEY_B]
-
-    def test_force_respects_inflight_cap(self):
-        sched = MicroBatchScheduler(max_batch=1)
-        sched.enqueue(_req(KEY_A, now=0.0))
-        sched.take(KEY_A, now=0.0)  # model now busy
-        sched.enqueue(_req(KEY_A, now=0.0, budget=0.0))
-        # Force is about latency, not concurrency: the busy model
-        # stays suppressed until the in-flight flush releases.
-        assert sched.due_keys(now=100.0, force=True) == []
-        sched.release(KEY_A)
-        assert sched.due_keys(now=100.0, force=True) == [KEY_A]
-
-    def test_force_with_every_model_inflight(self):
-        sched = MicroBatchScheduler(max_batch=1)
-        for key in (KEY_A, KEY_B):
-            sched.enqueue(_req(key, now=0.0))
-            sched.take(key, now=0.0)
-            sched.enqueue(_req(key, now=0.0))
-        assert sched.due_keys(now=50.0, force=True) == []
-        assert sched.next_due(now=50.0) is None
-        sched.release(KEY_B)
-        assert sched.due_keys(now=50.0, force=True) == [KEY_B]
-
-    def test_deadline_expiring_exactly_at_now_is_due(self):
-        # The boundary is inclusive: deadline <= now means due, with
-        # or without force — a request whose budget just reached zero
-        # flushes on this poll, not the next one.
-        sched = MicroBatchScheduler(max_batch=4)
-        sched.enqueue(_req(KEY_A, now=10.0, budget=0.5))
-        assert sched.due_keys(now=10.5 - 1e-9) == []
-        assert sched.due_keys(now=10.5) == [KEY_A]
-        assert sched.due_keys(now=10.5, force=True) == [KEY_A]
-        assert sched.next_due(now=10.5) == 0.0
-
-    def test_force_then_take_reports_drain_reason(self):
-        sched = MicroBatchScheduler(max_batch=4)
-        sched.enqueue(_req(KEY_A, now=0.0, budget=100.0))
-        assert sched.due_keys(now=0.0) == []
-        assert sched.due_keys(now=0.0, force=True) == [KEY_A]
-        taken, reason = sched.take(KEY_A, now=0.0)
-        assert len(taken) == 1
-        assert reason == "drain"
 
 
 class TestDepthCounter:
@@ -263,19 +224,18 @@ class TestDepthCounter:
         sched = MicroBatchScheduler(max_batch=3)
         assert sched.audit_depth() == 0
         for _ in range(5):
-            sched.enqueue(_req(KEY_A, 0.0))
+            _enqueue(sched, KEY_A)
             sched.audit_depth()
-        for _ in range(4):
-            sched.enqueue(_req(KEY_B, 0.0))
+        _enqueue(sched, KEY_B, 4)
         assert sched.audit_depth() == 9
-        taken, _ = sched.take(KEY_A, now=10.0)
+        taken, _ = sched.take(KEY_A)
         assert len(taken) == 5
         assert sched.audit_depth() == 4
         sched.release(KEY_A)
-        sched.enqueue(_req(KEY_A, 1.0), max_depth=5)
+        sched.enqueue([_req(KEY_A, 1.0)], max_depth=5)
         assert sched.audit_depth() == 5
         # A refusal at the bound must not drift the counter.
-        assert sched.enqueue(_req(KEY_A, 1.0), max_depth=5) == -1
+        assert sched.enqueue([_req(KEY_A, 1.0)], max_depth=5) == 0
         assert sched.audit_depth() == 5
         assert len(sched.drain_queued()) == 5
         assert sched.audit_depth() == 0
@@ -288,9 +248,9 @@ class TestDepthCounter:
 
         def churn(key):
             for i in range(200):
-                sched.enqueue(_req(key, float(i)), max_depth=64)
+                sched.enqueue([_req(key, float(i))], max_depth=64)
                 if i % 3 == 0:
-                    sched.take(key, now=1e9)
+                    sched.take(key)
                     sched.release(key)
 
         threads = [threading.Thread(target=churn, args=(k,)) for k in keys]
@@ -304,7 +264,7 @@ class TestDepthCounter:
 
     def test_audit_raises_on_drift(self):
         sched = MicroBatchScheduler(max_batch=3)
-        sched.enqueue(_req(KEY_A, 0.0))
+        _enqueue(sched, KEY_A)
         sched._depth = 5  # simulate a bookkeeping bug
         with pytest.raises(AssertionError, match="depth counter"):
             sched.audit_depth()

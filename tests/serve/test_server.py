@@ -80,9 +80,7 @@ def _images(shape, n=6):
 
 
 def _manual_server(artifact_dir, clock, **overrides):
-    defaults = dict(
-        background=False, latency_budget_s=0.5, max_batch=8, n_threads=1
-    )
+    defaults = dict(background=False, max_batch=8, n_threads=1)
     defaults.update(overrides)
     return ModelServer(
         artifact_dir, ServerConfig(**defaults), clock=clock
@@ -101,11 +99,11 @@ OUTCOMES = """
   queue_full     | ServerBusy | requests cache_misses shed                                | outcome=shed; reason=queue full; queue_depth=1
   closed         | ServerBusy | requests shed                                             | outcome=shed; reason=server closed; queue_depth=0
   cache_hit      | ndarray    | requests cache_hits responses                             | outcome=ok; cache=hit; total_s
-  served         | ndarray    | requests cache_misses responses batches batch_images flush_drain | outcome=ok; cache=miss; total_s; queue_s; exec_s
-  coalesced      | ndarray    | requests cache_misses coalesced responses=2 batches batch_images flush_drain | outcome=ok; cache=coalesced; total_s; queue_s; exec_s
-  failed_forward | ServeError | requests cache_misses errors flush_drain                  | outcome=error; message~ValueError: input channels 4
-  failed_load    | ServeError | requests cache_misses errors flush_drain                  | outcome=error; message~RuntimeError: chaos: artifact load failed
-  flush_raises   | ServeError | requests cache_misses errors flush_drain                  | outcome=error; message~RuntimeError: chaos: flush failed outside a forward
+  served         | ndarray    | requests cache_misses responses batches batch_images flush_idle  | outcome=ok; cache=miss; total_s; queue_s; exec_s
+  coalesced      | ndarray    | requests cache_misses coalesced responses=2 batches batch_images flush_idle  | outcome=ok; cache=coalesced; total_s; queue_s; exec_s
+  failed_forward | ServeError | requests cache_misses errors flush_idle                   | outcome=error; message~ValueError: input channels 4
+  failed_load    | ServeError | requests cache_misses errors flush_idle                   | outcome=error; message~RuntimeError: chaos: artifact load failed
+  flush_raises   | ServeError | requests cache_misses errors flush_idle                   | outcome=error; message~RuntimeError: chaos: flush failed outside a forward
   undrained      | ServerBusy | requests cache_misses shed                                | outcome=shed; reason=server closed; queue_depth=0
 """
 
@@ -156,7 +154,7 @@ def _outcome_served(server, submit, mark, monkeypatch):
     _warm(server)
     mark()
     future = submit(_images(SHAPES[0], n=1)[0])
-    assert server.poll(force=True) == 1
+    assert server.poll() == 1
     return future
 
 
@@ -166,7 +164,7 @@ def _outcome_coalesced(server, submit, mark, monkeypatch):
     server.submit(image, KEY_A)  # the primary the row's request rides
     mark()
     future = submit(image.copy())
-    assert server.poll(force=True) == 1
+    assert server.poll() == 1
     return future
 
 
@@ -174,7 +172,7 @@ def _outcome_failed_forward(server, submit, mark, monkeypatch):
     _warm(server)
     mark()
     future = submit(np.zeros((8, 8, 4), np.float32))  # 3-channel head
-    assert server.poll(force=True) == 1
+    assert server.poll() == 1
     return future
 
 
@@ -190,7 +188,7 @@ def _outcome_failed_load(server, submit, mark, monkeypatch):
                         flaky_pipeline)
     mark()
     future = submit(_images(SHAPES[0], n=1)[0])
-    assert server.poll(force=True) == 1
+    assert server.poll() == 1
     return future
 
 
@@ -213,7 +211,7 @@ def _outcome_flush_raises(server, submit, mark, monkeypatch):
     _fail_next_flush(server, monkeypatch)
     mark()
     future = submit(_images(SHAPES[0], n=1)[0])
-    assert server.poll(force=True) == 1
+    assert server.poll() == 1
     return future
 
 
@@ -287,8 +285,7 @@ class TestFlushRaisingOutsideAForward:
         with G.default_dtype("float32"):
             server = ModelServer(
                 artifact_dir,
-                ServerConfig(background=background, latency_budget_s=0.001,
-                             n_threads=1),
+                ServerConfig(background=background, n_threads=1),
             )
             try:
                 _warm(server)
@@ -296,7 +293,7 @@ class TestFlushRaisingOutsideAForward:
                 images = _images(SHAPES[0], n=3)
                 futures = [server.submit(img, KEY_A) for img in images[:2]]
                 if not background:
-                    assert server.poll(force=True) == 1
+                    assert server.poll() == 1
                 for future in futures:
                     value = future.result(timeout=1.0)
                     assert isinstance(value, ServeError)
@@ -360,57 +357,112 @@ class TestCatalog:
             ModelServer(empty, ServerConfig(background=False))
 
 
-class TestDeadlineScheduling:
-    def test_deadline_expiry_forces_partial_batch(self, artifact_dir):
+class TestIdleDispatch:
+    def test_poll_runs_an_idle_models_queue_at_once(self, artifact_dir):
         clock = FakeClock()
-        server = _manual_server(
-            artifact_dir, clock, latency_budget_s=0.5, max_batch=8
-        )
+        server = _manual_server(artifact_dir, clock, max_batch=8)
         futures = [
             server.submit(img, KEY_A)
             for img in _images(SHAPES[0], n=3)
         ]
-        assert server.poll() == 0  # budget not expired, batch not full
-        assert server.pending() == 3
-        clock.advance(0.49)
-        assert server.poll() == 0
-        clock.advance(0.02)  # now past the oldest deadline
+        assert server.pending() == 3  # manual mode: nothing runs yet
+        assert server.poll() == 1  # no clock advance needed
+        assert all(f.done() for f in futures)
+        counters = server.stats()["counters"]
+        assert (counters["flush_idle"], counters["flush_full"]) == (1, 0)
+        assert counters["batch_images"] == 3
+        assert server.poll() == 0  # nothing left queued
+
+    def test_a_full_queue_counts_as_a_full_flush(self, artifact_dir):
+        server = _manual_server(artifact_dir, FakeClock(), max_batch=4)
+        futures = server.submit_many(_images(SHAPES[0], n=4), KEY_A)
         assert server.poll() == 1
         assert all(f.done() for f in futures)
-        assert server.stats()["counters"]["flush_deadline"] == 1
-        assert server.stats()["counters"]["batch_images"] == 3
+        counters = server.stats()["counters"]
+        assert (counters["flush_full"], counters["flush_idle"]) == (1, 0)
 
-    def test_full_batch_flushes_without_waiting(self, artifact_dir):
-        clock = FakeClock()
-        server = _manual_server(
-            artifact_dir, clock, latency_budget_s=100.0, max_batch=4
-        )
-        futures = [
-            server.submit(img, KEY_A)
-            for img in _images(SHAPES[0], n=4)
-        ]
-        assert server.poll() == 1  # due immediately: a full batch waits
-        assert all(f.done() for f in futures)
-        assert server.stats()["counters"]["flush_full"] == 1
+    def test_background_server_serves_a_lone_request(self, artifact_dir):
+        with G.default_dtype("float32"):
+            server = ModelServer(
+                artifact_dir, ServerConfig(max_batch=64, n_threads=1))
+            try:
+                future = server.submit(_images(SHAPES[0], n=1)[0], KEY_A)
+                assert isinstance(future.result(timeout=10), np.ndarray)
+            finally:
+                server.close()
+        counters = server.stats()["counters"]
+        assert (counters["flush_idle"], counters["flush_full"]) == (1, 0)
 
-    def test_per_request_deadline_overrides_budget(self, artifact_dir):
-        clock = FakeClock()
-        server = _manual_server(
-            artifact_dir, clock, latency_budget_s=100.0, max_batch=8
-        )
-        server.submit(_images(SHAPES[0], n=1)[0], KEY_A, deadline_s=0.01)
-        clock.advance(0.02)
-        assert server.poll() == 1
+    def test_submit_many_to_an_idle_model_is_one_flush(
+        self, artifact_dir, reference_outputs
+    ):
+        images = _images(SHAPES[0], n=3)
+        with G.default_dtype("float32"):
+            server = ModelServer(
+                artifact_dir, ServerConfig(max_batch=8, n_threads=1))
+            try:
+                _warm(server)
+                before = server.stats()["counters"]
+                futures = server.submit_many(images, KEY_A)
+                outputs = [f.result(timeout=10) for f in futures]
+            finally:
+                server.close()
+        after = server.stats()["counters"]
+        flushes = sum(after[k] - before[k] for k in after
+                      if k.startswith("flush_"))
+        assert flushes == 1
+        assert after["batch_images"] - before["batch_images"] == 3
+        for out, ref in zip(outputs, reference_outputs[KEY_A][SHAPES[0]]):
+            np.testing.assert_array_equal(out, ref)
 
-    def test_drain_ignores_deadlines(self, artifact_dir):
-        clock = FakeClock()
-        server = _manual_server(
-            artifact_dir, clock, latency_budget_s=100.0, max_batch=8
-        )
+    def test_submit_many_computes_a_repeated_image_once(self, artifact_dir):
+        image = _images(SHAPES[0], n=1)[0]
+        with G.default_dtype("float32"):
+            server = _manual_server(artifact_dir, FakeClock())
+            futures = server.submit_many([image, image.copy()], KEY_A)
+            assert server.pending() == 1
+            assert server.poll() == 1
+        first, rider = (f.result(timeout=0) for f in futures)
+        counters = server.stats()["counters"]
+        assert (counters["batch_images"], counters["coalesced"]) == (1, 1)
+        np.testing.assert_array_equal(first, rider)
+        assert first is not rider
+        first[:] = -1.0  # the rider's copy is its own
+        assert rider.min() >= 0.0
+
+    def test_submit_many_sheds_past_the_bound_in_order(self, artifact_dir):
+        server = _manual_server(artifact_dir, FakeClock(), max_queue_depth=2)
+        images = _images(SHAPES[0], n=3)
+        # The third image and a repeat of it are past the bound.
+        futures = server.submit_many(images + [images[2].copy()], KEY_A)
+        assert server.pending() == 2
+        for future in futures[2:]:
+            shed = future.result(timeout=0)
+            assert isinstance(shed, ServerBusy)
+            assert shed.reason == "queue full"
+        counters = server.stats()["counters"]
+        assert (counters["shed"], counters["coalesced"]) == (2, 0)
+        server.drain()
+        assert all(isinstance(f.result(timeout=0), np.ndarray)
+                   for f in futures[:2])
+        server._scheduler.audit_depth()
+
+    def test_submit_many_checks_every_shape_before_queueing(
+        self, artifact_dir
+    ):
+        server = _manual_server(artifact_dir, FakeClock())
+        images = [_images(SHAPES[0], n=1)[0], np.zeros((8, 8), np.float32)]
+        with pytest.raises(ValueError, match="H, W, C"):
+            server.submit_many(images, KEY_A)
+        assert server.pending() == 0
+        assert server.stats()["counters"]["requests"] == 0
+
+    def test_drain_runs_everything_queued(self, artifact_dir):
+        server = _manual_server(artifact_dir, FakeClock(), max_batch=8)
         future = server.submit(_images(SHAPES[0], n=1)[0], KEY_A)
         server.drain()
         assert future.done()
-        assert server.stats()["counters"]["flush_drain"] == 1
+        assert server.stats()["counters"]["flush_idle"] == 1
 
 
 class TestCorrectness:
@@ -470,7 +522,7 @@ class TestAdmissionControl:
     def test_queue_full_sheds_with_typed_result(self, artifact_dir):
         clock = FakeClock()
         server = _manual_server(
-            artifact_dir, clock, max_queue_depth=2, latency_budget_s=100.0
+            artifact_dir, clock, max_queue_depth=2
         )
         images = _images(SHAPES[0], n=3)
         f1 = server.submit(images[0], KEY_A)
@@ -484,9 +536,7 @@ class TestAdmissionControl:
 
     def test_identical_inflight_requests_coalesce(self, artifact_dir):
         clock = FakeClock()
-        server = _manual_server(
-            artifact_dir, clock, latency_budget_s=100.0, max_batch=8
-        )
+        server = _manual_server(artifact_dir, clock, max_batch=8)
         image = _images(SHAPES[0], n=1)[0]
         futures = [server.submit(image, KEY_A) for _ in range(5)]
         # One computation queued; four riders attached to it.
@@ -500,9 +550,7 @@ class TestAdmissionControl:
         assert server.stats()["counters"]["batch_images"] == 1
 
     def test_coalesced_results_are_mutation_isolated(self, artifact_dir):
-        server = _manual_server(
-            artifact_dir, FakeClock(), latency_budget_s=100.0
-        )
+        server = _manual_server(artifact_dir, FakeClock())
         image = _images(SHAPES[0], n=1)[0]
         futures = [server.submit(image, KEY_A) for _ in range(3)]
         server.drain()
@@ -641,7 +689,7 @@ class TestFailureIsolation:
                 server.submit(np.zeros((8, 8, 4), np.float32), KEY_A),
                 server.submit(images[1], KEY_A),
             ]
-            assert server.poll(force=True) == 1  # one flush takes all 3
+            assert server.poll() == 1  # one flush takes all 3
             first, bad, second = (f.result(timeout=5) for f in futures)
             assert isinstance(bad, ServeError)
             assert bad.model == KEY_A
@@ -678,7 +726,7 @@ class TestWaitsForItsOwnRequests:
         results = {}
         with G.default_dtype("float32"):
             server = ModelServer(
-                artifact_dir, ServerConfig(latency_budget_s=0.001, n_threads=1)
+                artifact_dir, ServerConfig(n_threads=1)
             )
             try:
                 held = server.submit(images[0], KEY_B)
@@ -716,7 +764,6 @@ class TestConcurrentServing:
                 artifact_dir,
                 ServerConfig(
                     max_batch=4,
-                    latency_budget_s=0.002,
                     max_queue_depth=4096,
                     n_threads=1,
                 ),
@@ -761,26 +808,6 @@ class TestConcurrentServing:
             assert served == 8 * 12
             assert server.stats()["counters"]["responses"] == served
             assert server.stats()["counters"]["shed"] == 0
-
-    def test_background_loop_flushes_on_deadline(self, artifact_dir):
-        with G.default_dtype("float32"):
-            server = ModelServer(
-                artifact_dir,
-                ServerConfig(
-                    max_batch=64, latency_budget_s=0.01, n_threads=1
-                ),
-            )
-            # Far fewer than max_batch: only the deadline can flush it.
-            future = server.submit(_images(SHAPES[0], n=1)[0], KEY_A)
-            out = future.result(timeout=10)
-            server.close()
-            assert isinstance(out, np.ndarray)
-            flushes = (
-                server.stats()["counters"]["flush_deadline"]
-                + server.stats()["counters"]["flush_drain"]
-            )
-            assert flushes >= 1
-            assert server.stats()["counters"]["flush_full"] == 0
 
 
 class TestShutdown:
@@ -852,7 +879,6 @@ class TestShutdown:
             server = ModelServer(
                 artifact_dir,
                 ServerConfig(
-                    latency_budget_s=0.001,
                     max_batch=8,
                     n_threads=1,
                     drain_timeout_s=0.05,
@@ -978,9 +1004,7 @@ class TestCoalescedRiderLatency:
         rider at ~0 s (pre-fix, both recorded the primary's 10 s)."""
         with G.default_dtype("float32"):
             clock = FakeClock()
-            server = _manual_server(
-                artifact_dir, clock, latency_budget_s=0.5
-            )
+            server = _manual_server(artifact_dir, clock)
             image = _images(SHAPES[0], n=1)[0]
             primary = server.submit(image, KEY_A)
             clock.advance(10.0)
@@ -1123,9 +1147,7 @@ class TestStatsRegistryParity:
         "batches": ("repro_serve_batches_total", {}),
         "batch_images": ("repro_serve_batch_images_total", {}),
         "flush_full": ("repro_serve_flushes_total", {"reason": "full"}),
-        "flush_deadline": (
-            "repro_serve_flushes_total", {"reason": "deadline"}),
-        "flush_drain": ("repro_serve_flushes_total", {"reason": "drain"}),
+        "flush_idle": ("repro_serve_flushes_total", {"reason": "idle"}),
     }
 
     def test_counters_equal_rendered_family_sums(self, artifact_dir):
@@ -1136,7 +1158,7 @@ class TestStatsRegistryParity:
         )
         images = _images(SHAPES[0], n=6)
         with G.default_dtype("float32"):
-            server.map([images[0]], KEY_A)  # miss, drain flush
+            server.map([images[0]], KEY_A)  # miss, idle flush
             server.map([images[0]], KEY_A)  # hit
             for _ in range(2):  # miss + coalesced rider
                 server.submit(images[1], KEY_A)
@@ -1145,8 +1167,7 @@ class TestStatsRegistryParity:
             assert isinstance(shed.result(), ServerBusy)
             assert server.poll() == 1  # full flush
             server.submit(images[4], KEY_A)
-            clock.advance(1.0)
-            assert server.poll() == 1  # deadline flush
+            assert server.poll() == 1  # idle flush
             bad = np.zeros((8, 8, 4), np.float32)
             assert isinstance(server.map([bad], KEY_B)[0], ServeError)
             server.map([images[5]], KEY_A)  # reloads A, evicting B

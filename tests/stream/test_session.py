@@ -60,13 +60,13 @@ class FakeBackend:
         self.submitted = 0
         self.arrived = threading.Condition(self.lock)
 
-    def submit(self, image, model=None, deadline_s=None):
-        fut = FakeFuture(image)
+    def submit_many(self, images, model=None):
+        futures = [FakeFuture(image) for image in images]
         with self.lock:
-            self.pending.append(fut)
-            self.submitted += 1
+            self.pending.extend(futures)
+            self.submitted += len(futures)
             self.arrived.notify_all()
-        return fut
+        return futures
 
     def wait_for_submissions(self, n, timeout=5.0):
         deadline = time.monotonic() + timeout
