@@ -43,11 +43,14 @@ Subpackages
     PNG/PPM image IO, comparison grids, ASCII plots.
 ``repro.experiments``
     Drivers regenerating every table and figure.
+
+``import repro`` loads none of them: each subpackage in ``__all__``
+loads on first access (``repro.serve``, ``getattr(repro, name)``), so a
+serving process holds only what it runs.  SciPy loads only where a
+Gaussian filter runs (data generation and SSIM).
 """
 
-from . import (analysis, api, binarize, cost, data, deploy, experiments,
-               grad, infer, jobs, metrics, models, nn, optim, perf, serve,
-               stream, train, viz)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -56,3 +59,10 @@ __all__ = [
     "grad", "infer", "jobs", "metrics", "models", "nn", "optim", "perf",
     "serve", "stream", "train", "viz", "__version__",
 ]
+
+
+def __getattr__(name):
+    """Import ``repro.<name>`` on first access (PEP 562)."""
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

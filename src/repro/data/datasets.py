@@ -21,8 +21,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from scipy import ndimage
-
 from . import synthetic
 from .resize import downscale
 
@@ -88,6 +86,7 @@ def make_pair(hr: np.ndarray, scale: int, name: str = "",
     """
     hr = _crop_to_multiple(hr, scale * max(lr_multiple, 1))
     if degradation == "bd":
+        from scipy import ndimage
         sigma = 0.4 * scale
         source = np.clip(ndimage.gaussian_filter(hr, sigma=(sigma, sigma, 0)), 0, 1)
     elif degradation == "bicubic":

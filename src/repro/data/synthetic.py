@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 import numpy as np
-from scipy import ndimage
 
 #: Smallest wavelength (HR pixels) that survives x4 downscaling + BD blur.
 MIN_RECOVERABLE_WAVELENGTH = 10.0
@@ -119,6 +118,7 @@ def blob_image(rng: np.random.Generator, h: int, w: int,
         bump = np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * sigma ** 2))
         img += bump[..., None] * (_random_color(rng) - 0.5)
     if texture_amount:
+        from scipy import ndimage
         grain = ndimage.gaussian_filter(rng.normal(size=(h, w, 3)),
                                         sigma=(1.4, 1.4, 0))
         img += texture_amount * grain
@@ -133,6 +133,7 @@ def texture_image(rng: np.random.Generator, h: int, w: int,
     leaves < 5% of the energy beyond the x4 LR Nyquist frequency, so the
     texture is recoverable rather than irreducible noise.
     """
+    from scipy import ndimage
     noise = rng.normal(size=(h, w, 3))
     smooth = ndimage.gaussian_filter(noise, sigma=(smoothness, smoothness, 0))
     smooth = (smooth - smooth.min()) / max(np.ptp(smooth), 1e-9)

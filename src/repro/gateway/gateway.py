@@ -34,6 +34,15 @@ Design decisions, and where each came from:
   death guard.  Proxy retries back off via the jobs layer's
   :class:`~repro.jobs.retry.RetryPolicy`, deterministic jitter and
   all.
+* **The pool boots together.**  Every worker is launched before any
+  handshake is awaited, at construction and in each monitor sweep, so
+  the pool is up in about one worker's start-up time and workers that
+  die together come back together.  A worker that reports an error,
+  exits before its handshake or stays silent past
+  ``worker_start_timeout_s`` is a ``RuntimeError`` naming its slot:
+  the constructor raises it, the monitor counts it and retries on its
+  next sweep.  A rolling restart still cycles one slot at a time,
+  because it holds capacity on purpose.
 * **Drain on SIGTERM is the PR 7 path end to end.**  The front door
   refuses new work (503), workers get SIGTERM and settle every
   admitted request through ``ModelServer.close(drain=True)``, then
@@ -141,6 +150,12 @@ class GatewayConfig:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
+        # A zero liveness interval would spin the monitor on a core.
+        for name in ("liveness_interval_s", "worker_start_timeout_s",
+                     "proxy_timeout_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -260,11 +275,14 @@ class Gateway:
         self._workers: Dict[int, _WorkerSlot] = {}
         self._workers_lock = threading.Lock()
         self._monitor_pause = threading.Event()
+        self._monitor_stop = threading.Event()
         self._rollout_threads: List[threading.Thread] = []
         self._init_metrics()
         try:
-            for slot in range(self.config.n_workers):
-                self._start_worker(slot)
+            failures = self._start_workers(
+                dict.fromkeys(range(self.config.n_workers), 0))
+            if failures:
+                raise failures[0]
             self._httpd = _FrontHTTPServer(
                 (self.config.host, self.config.port), _FrontHandler, self)
         except Exception:
@@ -274,7 +292,6 @@ class Gateway:
             target=self._httpd.serve_forever, name="gateway-front",
             daemon=True)
         self._front_thread.start()
-        self._monitor_stop = threading.Event()
         self._monitor_thread = threading.Thread(
             target=self._monitor, name="gateway-monitor", daemon=True)
         self._monitor_thread.start()
@@ -395,8 +412,9 @@ class Gateway:
 
     # -- worker pool -------------------------------------------------------
 
-    def _spawn(self, slot: int) -> Tuple:
-        """Spawn one worker and block until it reports its port."""
+    def _launch(self, slot: int) -> Tuple:
+        """Start one worker process; returns it and the read end of its
+        handshake pipe without waiting for the handshake."""
         parent, child = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
@@ -404,69 +422,109 @@ class Gateway:
             name=f"gateway-worker-{slot}", daemon=True)
         process.start()
         child.close()
-        if not parent.poll(timeout=self.config.worker_start_timeout_s):
-            process.terminate()
-            raise RuntimeError(
-                f"worker {slot} did not report ready within "
-                f"{self.config.worker_start_timeout_s:g}s")
-        kind, payload = parent.recv()
-        parent.close()
-        if kind != "ready":
-            process.join(timeout=5.0)
-            raise RuntimeError(f"worker {slot} failed to start: {payload}")
-        return process, payload
+        return process, parent
 
-    def _start_worker(self, slot: int, respawns: int = 0) -> None:
-        process, port = self._spawn(slot)
-        with self._workers_lock:
-            self._workers[slot] = _WorkerSlot(
-                slot=slot, process=process, port=port, respawns=respawns)
-            self._ring.add(slot)
+    def _await(self, slot: int, process, conn, deadline: float,
+               respawns: int) -> None:
+        """Receive a launched worker's handshake by ``deadline`` (a
+        ``time.monotonic()`` value) and register the slot in the pool
+        and on the ring; the pipe is closed either way.
+
+        A worker that reports an error, exits first (end of file on the
+        pipe) or stays silent is stopped and joined, and
+        ``RuntimeError`` names the slot and its exit code.  Once the
+        gateway is closing, a ready worker is stopped instead of
+        registered, so ``close()`` leaves no process behind.
+        """
+        timeout = self.config.worker_start_timeout_s
+        try:
+            if conn.poll(max(0.0, deadline - time.monotonic())):
+                kind, payload = conn.recv()
+            else:
+                kind, payload = "silent", f"no ready message in {timeout:g}s"
+        except (EOFError, OSError):
+            kind, payload = "error", "exited before its ready message"
+        finally:
+            conn.close()
+        if kind == "ready":
+            with self._workers_lock:
+                if not self._monitor_stop.is_set():
+                    self._workers[slot] = _WorkerSlot(
+                        slot=slot, process=process, port=payload,
+                        respawns=respawns)
+                    self._ring.add(slot)
+                    return
+        elif kind == "error":
+            process.join(timeout=5.0)  # it is exiting on its own
+        process.terminate()
+        process.join(timeout=5.0)
+        if kind != "ready":
+            raise RuntimeError(f"worker {slot} failed to start: {payload} "
+                               f"(exit code {process.exitcode})")
+
+    def _start_workers(self, respawns: Dict[int, int]) -> List[RuntimeError]:
+        """Start a worker for each slot in ``respawns`` (slot -> its
+        respawn count): launch them all, then await each handshake in
+        slot order under one ``worker_start_timeout_s`` deadline, so
+        the pool boots in about one worker's start-up time.  Returns
+        the failures; every other slot is serving."""
+        deadline = time.monotonic() + self.config.worker_start_timeout_s
+        launched = [(slot, *self._launch(slot)) for slot in sorted(respawns)]
+        failures = []
+        for slot, process, conn in launched:
+            try:
+                self._await(slot, process, conn, deadline, respawns[slot])
+            except RuntimeError as exc:
+                failures.append(exc)
+        return failures
 
     def _monitor(self) -> None:
         """Liveness loop — ``jobs/runner.py``'s lease re-dispatch shape:
-        a dead worker's slot leaves the ring (in-flight requests fail
-        fast at the proxy and re-route), gets respawned, and rejoins;
-        a slot that keeps dying is abandoned after ``max_respawns``."""
+        each sweep takes every dead worker's slot off the ring (their
+        in-flight requests fail fast at the proxy and re-route), then
+        respawns them all together; a slot that keeps dying is
+        abandoned after ``max_respawns``."""
         while not self._monitor_stop.wait(self.config.liveness_interval_s):
             if self._monitor_pause.is_set():
                 # A rolling restart is deliberately cycling workers;
                 # respawning them here would race it (two processes
                 # for one slot).
                 continue
-            for slot in list(self._workers):
-                with self._workers_lock:
-                    worker = self._workers.get(slot)
-                    if worker is None or worker.abandoned:
-                        continue
-                    if worker.process.is_alive():
+            relaunch: Dict[int, int] = {}
+            abandoned = 0
+            with self._workers_lock:
+                for slot, worker in self._workers.items():
+                    if worker.abandoned or worker.process.is_alive():
                         continue
                     # Dead: route around it before anything else.
                     self._ring.remove(slot)
                     worker.respawns += 1
-                    abandon = worker.respawns > self.config.max_respawns
-                    worker.abandoned = abandon
-                if self._monitor_stop.is_set():
-                    return
-                if abandon:
-                    self._m_abandoned.inc()
-                    continue
-                self._m_respawns.inc()
-                try:
-                    self._start_worker(slot, respawns=worker.respawns)
-                except RuntimeError:
-                    # Startup itself failed; the slot's dead entry is
-                    # still in the table, so the next poll tick burns
-                    # another respawn toward the abandonment cap.
-                    self._m_respawn_failures.inc()
+                    worker.abandoned = (worker.respawns
+                                        > self.config.max_respawns)
+                    if worker.abandoned:
+                        abandoned += 1
+                    else:
+                        relaunch[slot] = worker.respawns
+            self._m_abandoned.inc(abandoned)
+            if not relaunch or self._monitor_stop.is_set():
+                continue
+            self._m_respawns.inc(len(relaunch))
+            # A failed startup leaves the slot's dead entry in the
+            # table, so the next sweep burns another respawn toward the
+            # abandonment cap.
+            self._m_respawn_failures.inc(
+                len(self._start_workers(relaunch)))
 
     def _terminate_workers(self, graceful: bool) -> None:
         with self._workers_lock:
             workers = [w for w in self._workers.values() if not w.abandoned]
-        if graceful:
-            for worker in workers:
-                if worker.process.is_alive():
-                    worker.process.terminate()  # SIGTERM → worker drain
+        for worker in workers:
+            if not worker.process.is_alive():
+                continue
+            if graceful:
+                worker.process.terminate()  # SIGTERM → worker drain
+            else:
+                worker.process.kill()  # nothing to settle: do not wait
         timeout = 30.0 if graceful else 5.0
         deadline = time.monotonic() + timeout
         for worker in workers:
@@ -693,12 +751,10 @@ class Gateway:
                 if process.is_alive():  # pragma: no cover - stuck drain
                     process.kill()
                     process.join(timeout=5.0)
-                try:
-                    self._start_worker(slot, respawns=worker.respawns)
-                except RuntimeError:
-                    # The monitor's respawn accounting takes over once
-                    # unpaused; the slot's dead entry stays visible.
-                    self._m_respawn_failures.inc()
+                # On a failed start the monitor's respawn accounting
+                # takes over once unpaused; the dead entry stays visible.
+                self._m_respawn_failures.inc(len(
+                    self._start_workers({slot: worker.respawns})))
             self._m_rollouts.inc()
             log_event(_LOG, "rollout_complete", workers=len(self._workers))
         finally:

@@ -8,12 +8,12 @@ the usual constants K1 = 0.01, K2 = 0.03 — the configuration SR papers
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from ..data.color import rgb_to_y, shave_border
 
 
 def _gaussian_filter(img: np.ndarray, sigma: float, truncate: float) -> np.ndarray:
+    from scipy import ndimage
     return ndimage.gaussian_filter(img, sigma=sigma, truncate=truncate, mode="reflect")
 
 

@@ -6,7 +6,9 @@ The acceptance criteria of the network front door, exercised for real:
   on the same artifacts (the serving layer's determinism contract,
   kept across process and socket boundaries);
 * killing a worker mid-load completes every request via re-routing —
-  zero hung clients — and the monitor respawns the slot;
+  zero hung clients — and the monitor respawns the slot; workers that
+  die together come back together, and a worker that exits before its
+  handshake is a counted startup failure, never a dead monitor;
 * typed refusals end to end: 404 unknown model, 400 malformed, 429
   over-quota, 503 draining;
 * SIGTERM drains gracefully: in-flight requests settle, late arrivals
@@ -14,6 +16,7 @@ The acceptance criteria of the network front door, exercised for real:
 """
 
 import http.client
+import multiprocessing
 import os
 import signal
 import socket
@@ -26,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.gateway.gateway as gateway_module
 from repro.api import Engine, EngineConfig
 from repro.gateway import (
     Gateway,
@@ -207,6 +211,22 @@ class TestAdmission:
         assert "draining" in result.reason
 
 
+def _eventually(predicate, what, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out waiting for {what}")
+        time.sleep(0.05)
+
+
+def _counter(gw, name):
+    """One of the gateway's own counters, read from its exposition."""
+    for line in gw.metrics.render().splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    raise AssertionError(f"{name} is not exported")
+
+
 class TestWorkerDeath:
     def test_killed_worker_reroutes_with_zero_hung_clients(self, zoo_dir):
         config = _config(liveness_interval_s=0.1)
@@ -248,6 +268,54 @@ class TestWorkerDeath:
             else:
                 pytest.fail(f"worker {victim} was never respawned")
             assert gw.stats()["gateway"]["worker_respawns"] >= 1
+
+    def test_workers_killed_together_both_come_back(self, zoo_dir):
+        with Gateway(zoo_dir, _config(liveness_interval_s=0.1)) as gw:
+            old = {slot: w.process.pid for slot, w in gw._workers.items()}
+            for pid in old.values():
+                os.kill(pid, signal.SIGKILL)
+            _eventually(lambda: all(
+                w["alive"] and w["respawns"] >= 1
+                for w in gw.health()["workers"].values()),
+                "both slots to respawn")
+            assert all(gw._workers[slot].process.pid != pid
+                       for slot, pid in old.items())
+            assert gw.stats()["gateway"]["worker_respawns"] >= 2
+            client = GatewayClient(gw.address)
+            img = images(n=1, seed=61)[0]
+            assert client.infer(img, MODEL_A).ok
+            assert client.infer(img, MODEL_B).ok
+
+    def test_respawn_that_exits_before_its_handshake_keeps_the_monitor(
+            self, zoo_dir, monkeypatch):
+        failures = "repro_gateway_worker_respawn_failures_total"
+        config = _config(liveness_interval_s=0.1, max_respawns=100)
+        with Gateway(zoo_dir, config) as gw:
+            monitor = gw._monitor_thread
+            # The child calls os._exit(slot, ...), which raises
+            # TypeError before anything is sent: the pipe reads EOF.
+            monkeypatch.setattr(gateway_module, "worker_main", os._exit)
+            os.kill(gw._workers[0].process.pid, signal.SIGKILL)
+            _eventually(lambda: _counter(gw, failures) >= 1
+                        or not monitor.is_alive(), "a respawn failure")
+            monkeypatch.undo()
+            assert monitor.is_alive()
+            assert _counter(gw, failures) >= 1
+            _eventually(lambda: gw.health()["workers"]["0"]["alive"],
+                        "slot 0 to come back")
+            assert monitor.is_alive()
+            worker = GatewayClient(("127.0.0.1", gw._workers[0].port))
+            assert worker.infer(images(n=1, seed=51)[0], MODEL_A).ok
+
+    def test_worker_exiting_before_its_handshake_fails_the_constructor(
+            self, zoo_dir, monkeypatch):
+        before = set(multiprocessing.active_children())
+        monkeypatch.setattr(gateway_module, "worker_main", os._exit)
+        with pytest.raises(RuntimeError,
+                           match=r"^worker 0 .*\(exit code 1\)$"):
+            Gateway(zoo_dir, _config())
+        # Every launched worker was joined: none is left running.
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestSigtermDrain:
