@@ -10,6 +10,7 @@ closely enough that the Bicubic baseline rows of Table III are meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Tuple
 
@@ -26,12 +27,14 @@ def cubic_kernel(x: np.ndarray, a: float = -0.5) -> np.ndarray:
     return np.where(ax <= 1, inner, np.where(ax < 2, outer, 0.0))
 
 
+@functools.lru_cache(maxsize=256)
 def _contributions(in_size: int, out_size: int, scale: float,
                    antialias: bool = True) -> Tuple[np.ndarray, np.ndarray]:
     """Sample indices and weights for one axis.
 
     Returns ``(indices, weights)`` with shape ``(out_size, taps)``; border
-    samples replicate the edge pixel.
+    samples replicate the edge pixel.  Memoized per argument tuple, so
+    the arrays are shared between calls and read-only.
     """
     kernel_width = 4.0
     kernel_scale = 1.0
@@ -48,6 +51,8 @@ def _contributions(in_size: int, out_size: int, scale: float,
     norm[norm == 0] = 1.0
     weights = weights / norm
     indices = np.clip(indices, 0, in_size - 1)
+    indices.flags.writeable = False
+    weights.flags.writeable = False
     return indices, weights
 
 
@@ -66,7 +71,8 @@ def _resize_axis(img: np.ndarray, out_size: int, axis: int,
 
 def bicubic_resize(img: np.ndarray, out_hw: Tuple[int, int],
                    antialias: bool = True, clip: bool = True) -> np.ndarray:
-    """Resize an ``(H, W)`` or ``(H, W, C)`` image to ``out_hw``."""
+    """Resize an ``(H, W, ...)`` array to ``out_hw`` over its two
+    leading axes; any trailing axes (channels, a batch) ride along."""
     out_h, out_w = out_hw
     if out_h <= 0 or out_w <= 0:
         raise ValueError("output size must be positive")

@@ -251,15 +251,21 @@ class PackedBinaryConv2d(Module):
         return Tensor(out)
 
     def forward(self, x: Tensor) -> Tensor:
+        # The epilogue runs in place on the fresh plane _forward_bits
+        # returned (after a BatchNorm, on the BN's own output).  Every
+        # operand is in the thread's default dtype, as that plane is,
+        # and a ufunc with out= computes in its inputs' promoted type
+        # and casts on store: the bits a Tensor op gives, without a
+        # new plane per step.
         result = self._forward_bits(x)
         if self._has_spatial:
-            result = result * self.spatial(x)
+            np.multiply(result.data, self.spatial(x).data, out=result.data)
         if self._has_channel:
-            result = result * self.channel(x)
+            np.multiply(result.data, self.channel(x).data, out=result.data)
         if self._has_bn:
             result = self.bn(result)
         if self.skip:
-            result = result + x
+            np.add(result.data, x.data, out=result.data)
         return result
 
 
@@ -323,11 +329,12 @@ class PackedBinaryLinear(Module):
         return Tensor(out.reshape(*lead, -1))
 
     def forward(self, x: Tensor) -> Tensor:
+        # In place, as PackedBinaryConv2d.forward.
         result = self._forward_bits(x)
         if self._has_spatial:
-            result = result * self.spatial(x)
+            np.multiply(result.data, self.spatial(x).data, out=result.data)
         if self.skip:
-            result = result + x
+            np.add(result.data, x.data, out=result.data)
         return result
 
 

@@ -31,7 +31,8 @@ Design decisions, and where each came from:
   processes, respawn the dead (their in-flight requests fail fast at
   the proxy and re-route to the ring's next owner), and give up on a
   slot only after ``max_respawns`` consecutive deaths — the fruitless-
-  death guard.  Proxy retries back off via the jobs layer's
+  death guard; a request the slot's worker answers resets its count.
+  Proxy retries back off via the jobs layer's
   :class:`~repro.jobs.retry.RetryPolicy`, deterministic jitter and
   all.
 * **The pool boots together.**  Every worker is launched before any
@@ -117,7 +118,9 @@ class GatewayConfig:
         Monitor poll period for dead-worker detection.
     max_respawns:
         Consecutive deaths after which a worker slot is abandoned
-        (removed from the ring) instead of respawned forever.
+        (removed from the ring) instead of respawned forever; deaths
+        stop being consecutive once the slot's worker answers a
+        proxied request with anything but 503.
     worker_start_timeout_s:
         How long to wait for a spawned worker's ready message.
     proxy_timeout_s:
@@ -483,7 +486,8 @@ class Gateway:
         each sweep takes every dead worker's slot off the ring (their
         in-flight requests fail fast at the proxy and re-route), then
         respawns them all together; a slot that keeps dying is
-        abandoned after ``max_respawns``."""
+        abandoned after ``max_respawns`` deaths with no request served
+        in between (``proxy_infer`` resets the count)."""
         while not self._monitor_stop.wait(self.config.liveness_interval_s):
             if self._monitor_pause.is_set():
                 # A rolling restart is deliberately cycling workers;
@@ -606,6 +610,12 @@ class Gateway:
                 last_unavailable = (status, payload)
                 continue
             self._m_proxied.inc()
+            with self._workers_lock:
+                # The worker served: its slot's deaths are no longer
+                # consecutive.  A respawn since routing has a new port.
+                worker = self._workers.get(slot)
+                if worker is not None and worker.port == port:
+                    worker.respawns = 0
             if status == 200 and self.canary.should_sample(key):
                 self._verify_canary(key, request, payload, request_id)
             log_event(_LOG, "proxy", request_id=request_id,

@@ -2,11 +2,13 @@
 
 ``conv2d`` is the computational core of every CNN-based SR network in the
 paper (SRResNet/EDSR/RDN/RCAN) and of the binary convolution layers.  It is
-implemented as im2col + GEMM: zero-copy patch extraction via
-``np.lib.stride_tricks.sliding_window_view`` followed by a single
-BLAS-backed matmul over the batch.  The window view never materializes
-the ``(B, C, kh, kw, H_out, W_out)`` patch tensor; the only copy is the
-one packing the strided view into the GEMM operand layout.
+implemented as im2col + GEMM: a zero-copy, read-only strided window
+view (the shape and strides ``sliding_window_view`` would give, built
+directly with ``as_strided``) followed by a single BLAS-backed matmul
+over the batch.  The window view never materializes the
+``(B, C, kh, kw, H_out, W_out)`` patch tensor; the only copy is the one
+packing the strided view into the GEMM operand layout.  Zero padding is
+a zeroed buffer with the input copied into its interior.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor
 
@@ -55,12 +57,26 @@ def _scatter_patches(grad_patches: np.ndarray, x_shape: Tuple[int, ...],
     return gx
 
 
+def _zero_pad(x: np.ndarray, pads: Tuple[int, ...]) -> np.ndarray:
+    """``x`` zero-padded by ``pads[i]`` on both sides of trailing axis
+    ``i`` (``np.pad`` in constant mode, without its per-call set-up)."""
+    lead = x.ndim - len(pads)
+    out = np.zeros(x.shape[:lead] + tuple(n + 2 * p for n, p in
+                                          zip(x.shape[lead:], pads)),
+                   dtype=x.dtype)
+    out[(...,) + tuple(slice(p, p + n) for n, p in
+                       zip(x.shape[lead:], pads))] = x
+    return out
+
+
 def _window_view(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Zero-copy strided window view of shape (B, C, out_h, out_w, kh, kw)."""
-    view = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    if sh != 1 or sw != 1:
-        view = view[:, :, ::sh, ::sw]
-    return view
+    """Zero-copy, read-only strided window view of shape
+    (B, C, out_h, out_w, kh, kw)."""
+    b, c, h, w = x.shape
+    s_b, s_c, s_h, s_w = x.strides
+    return as_strided(
+        x, (b, c, (h - kh) // sh + 1, (w - kw) // sw + 1, kh, kw),
+        (s_b, s_c, s_h * sh, s_w * sw, s_h, s_w), writeable=False)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
@@ -96,7 +112,7 @@ def conv2d(
     if out_h <= 0 or out_w <= 0:
         raise ValueError("convolution output would be empty")
 
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
+    x_pad = _zero_pad(x.data, (ph, pw)) if (ph or pw) else x.data
     cols = _im2col(x_pad, kh, kw, sh, sw, out_h, out_w)
     w_mat = weight.data.reshape(c_out, c_in * kh * kw)
     out = np.matmul(w_mat, cols).reshape(b, c_out, out_h, out_w)
@@ -143,10 +159,10 @@ def conv1d(
     if out_l <= 0:
         raise ValueError("conv1d output would be empty")
 
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    view = sliding_window_view(x_pad, k, axis=2)
-    if stride != 1:
-        view = view[:, :, ::stride]
+    x_pad = _zero_pad(x.data, (padding,)) if padding else x.data
+    s_b, s_c, s_l = x_pad.strides
+    view = as_strided(x_pad, (b, c_in, out_l, k),
+                      (s_b, s_c, s_l * stride, s_l), writeable=False)
     # (B, C, out_l, k) -> (B, C*k, out_l); single packing copy.
     cols = view.transpose(0, 1, 3, 2).reshape(b, c_in * k, out_l)
     w_mat = weight.data.reshape(c_out, c_in * k)
@@ -197,6 +213,8 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
     b, c, h, w = x.shape
     out_h = (h - kh) // sh + 1
     out_w = (w - kw) // sw + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError("pooling window is larger than the input")
     data = _window_view(x.data, kh, kw, sh, sw).mean(axis=(4, 5))
 
     def backward(grad, send):

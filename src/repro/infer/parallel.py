@@ -22,6 +22,12 @@ setter), and finally ``os.cpu_count()``.  ``1`` disables the pool
 entirely (callers run inline on the calling thread), which is also the
 deterministic-latency choice for benchmarking single-core behaviour.
 
+Work handed to the pool may fan out again: a :func:`parallel_map`
+issued from a pool task (a server flush's batches) hands its items to
+idle workers and runs the ones no worker has started itself, so it uses
+an idle core when there is one and never waits on work nobody runs.
+:func:`submit_task` from a pool task runs inline.
+
 Results are always returned in submission order, and callers stitch /
 reduce them on the calling thread afterwards, so outputs are identical
 for every thread count.  Work handed to the pool runs under the
@@ -145,7 +151,7 @@ def get_num_threads() -> int:
 def _in_caller_context(fn: Callable[..., R]) -> Callable[..., R]:
     """Wrap ``fn`` to run in a pool worker under the calling thread's
     grad mode and effective dtype, flagged as a worker (nested pool
-    calls then run inline instead of deadlocking the pool)."""
+    calls then help while they wait instead of deadlocking the pool)."""
     grad_enabled = is_grad_enabled()
     dtype = get_default_dtype()
 
@@ -168,18 +174,22 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     """``[fn(item) for item in items]``, fanned out over worker threads.
 
     Results come back in input order.  With one item, one thread, or an
-    empty sequence the call runs inline — no pool, no overhead.  Calls
-    issued *from inside a pool worker* (a thread-parallel model nested
-    in a thread-parallel pipeline) also run inline: handing them to the
-    shared pool while every worker waits on them would deadlock.  A
-    worker exception propagates to the caller (remaining work is not
-    cancelled, matching executor semantics).
+    empty sequence the call runs inline — no pool, no overhead.  A call
+    issued *from inside a pool worker* (a server flush's batches, a
+    thread-parallel model nested in a thread-parallel pipeline) helps
+    while it waits: it queues all but the first item of each wave, runs
+    the first itself, then takes back every queued item no idle worker
+    has started and runs it inline too.  It waits only on items another
+    worker is already running, so it cannot deadlock the pool however
+    busy it is — and so ``fn`` must never wait on another item of the
+    same call.  The first exception propagates to the caller; queued
+    items of its wave are cancelled, started ones run to completion.
     """
     items = list(items)
     resolved = (get_num_threads() if n_threads is None
                 else check_num_threads(n_threads))
     workers = min(resolved, len(items))
-    if workers <= 1 or getattr(_in_worker, "active", False):
+    if workers <= 1:
         return [fn(item) for item in items]
 
     # Grad mode and dtype are thread-local (repro.grad): a no_grad() or
@@ -192,26 +202,54 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     # the pool width cannot be trusted to bound concurrency when the
     # requested thread count is lower than a previous call's.
     pool = _executor(workers)
+    nested = getattr(_in_worker, "active", False)
     results: List[R] = []
     for i in range(0, len(items), workers):
-        results.extend(pool.map(guarded, items[i:i + workers]))
+        wave = items[i:i + workers]
+        if nested:
+            results.extend(_help_while_waiting(pool, fn, guarded, wave))
+        else:
+            results.extend(pool.map(guarded, wave))
     return results
+
+
+def _help_while_waiting(pool: ThreadPoolExecutor, fn: Callable[[T], R],
+                        guarded: Callable[[T], R],
+                        wave: List[T]) -> List[R]:
+    """One wave of a :func:`parallel_map` issued from a pool worker.
+
+    All but the first item go to the pool; this thread runs the first,
+    then each queued item in order: inline when ``cancel()`` shows no
+    worker has started it, else it waits for the worker running it.
+    This worker already holds the caller's grad mode and dtype, so its
+    own items call the plain ``fn``.
+    """
+    queued = [(pool.submit(guarded, item), item) for item in wave[1:]]
+    try:
+        results = [fn(wave[0])]
+        for future, item in queued:
+            results.append(fn(item) if future.cancel() else future.result())
+        return results
+    finally:
+        for future, _ in queued:
+            future.cancel()
 
 
 def submit_task(fn: Callable[..., R], *args, **kwargs) -> "Future[R]":
     """Hand one task to the shared inference pool; returns its future.
 
-    This is the executor handoff for layers above the pipeline (the
+    This is the executor handoff for layers above the pipeline: the
     multi-model server runs each model's flush as one task, so several
-    models execute concurrently while each flush's internal
-    ``parallel_map`` runs inline — the task carries the same
-    nested-call guard as a ``parallel_map`` worker, so it can never
-    deadlock the pool by fanning out into it and waiting).
+    models execute concurrently.  The task is flagged as a pool worker,
+    so a flush's own ``parallel_map`` over its batches hands them to
+    idle workers and runs the rest itself (see :func:`parallel_map`).
 
     With an effective thread count of 1, or when called from inside a
     pool worker, the task runs inline on the calling thread and the
     returned future is already resolved — the deterministic single
-    -core behaviour, with no second pool and no extra threads.
+    -core behaviour, with no second pool and no extra threads.  (A
+    worker that queued a task and waited on its future could wait on
+    work no idle worker is left to start.)
 
     The caller's (thread-local) grad mode and dtype are carried into
     the worker, matching :func:`parallel_map`.

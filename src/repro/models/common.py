@@ -118,16 +118,25 @@ def bicubic_residual(x: Tensor, scale: int) -> Tensor:
     The binary SR literature (E2FIF, BTM) reconstructs the *residual* on
     top of a cheap interpolation of the LR input; the interpolation is a
     constant w.r.t. the parameters, so it enters the graph as data.
+
+    The batch resizes in one call, viewed as one ``(H, W, C, B)`` image;
+    each output equals upscaling its image alone, bit for bit.  Images
+    with one value per row (``C * W == 1``) are the exception: alone,
+    their row pass sums the taps in another order, so they resize one
+    at a time.
     """
     import numpy as np
 
     from ..data.resize import upscale
 
     images = x.data
-    ups = np.stack([
-        upscale(img.transpose(1, 2, 0), scale).transpose(2, 0, 1)
-        for img in images
-    ])
+    b, c, _, w = images.shape
+    step = 1 if c * w == 1 else b
+    ups = np.concatenate([
+        upscale(images[i:i + step].transpose(2, 3, 1, 0), scale)
+        .transpose(3, 2, 0, 1)
+        for i in range(0, b, step)
+    ], dtype=G.get_default_dtype())
     return Tensor(ups)
 
 

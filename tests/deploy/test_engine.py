@@ -88,6 +88,57 @@ class TestLayerEquivalence:
                                    rtol=0, atol=1e-5)
 
 
+def _tensor_epilogue(packed, x):
+    """The epilogue as ``Tensor`` ops, one new plane per step."""
+    result = packed._forward_bits(x)
+    if packed._has_spatial:
+        result = result * packed.spatial(x)
+    if getattr(packed, "_has_channel", False):
+        result = result * packed.channel(x)
+    if getattr(packed, "_has_bn", False):
+        result = packed.bn(result)
+    if packed.skip:
+        result = result + x
+    return result
+
+
+class TestInPlaceEpilogue:
+    """The packed epilogue (x spatial, x channel, BN, + skip) runs in
+    place on the plane the bit-domain step returns: the bits of the
+    ``Tensor`` ops, and the layer's input is left as it was."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["scales_conv", "e2fif_conv",
+                                      "scales_linear"])
+    def test_matches_tensor_ops_and_keeps_the_input(self, kind, dtype):
+        init.seed(0)
+        rng = np.random.default_rng(7)
+        with G.default_dtype(dtype):
+            if kind == "scales_conv":
+                layer = SCALESBinaryConv2d(6, 6, 3, skip=True)
+                packed = PackedBinaryConv2d.from_scales(layer)
+                shape = (2, 6, 7, 9)
+            elif kind == "e2fif_conv":
+                layer = E2FIFBinaryConv2d(6, 6, 3)
+                layer.bn.running_mean[...] = rng.normal(size=6) * 0.1
+                packed = PackedBinaryConv2d.from_e2fif(layer)
+                shape = (2, 6, 7, 9)
+            else:
+                layer = SCALESBinaryLinear(12, 12, skip=True)
+                packed = PackedBinaryLinear.from_scales(layer)
+                shape = (2, 5, 12)
+            assert packed.skip
+            packed.eval()
+            x = Tensor(rng.normal(size=shape))
+            before = x.data.copy()
+            with no_grad():
+                got = packed(x).data
+                want = _tensor_epilogue(packed, x).data
+        np.testing.assert_array_equal(x.data, before)
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(got, want)
+
+
 class TestCompileModel:
     @pytest.mark.parametrize("arch,scheme", [
         ("srresnet", "scales"), ("srresnet", "e2fif"),

@@ -307,6 +307,24 @@ class TestWorkerDeath:
             worker = GatewayClient(("127.0.0.1", gw._workers[0].port))
             assert worker.infer(images(n=1, seed=51)[0], MODEL_A).ok
 
+    def test_a_served_request_resets_the_death_count(self, zoo_dir):
+        # max_respawns counts consecutive deaths: a slot that serves
+        # between two crashes is respawned both times, not abandoned.
+        config = _config(n_workers=1, max_respawns=1,
+                         liveness_interval_s=0.1)
+        with Gateway(zoo_dir, config) as gw:
+            client = GatewayClient(gw.address)
+            img = images(n=1, seed=71)[0]
+            for death in range(2):
+                pid = gw._workers[0].process.pid
+                os.kill(pid, signal.SIGKILL)
+                _eventually(lambda: gw._workers[0].process.pid != pid
+                            and gw.health()["workers"]["0"]["alive"],
+                            f"slot 0 to respawn after death {death + 1}")
+                result = client.infer(img, MODEL_A)
+                assert result.http_status == 200, result.reason
+                assert gw.health()["workers"]["0"]["respawns"] == 0
+
     def test_worker_exiting_before_its_handshake_fails_the_constructor(
             self, zoo_dir, monkeypatch):
         before = set(multiprocessing.active_children())

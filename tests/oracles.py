@@ -15,6 +15,8 @@ the timing baselines of ``benchmarks/`` (imported there as
 * :class:`SequentialTiledInference` — the one tiled oracle: one forward
   per tile on the calling thread, with its own clip-and-average stitch;
 * :func:`self_ensemble_reference` — the seed per-transform loop;
+* :func:`bicubic_residual_reference` — the seed per-image bicubic
+  residual loop;
 * :func:`reference_conv2d` and :func:`reference_conv2d_backward` — naive
   direct convolution and its gradients, the float conv oracle.
 """
@@ -28,6 +30,7 @@ import numpy as np
 
 from repro.deploy.engine import PackedBinaryConv2d, PackedBinaryLinear
 from repro.deploy.kernels import _padding_correction
+from repro.data.resize import upscale
 from repro.deploy.packing import pack_signs
 from repro.grad import Tensor, no_grad, thread_default_dtype
 from repro.grad.conv import _window_view, conv2d_output_shape
@@ -335,6 +338,13 @@ def self_ensemble_reference(model, lr_image: np.ndarray,
         sr = inverse_t(sr)
         accumulated = sr if accumulated is None else accumulated + sr
     return np.clip(accumulated / n_transforms, 0.0, 1.0)
+
+
+def bicubic_residual_reference(x: Tensor, scale: int) -> Tensor:
+    """The seed ``bicubic_residual``: one ``upscale`` call per image."""
+    return Tensor(np.stack([
+        upscale(img.transpose(1, 2, 0), scale).transpose(2, 0, 1)
+        for img in x.data]))
 
 
 # ----------------------------------------------------------------------
