@@ -7,7 +7,8 @@ and trained with the optimizers in :mod:`repro.optim`.
 
 from .tensor import (Tensor, as_tensor, check_dtype, custom_op, default_dtype,
                      get_default_dtype, is_grad_enabled, no_grad,
-                     set_default_dtype, thread_default_dtype, unbroadcast)
+                     process_default_dtype, set_default_dtype,
+                     thread_default_dtype, unbroadcast)
 from .activations import (
     absolute,
     clip,
@@ -46,8 +47,9 @@ from .conv import (
 
 __all__ = [
     "Tensor", "as_tensor", "check_dtype", "custom_op", "default_dtype",
-    "get_default_dtype", "is_grad_enabled", "no_grad", "set_default_dtype",
-    "thread_default_dtype", "unbroadcast",
+    "get_default_dtype", "is_grad_enabled", "no_grad",
+    "process_default_dtype", "set_default_dtype", "thread_default_dtype",
+    "unbroadcast",
     "absolute", "clip", "exp", "gelu", "leaky_relu", "log", "maximum", "relu",
     "sigmoid", "softmax", "sqrt", "tanh", "where",
     "maxval", "mean", "minval", "sum", "var",

@@ -72,6 +72,12 @@ def get_default_dtype():
     return override if override is not None else _default_dtype
 
 
+def process_default_dtype():
+    """The process-wide default dtype (:func:`set_default_dtype`),
+    whatever override this thread holds."""
+    return _default_dtype
+
+
 @contextlib.contextmanager
 def default_dtype(dtype):
     """Temporarily switch the *process-wide* default tensor dtype.

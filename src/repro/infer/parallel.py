@@ -6,27 +6,29 @@ parallel speedups on multi-core hosts without any pickling or shared
 -memory machinery — the packed engine's per-thread workspace arena
 (:mod:`repro.deploy.workspace`) keeps the scratch buffers disjoint.
 
-The pool is the process's one level of parallelism.  When it is created
-(which needs two or more workers) it sets every OpenBLAS loaded in the
-process to one thread, for the rest of the process: the FP convolutions
-call BLAS every few milliseconds, and an OpenBLAS worker thread
-busy-waits between calls, holding a core the pool threads need.  BLAS
-computes the same bits at any thread count, so outputs are unchanged.
-A thread count of ``1`` never creates the pool and leaves the cores to
-BLAS instead.
+The pool is the process's one level of parallelism.  The first time it
+reaches two workers it sets every OpenBLAS loaded in the process to one
+thread and puts ``OPENBLAS_NUM_THREADS=1`` in ``os.environ``, so an
+OpenBLAS loaded later (SciPy's) and every process spawned afterwards
+start at one thread too: the FP convolutions call BLAS every few
+milliseconds, and an OpenBLAS worker thread busy-waits between calls,
+holding a core the pool threads need.  BLAS computes the same bits at
+any thread count, so outputs are unchanged.  A thread count of ``1``
+gives a 1-worker pool and leaves the cores to BLAS.
 
 The thread count resolves, in order: an explicit ``n_threads``
 argument, the ``REPRO_NUM_THREADS`` environment variable (read by
 :func:`get_num_threads` on every call; there is no process-wide
-setter), and finally ``os.cpu_count()``.  ``1`` disables the pool
-entirely (callers run inline on the calling thread), which is also the
-deterministic-latency choice for benchmarking single-core behaviour.
+setter), and finally ``os.cpu_count()``.  At ``1``, :func:`parallel_map`
+runs inline on the calling thread, the deterministic-latency choice for
+benchmarking single-core behaviour.
 
 Work handed to the pool may fan out again: a :func:`parallel_map`
 issued from a pool task (a server flush's batches) hands its items to
 idle workers and runs the ones no worker has started itself, so it uses
 an idle core when there is one and never waits on work nobody runs.
-:func:`submit_task` from a pool task runs inline.
+:func:`submit_task` always queues, from a pool task too, so a pool task
+must never wait on its future.
 
 Results are always returned in submission order, and callers stitch /
 reduce them on the calling thread afterwards, so outputs are identical
@@ -102,14 +104,14 @@ def _executor(workers: int) -> ThreadPoolExecutor:
     global _pool, _pool_width
     with _pool_lock:
         if _pool is None or _pool_width < workers:
-            # The old pool (if any) finishes its in-flight work and its
-            # threads wind down; new submissions go to the wider pool.
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            else:
-                # The first pool becomes the process's only level of
-                # parallelism (see the module docstring).
+            # The old pool is dropped, not shut down: a caller that took
+            # it just before can still queue on it, and its threads exit
+            # after the queued work once no caller holds it.
+            if _pool_width < 2 <= workers:
+                # A second worker makes the pool the process's only
+                # level of parallelism (see the module docstring).
                 _pin_openblas_to_one_thread()
+                os.environ["OPENBLAS_NUM_THREADS"] = "1"
             _pool = ThreadPoolExecutor(
                 max_workers=workers,
                 thread_name_prefix="repro-infer")
@@ -236,7 +238,7 @@ def _help_while_waiting(pool: ThreadPoolExecutor, fn: Callable[[T], R],
 
 
 def submit_task(fn: Callable[..., R], *args, **kwargs) -> "Future[R]":
-    """Hand one task to the shared inference pool; returns its future.
+    """Queue one task on the shared inference pool; returns its future.
 
     This is the executor handoff for layers above the pipeline: the
     multi-model server runs each model's flush as one task, so several
@@ -244,22 +246,14 @@ def submit_task(fn: Callable[..., R], *args, **kwargs) -> "Future[R]":
     so a flush's own ``parallel_map`` over its batches hands them to
     idle workers and runs the rest itself (see :func:`parallel_map`).
 
-    With an effective thread count of 1, or when called from inside a
-    pool worker, the task runs inline on the calling thread and the
-    returned future is already resolved — the deterministic single
-    -core behaviour, with no second pool and no extra threads.  (A
-    worker that queued a task and waited on its future could wait on
-    work no idle worker is left to start.)
+    The task always queues, on a 1-worker pool at a thread count of 1
+    and from a pool task too (a flush that ends hands its model's next
+    flush to the pool), so the caller never blocks.  A pool task must
+    therefore never wait on a ``submit_task`` future, just as a
+    :func:`parallel_map` ``fn`` never waits on another item of its call.
 
     The caller's (thread-local) grad mode and dtype are carried into
     the worker, matching :func:`parallel_map`.
     """
-    if get_num_threads() <= 1 or getattr(_in_worker, "active", False):
-        future: "Future[R]" = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # mirrored onto the returned future
-            future.set_exception(exc)
-        return future
     return _executor(get_num_threads()).submit(
         _in_caller_context(fn), *args, **kwargs)

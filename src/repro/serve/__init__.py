@@ -7,8 +7,8 @@ of those artifacts into a *server* —
 
 * :mod:`repro.serve.server`    — :class:`ModelServer`: lazy LRU-bounded
   multi-model registry keyed by ``(architecture, scheme, scale)``,
-  admission control with typed :class:`ServerBusy` shedding, the
-  background scheduling loop;
+  admission control with typed :class:`ServerBusy` shedding, and the
+  one dispatch that hands a due model's flush to the inference pool;
 * :mod:`repro.serve.scheduler` — work-conserving micro-batch policy:
   per-model queues, each due whenever it holds work and its model has
   no flush in flight (a model runs one flush at a time);

@@ -8,8 +8,8 @@ load, and an idle model never makes a request wait for batch-mates.
 :class:`MicroBatchScheduler` is deliberately just the policy and the
 queues: it never reads the clock, never runs a model, and never
 sleeps.  That makes every decision deterministic and directly
-unit-testable; the background thread, the executor handoff and the
-model registry all live in :mod:`repro.serve.server`.
+unit-testable; the dispatch, the executor handoff and the model
+registry all live in :mod:`repro.serve.server`.
 """
 
 from __future__ import annotations

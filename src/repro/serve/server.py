@@ -16,7 +16,9 @@ story (and the ROADMAP's heavy-traffic north star) assumes:
   as :class:`repro.infer.InferencePipeline` micro-batches: a model's
   queue runs as soon as the model is idle, and a flush takes
   everything queued, so the requests that arrive while a model runs
-  form its next batch.  No request waits for batch-mates.
+  form its next batch.  No request waits for batch-mates, and the
+  server has no thread of its own: a flush starts on the inference
+  pool from the submit or the flush end that makes its model due.
 * **Result cache.**  Outputs are cached by input content hash
   (:mod:`repro.serve.cache`); repeat inputs are served without
   touching the engine, bounded by bytes.
@@ -72,7 +74,7 @@ from ..deploy.serialize import (
     no_artifact_message,
     scan_artifact_dir,
 )
-from ..grad import check_dtype, thread_default_dtype
+from ..grad import check_dtype, process_default_dtype, thread_default_dtype
 from ..infer.parallel import check_num_threads, submit_task
 from ..infer.pipeline import InferencePipeline
 from ..logs import log_event
@@ -212,12 +214,13 @@ class ServerConfig:
         override (:func:`repro.grad.thread_default_dtype`), so served
         outputs are bit-identical to a direct pipeline run under the
         same dtype even when the process-wide default differs.  ``None``
-        (the default) runs them under the ambient process default.
+        (the default) runs them under the process default, never a
+        caller's thread-scoped override.
     background:
-        Run the scheduler loop on a daemon thread (the serving mode).
-        ``False`` is manual mode: the caller drives ``poll()`` /
-        ``drain()`` and each flush runs inline on the calling thread —
-        what the deterministic scheduler tests use.
+        Start each flush on the inference pool once its model is due
+        (the serving mode).  ``False`` is manual mode: the caller drives
+        ``poll()`` / ``drain()`` and each flush runs inline on the
+        calling thread — what the deterministic scheduler tests use.
     drain_timeout_s:
         Graceful-drain bound for :meth:`ModelServer.close`: how long
         (wall clock) a closing server keeps working its queues before
@@ -348,14 +351,12 @@ class ModelServer:
         # thundering-herd guard in front of the result cache.
         self._inflight_by_key: Dict[str, QueuedRequest] = {}
         self._inflight_lock = threading.Lock()
+        # Background flushes handed to the pool and not yet started, by
+        # model (see _claim_flush).
+        self._unstarted: Dict[ModelKey, List[QueuedRequest]] = {}
+        self._unstarted_lock = threading.Lock()
         self._wake = threading.Condition()
         self._stopped = False
-        self._thread: Optional[threading.Thread] = None
-        if self.config.background:
-            self._thread = threading.Thread(
-                target=self._serve_loop, name="repro-serve", daemon=True
-            )
-            self._thread.start()
 
     # -- metrics -----------------------------------------------------------
 
@@ -744,9 +745,10 @@ class ModelServer:
         return futures
 
     def _enqueue(self, key: ModelKey, requests: List[QueuedRequest]) -> None:
-        """Queue ``requests`` for ``key`` in one scheduler call; a
-        request identical to one already queued or executing rides on
-        it instead, and one past the depth bound sheds."""
+        """Queue ``requests`` for ``key`` in one scheduler call, then
+        (background mode) dispatch ``key``; a request identical to one
+        already queued or executing rides on it instead, and one past
+        the depth bound sheds."""
         # Check-and-enqueue is atomic with respect to close(): the stop
         # flag is raised under the wake lock, so a submission either
         # lands in the queue *before* the flag goes up (and close()'s
@@ -779,8 +781,8 @@ class ModelServer:
                 refused = fresh[admitted:]
                 for req in refused:
                     del self._inflight_by_key[req.cache_key]
-            if admitted:
-                self._wake.notify_all()
+        if admitted and self.config.background:
+            self._dispatch(key)
         # A refused request's riders came with it, in this call: they
         # shed with it rather than count as coalesced.
         riders -= sum(len(req.extra_futures) for req in refused)
@@ -811,7 +813,8 @@ class ModelServer:
         futures alone — not for the whole server to go idle, as
         :meth:`drain` does.  Between short waits it dispatches again,
         so a request held back by its model's flush in flight runs as
-        soon as that flush ends.  Raises ``TimeoutError`` once
+        soon as that flush ends, and it runs itself any dispatched
+        flush no pool worker has started.  Raises ``TimeoutError`` once
         ``timeout`` seconds pass.
         """
         if not self._dispatch_until(
@@ -831,7 +834,10 @@ class ModelServer:
         The one dispatch-and-wait loop of :meth:`wait`, :meth:`drain`
         and both phases of :meth:`close`: every flush ends by notifying
         the wake condition, and the wait is re-polled every
-        ``_REPOLL_S`` besides.
+        ``_REPOLL_S`` besides.  The waiting thread is blocked anyway,
+        so it runs each dispatched flush no pool worker has started:
+        with every worker busy (the one worker at a thread count of 1)
+        a caller's model never waits behind another model's flush.
         """
         while not settled():
             remaining = (None if deadline is None
@@ -839,6 +845,10 @@ class ModelServer:
             if remaining is not None and remaining <= 0:
                 return False
             self.poll()
+            with self._unstarted_lock:
+                unstarted = list(self._unstarted.items())
+            for key, requests in unstarted:
+                self._claim_flush(key, requests)
             with self._wake:
                 if not settled():
                     self._wake.wait(timeout=_REPOLL_S if remaining is None
@@ -851,24 +861,44 @@ class ModelServer:
         """Dispatch a flush of every idle model with queued work;
         returns the count.
 
-        The background loop calls this whenever it is woken and hands
-        each flush to the inference pool.  In manual mode
-        (``background=False``) the test/caller drives it, and each
-        flush runs inline: the dispatched work has settled when
-        ``poll`` returns, whatever the thread count.
+        In manual mode (``background=False``) the test/caller drives
+        it, and each flush runs inline: the dispatched work has settled
+        when ``poll`` returns, whatever the thread count.  A background
+        server starts each flush when its model becomes due, so there
+        ``poll`` finds only what a racing dispatch has not yet taken.
         """
-        dispatched = 0
-        for key in self._scheduler.due_keys():
-            taken, reason = self._scheduler.take(key)
-            if not taken:
-                continue  # another poll got here first; nothing in flight
-            self._m_flushes.labels(model=key_str(key), reason=reason).inc()
-            if self.config.background:
-                submit_task(self._run_flush, key, taken)
-            else:
-                self._run_flush(key, taken)
-            dispatched += 1
-        return dispatched
+        return sum(self._dispatch(key) for key in self._scheduler.due_keys())
+
+    def _dispatch(self, key: ModelKey) -> bool:
+        """The one place a flush starts: take ``key``'s queue if its
+        model is idle (racing callers start at most one flush) and hand
+        it to the pool (:meth:`_claim_flush`), or run it inline in
+        manual mode; returns whether one started, never once the server
+        is stopped."""
+        if self._stopped:
+            return False
+        taken, reason = self._scheduler.take(key)
+        if not taken:
+            return False
+        self._m_flushes.labels(model=key_str(key), reason=reason).inc()
+        if self.config.background:
+            with self._unstarted_lock:
+                self._unstarted[key] = taken
+            submit_task(self._claim_flush, key, taken)
+        else:
+            self._run_flush(key, taken)
+        return True
+
+    def _claim_flush(
+        self, key: ModelKey, requests: List[QueuedRequest]
+    ) -> None:
+        """Run a background flush unless another thread claimed it: its
+        pool task, or a caller blocked in :meth:`_dispatch_until`."""
+        with self._unstarted_lock:
+            if self._unstarted.get(key) is not requests:
+                return
+            del self._unstarted[key]
+        self._run_flush(key, requests)
 
     def _settle(
         self,
@@ -917,12 +947,17 @@ class ModelServer:
         for the forward that failed it.  When loading the model,
         queueing or flushing raises outside a forward, each resolves to
         a typed error naming that exception.  The model's scheduler
-        key is released whatever raises.
+        key is released whatever raises, and a background flush then
+        dispatches the model again.  It runs under ``config.dtype`` or
+        the process default, never the dispatching thread's override.
         """
         started = self._clock()
+        dtype = self.config.dtype
+        if dtype is None:
+            dtype = process_default_dtype()
         try:
             try:
-                with thread_default_dtype(self.config.dtype):
+                with thread_default_dtype(dtype):
                     pipeline = self._model(key)
                     handles = [pipeline.submit(req.image) for req in requests]
                     pipeline.flush()
@@ -934,21 +969,13 @@ class ModelServer:
             for req, value in zip(requests, values):
                 self._settle(req, value, started, done)
         finally:
+            # Release first: a request admitted while this flush ran
+            # found its model busy, and this dispatch is what takes it.
             self._scheduler.release(key)
+            if self.config.background:
+                self._dispatch(key)
             with self._wake:
                 self._wake.notify_all()
-
-    def _serve_loop(self) -> None:
-        # Checking for due work under the wake lock before each wait
-        # loses no wake-up: a submit queues and notifies under this
-        # lock, and a flush releases its model before it notifies.
-        while True:
-            with self._wake:
-                while not self._stopped and not self._scheduler.due_keys():
-                    self._wake.wait()
-                if self._stopped:
-                    return
-            self.poll()
 
     def drain(self) -> None:
         """Flush everything queued; block until idle."""
@@ -1061,10 +1088,10 @@ class ModelServer:
         *before* the stop flag goes up, bounded by
         ``config.drain_timeout_s`` (``None``: unbounded).
         Once the deadline passes (or immediately with ``drain=False``)
-        the flag is raised, the loop thread is joined, and everything
-        still queued is resolved as a typed
-        ``ServerBusy("server closed")`` — a closing server never
-        strands a future, whatever state it is in.  Idempotent.
+        the flag is raised, which stops dispatch, and everything still
+        queued is resolved as a typed ``ServerBusy("server closed")`` —
+        a closing server never strands a future, whatever state it is
+        in.  Idempotent.
         """
         timeout = self.config.drain_timeout_s
         deadline = (None if timeout is None
@@ -1078,9 +1105,6 @@ class ModelServer:
             already_stopped = self._stopped
             self._stopped = True
             self._wake.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
         if already_stopped:
             return
         # Past the deadline (or an undrained close): shed everything

@@ -1,13 +1,18 @@
-"""The inference pool pins every loaded OpenBLAS to one thread.
+"""The inference pool pins every OpenBLAS to one thread, whether the
+process loaded it before the pool reached two workers or after.
 
 An OpenBLAS worker thread busy-waits between calls, so a threaded BLAS
-under a thread pool holds a core the pool needs.  Once the pool starts,
-it is the process's only level of parallelism.
+under a thread pool holds a core the pool needs.  Once the pool has two
+workers, it is the process's only level of parallelism.
 """
 
 import _ctypes
 import ctypes
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +52,38 @@ def test_pool_pins_every_loaded_openblas_to_one_thread():
     counts = {path: n for path, n in counts.items() if n is not None}
     if not counts:
         pytest.skip("no OpenBLAS loaded in this process")
+    assert set(counts.values()) == {1}, counts
+
+
+#: Run in a fresh interpreter: start the pool, then load SciPy (whose
+#: OpenBLAS the library maps only when data generation or SSIM first
+#: runs), and report the threads of each OpenBLAS mapped before and after.
+_PIN_THEN_LOAD = """
+import json
+from repro.infer import parallel_map
+from tests.infer.test_blas_pin import _mapped_openblas, _threads
+parallel_map(abs, [0, 1], n_threads=2)
+pinned = _mapped_openblas()
+import scipy.ndimage
+print(json.dumps([pinned, {p: _threads(p) for p in _mapped_openblas()}]))
+"""
+
+
+def test_an_openblas_loaded_after_the_pin_starts_at_one_thread():
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps on this platform")
+    root = Path(__file__).resolve().parents[2]
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+    run = subprocess.run([sys.executable, "-c", _PIN_THEN_LOAD],
+                         capture_output=True, text=True, env=env,
+                         cwd=root, timeout=120)
+    assert run.returncode == 0, run.stderr
+    pinned, counts = json.loads(run.stdout)
+    if not set(counts) - set(pinned):
+        pytest.skip("SciPy maps no OpenBLAS of its own here")
+    counts = {path: n for path, n in counts.items() if n is not None}
     assert set(counts.values()) == {1}, counts
 
 

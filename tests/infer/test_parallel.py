@@ -1,14 +1,18 @@
-"""A pool task's own ``parallel_map`` hands its items to idle workers.
+"""A pool task's own ``parallel_map`` hands its items to idle workers,
+and ``submit_task`` always queues.
 
 A server flush is one pool task (``submit_task``), and its batches are a
 ``parallel_map`` inside it.  From a worker, each wave queues all but its
 first item, runs the first itself, then runs inline every queued item no
 idle worker has started and waits for the rest.  So the batches use an
 idle core when there is one, and nothing deadlocks when there is none.
+A task never runs on the thread that submits it, at any thread count.
 """
 
+import os
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -140,3 +144,71 @@ def test_every_item_runs_once_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
     assert results == [[(t, i) for i in range(9)] for t in range(8)]
     assert len(runs) == 72 and set(runs.values()) == {1}
+
+
+def test_submit_task_from_a_pool_task_queues(fresh_pool, monkeypatch):
+    # One worker: the inner task can start only once the outer ends.
+    monkeypatch.setenv("REPRO_NUM_THREADS", "1")
+    events = []
+
+    def outer():
+        inner = submit_task(events.append, "inner")
+        events.append("outer")
+        return inner
+
+    submit_task(outer).result(30).result(30)
+    assert events == ["outer", "inner"]
+
+
+def test_a_task_runs_on_the_pool_at_one_thread(fresh_pool, monkeypatch):
+    monkeypatch.setenv("REPRO_NUM_THREADS", "1")
+    name = submit_task(lambda: threading.current_thread().name).result(30)
+    assert name.startswith("repro-infer")
+    assert fresh_pool._pool_width == 1
+
+
+def test_blas_is_pinned_once_when_the_pool_reaches_two_workers(
+        fresh_pool, monkeypatch):
+    pins = []
+    monkeypatch.setattr(fresh_pool, "_pin_openblas_to_one_thread",
+                        lambda: pins.append(fresh_pool._pool_width))
+    fresh_pool._executor(1)
+    assert pins == [] and "OPENBLAS_NUM_THREADS" not in os.environ
+    for workers in (2, 3, 2):
+        fresh_pool._executor(workers)
+    assert pins == [1]  # pinned while growing from one worker to two
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_callers_racing_the_pool_growing_never_find_it_shut(
+        fresh_pool, monkeypatch):
+    # A caller that took the pool just before another caller widened it
+    # still queues on the old pool, so no call raises "cannot schedule
+    # new futures after shutdown".
+    monkeypatch.setenv("REPRO_NUM_THREADS", "1")
+    errors, stop = [], threading.Event()
+
+    def caller():
+        while not stop.is_set():
+            try:
+                submit_task(int, 1).result(30)
+                parallel_map(abs, [1, -2, 3], n_threads=3)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    callers = [threading.Thread(target=caller) for _ in range(4)]
+    try:
+        for thread in callers:
+            thread.start()
+        for workers in range(4, 44):
+            fresh_pool._executor(workers)
+            time.sleep(0.002)
+    finally:
+        stop.set()
+        for thread in callers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert not errors, errors[:3]

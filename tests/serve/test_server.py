@@ -291,7 +291,7 @@ class TestFlushRaisingOutsideAForward:
                 _warm(server)
                 _fail_next_flush(server, monkeypatch)
                 images = _images(SHAPES[0], n=3)
-                futures = [server.submit(img, KEY_A) for img in images[:2]]
+                futures = server.submit_many(images[:2], KEY_A)
                 if not background:
                     assert server.poll() == 1
                 for future in futures:
