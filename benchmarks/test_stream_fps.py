@@ -32,10 +32,11 @@ import pytest
 from repro import grad as G
 from repro.api import Engine, EngineConfig
 from repro.deploy import compile_model
+from repro.infer import plan_tiles, tile_view
 from repro.models import build_model
 from repro.nn import init
 from repro.perf import bench, record_bench, speedup
-from repro.stream import dirty_fraction, synthetic_clip
+from repro.stream import synthetic_clip
 
 #: Gate from the PR acceptance criteria: >= 2x naive per-frame serial
 #: at 60% static area.
@@ -50,6 +51,19 @@ STATIC_FRACTION = 0.6
 #: Sprite step per frame; a multiple of its travel span, so positions
 #: cycle and the clip has a steady state to sustain.
 STEP = 12
+
+
+def dirty_fraction(prev, cur, tile, overlap):
+    """Fraction of ``cur``'s tiles whose raw bytes differ from
+    ``prev``'s: the signal the delta planner keys on."""
+    plan = plan_tiles(cur.shape[0], cur.shape[1], tile, overlap)
+    if not plan.tiles:
+        return 0.0
+    changed = sum(
+        not np.array_equal(tile_view(prev, spec, plan.tile_h, plan.tile_w),
+                           tile_view(cur, spec, plan.tile_h, plan.tile_w))
+        for spec in plan.tiles)
+    return changed / len(plan.tiles)
 
 
 def _record(benchmark, ref, fast, ratio, **extra):

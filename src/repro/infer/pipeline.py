@@ -230,13 +230,12 @@ class InferencePipeline:
             if self.on_batch is not None:
                 self.on_batch(len(batch), seconds)
 
-        was_training = model.training
-        model.eval()
-        try:
-            with no_grad():
-                parallel_map(run, batches, self.n_threads)
-        finally:
-            model.train(was_training)
+        # Into eval mode once, never back: restoring the old mode here
+        # would race another thread's forward on the same model.
+        if model.training:
+            model.eval()
+        with no_grad():
+            parallel_map(run, batches, self.n_threads)
 
     @property
     def closed(self) -> bool:

@@ -277,14 +277,13 @@ def tiled_super_resolve(model: Module, lr_image: np.ndarray, scale: int,
     plan = plan_tiles(h, w, tile, overlap, trim)
     data = np.ascontiguousarray(lr_image.transpose(2, 0, 1))[None]
     stitcher = TileStitcher(plan, scale)
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            for indices, out in iter_tile_batches(model, data, plan,
-                                                  batch_size, n_threads):
-                for j, t in enumerate(indices):
-                    stitcher.add(t, out[j])
-    finally:
-        model.train(was_training)
+    # Into eval mode once, never back: restoring the old mode here
+    # would race another thread's forward on the same model.
+    if model.training:
+        model.eval()
+    with no_grad():
+        for indices, out in iter_tile_batches(model, data, plan,
+                                              batch_size, n_threads):
+            for j, t in enumerate(indices):
+                stitcher.add(t, out[j])
     return stitcher.finish()

@@ -69,13 +69,12 @@ def self_ensemble(model: Module, lr_image: np.ndarray,
         batch = np.stack([variants[i].transpose(2, 0, 1) for i in indices])
         return np.asarray(model(Tensor(batch)).data)
 
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            outputs = parallel_map(run_group, list(groups.values()), n_threads)
-    finally:
-        model.train(was_training)
+    # Into eval mode once, never back: restoring the old mode here
+    # would race another thread's forward on the same model.
+    if model.training:
+        model.eval()
+    with no_grad():
+        outputs = parallel_map(run_group, list(groups.values()), n_threads)
 
     # Undo transforms and accumulate in transform order — identical
     # float summation order to one call per transform.

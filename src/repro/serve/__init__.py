@@ -13,7 +13,8 @@ of those artifacts into a *server* —
   per-model queues, each due whenever it holds work and its model has
   no flush in flight (a model runs one flush at a time);
 * :mod:`repro.serve.cache`     — content-hash result cache with
-  byte-size LRU eviction (repeat inputs never touch the engine);
+  byte-size LRU eviction (repeat inputs never touch the engine); a
+  video stream keeps one more as its tile store;
 * :mod:`repro.serve.metrics`   — the one metrics store: a
   Prometheus-style :class:`MetricsRegistry` of counters and
   log-bucketed latency histograms (:class:`LatencyHistogram`) that the
@@ -27,7 +28,7 @@ of the same artifact — scheduling, batching and caching are execution
 -strategy details, never numerics.
 """
 
-from .cache import ResultCache, TileReuseCache, content_key
+from .cache import ResultCache, content_key
 from .metrics import (
     BUCKET_BOUNDS,
     EXPOSITION_CONTENT_TYPE,
@@ -50,7 +51,6 @@ from .server import (
 
 __all__ = [
     "ResultCache",
-    "TileReuseCache",
     "content_key",
     "EXPOSITION_CONTENT_TYPE",
     "MetricsRegistry",

@@ -17,11 +17,11 @@ Stored and returned arrays are **copies**: a caller mutating a served
 output must never poison later cache hits, and the engine reusing an
 output buffer must never mutate a stored value.
 
-:class:`TileReuseCache` extends the same byte-LRU to *tile*
-granularity for the streaming layer: consecutive video frames are
-largely static, so keying individual input tiles by content hash lets
-a stream serve unchanged regions from cache and pay inference only
-for dirty tiles.
+A video stream keeps one more :class:`ResultCache` as its tile store:
+consecutive frames are largely static, so keying each input tile by
+:func:`content_key` lets a stream serve unchanged regions from it and
+pay inference only for dirty tiles.  The stream counts its reused and
+computed tiles in the metrics registry, not here.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ResultCache", "TileReuseCache", "content_key"]
+__all__ = ["ResultCache", "content_key"]
 
 
 def content_key(model_key, image: np.ndarray) -> str:
@@ -145,41 +145,3 @@ class ResultCache:
         with self._lock:
             return tuple(self._entries)
 
-
-class TileReuseCache(ResultCache):
-    """Tile-granular byte-LRU for cross-frame reuse in streams.
-
-    The streaming tile-delta planner keys each *input* tile of a frame
-    by ``content_key(model_key, tile_view)`` and stores the tile's
-    *super-resolved* output here.  Storage, eviction and copy-isolation
-    semantics are inherited unchanged from :class:`ResultCache`; this
-    subclass adds reuse accounting: a planner hit means a tile of real
-    inference work was avoided entirely (not merely served from a
-    whole-image dedupe), so reused/computed tiles are tracked apart
-    from the raw hit/miss counters, which also see probe traffic.
-    """
-
-    def __init__(self, max_bytes: int) -> None:
-        super().__init__(max_bytes)
-        self.reused_tiles = 0
-        self.computed_tiles = 0
-
-    def record_frame(self, reused: int, computed: int) -> None:
-        """Fold one frame's planner outcome into the lifetime totals."""
-        with self._lock:
-            self.reused_tiles += int(reused)
-            self.computed_tiles += int(computed)
-
-    @property
-    def reuse_ratio(self) -> float:
-        """Lifetime fraction of planned tiles served from cache."""
-        total = self.reused_tiles + self.computed_tiles
-        return self.reused_tiles / total if total else 0.0
-
-    def stats(self) -> Dict:
-        out: Dict = dict(super().stats())
-        with self._lock:
-            out["reused_tiles"] = self.reused_tiles
-            out["computed_tiles"] = self.computed_tiles
-        out["reuse_ratio"] = round(self.reuse_ratio, 6)
-        return out

@@ -7,9 +7,10 @@ frame (``serve.cache.content_key`` over a zero-copy tile view) and
 splits the plan into
 
 * **reused** tiles — their super-resolved outputs are already in the
-  per-stream :class:`~repro.serve.cache.TileReuseCache`, keyed by the
-  same hash; the cached SR tiles are fetched *eagerly* (as copies) so
-  a later eviction cannot strand the frame between plan and stitch;
+  stream's tile store, a :class:`~repro.serve.cache.ResultCache` keyed
+  by the same hash; the cached SR tiles are fetched *eagerly* (as
+  copies) so a later eviction cannot strand the frame between plan
+  and stitch;
 * **dirty** tiles — content not seen before (or evicted); only these
   are submitted for inference.
 
@@ -25,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..infer.tiling import TilePlan, tile_view
-from ..serve.cache import TileReuseCache, content_key
+from ..serve.cache import ResultCache, content_key
 
 __all__ = ["FrameDelta", "plan_frame_delta"]
 
@@ -57,7 +58,7 @@ def plan_frame_delta(
     frame: np.ndarray,
     plan: TilePlan,
     model_key,
-    cache: Optional[TileReuseCache],
+    cache: Optional[ResultCache],
 ) -> FrameDelta:
     """Hash ``frame``'s tiles and split ``plan`` against ``cache``.
 

@@ -12,18 +12,27 @@ turns it into a *video* surface:
   reorders the tile requests.  A dedicated collector thread per
   stream assembles frames one at a time, so two sessions sharing one
   server never head-of-line block each other.
-* **Tile reuse.**  Each frame is tile-delta planned against a
-  per-stream :class:`~repro.serve.cache.TileReuseCache`; unchanged
-  tiles are stitched from cache and only dirty tiles are submitted.
-  Planning happens *on the collector, per frame, in order* — so by
-  the time frame N is planned, every tile frame N-1 computed is
-  already cached, which is what makes consecutive-frame reuse work.
-* **Deadlines.**  ``drop-late`` resolves a frame still incomplete at
-  its deadline as a typed dropped result (successors unaffected);
-  ``best-effort`` always completes and reports lateness.  Both are
-  decided here, from the frame's deadline; the server is not told
-  it.  A frame's dirty tiles are admitted in one ``submit_many``
-  call, so an idle model runs them as one flush.
+* **Tile reuse.**  Each frame is tile-delta planned against the
+  stream's own :class:`~repro.serve.cache.ResultCache`, bounded by
+  ``tile_cache_bytes``; unchanged tiles are stitched from cache and
+  only dirty tiles are submitted.  Planning happens *on the
+  collector, per frame, in order* — so by the time frame N is
+  planned, every tile frame N-1 computed is already cached, which is
+  what makes consecutive-frame reuse work.  Reused and computed
+  tiles are counted in the registry's ``repro_stream_tiles_total``
+  alone, which ``stats()["tiles"]`` reads.
+* **Deadlines.**  A frame's deadline is fixed at admission: arrival
+  plus its ``deadline_s``, else plus the config's
+  ``frame_budget_s``, else none.  ``drop-late`` resolves a frame
+  still incomplete at its deadline (inclusive) as a typed dropped
+  result (successors unaffected); ``best-effort`` always completes
+  and reports lateness.  Both are decided here; the server is not
+  told the deadline.
+* **Dispatch.**  A frame's dirty tiles are admitted in one
+  ``submit_many`` call, so an idle model runs them as one flush, and
+  are waited for through the server's ``wait()``: it polls a
+  manual-mode server and runs a dispatched flush no pool worker has
+  started, so a frame never waits behind another model's flush.
 * **One settle path.**  ``submit_frame`` returns a
   :class:`~repro.serve.server.ServeFuture`; the collector builds each
   frame's :class:`~repro.stream.results.FrameResult` (ok, dropped or
@@ -40,6 +49,7 @@ the same dtype, a streamed frame is **bit-identical** to one-shot
 
 import itertools
 import logging
+import math
 import threading
 import time
 from collections import deque
@@ -57,19 +67,31 @@ from ..infer.tiling import (
     tile_view,
 )
 from ..logs import log_event
-from ..serve.cache import TileReuseCache
+from ..serve.cache import ResultCache
 from ..serve.metrics import MetricsRegistry
 from ..serve.server import ServeFuture, parse_model_key
-from .deadline import BEST_EFFORT, POLICIES, DeadlinePolicy
 from .delta import plan_frame_delta
 from .results import FrameResult, StreamError
 
 _LOG = logging.getLogger("repro.stream")
 
-__all__ = ["StreamConfig", "StreamSession"]
+__all__ = [
+    "BEST_EFFORT",
+    "DROP_LATE",
+    "POLICIES",
+    "StreamConfig",
+    "StreamSession",
+]
 
-# How often waiting code re-checks for close/deadline while blocked on
-# a tile future (seconds).  Bounds drop-late reaction latency.
+#: Frame-deadline policies: ``drop-late`` resolves a frame still
+#: incomplete at its deadline as dropped; ``best-effort`` completes
+#: every frame and reports how late it was.
+DROP_LATE = "drop-late"
+BEST_EFFORT = "best-effort"
+POLICIES = (DROP_LATE, BEST_EFFORT)
+
+# How often a tile wait re-checks for an undrained close, and an
+# injected clock for the frame's deadline (seconds).
 _WAIT_SLICE_S = 0.02
 
 
@@ -83,11 +105,15 @@ class _Aborted(Exception):
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Per-stream knobs (geometry, reuse, deadline policy).
+    """Per-stream knobs (geometry, reuse, deadline policy), checked
+    here and nowhere else.
 
     ``tile``/``overlap`` need ``0 <= overlap < tile``, and must match
     the engine's ``tile`` / ``tile_overlap`` for the bit-parity
-    guarantee to hold against ``Engine.infer``.  ``tile_cache_bytes=0``
+    guarantee to hold against ``Engine.infer``.  ``policy`` is one of
+    :data:`POLICIES`; ``frame_budget_s`` (``>= 0``, ``None``: no
+    deadline) is a frame's default budget from admission.
+    ``tile_cache_bytes`` bounds the stream's tile store and ``0``
     disables reuse; ``max_pending_frames`` bounds the submit queue
     (``submit_frame`` blocks when full — backpressure, not shedding).
     """
@@ -135,9 +161,10 @@ class StreamSession:
         ``server`` serves the tiles), or any object with
         ``submit_many(images, model=...)`` returning one future per
         image whose ``result(timeout)`` yields an ndarray or a
-        busy/error marker (``reason`` / ``message``).  A backend's
-        ``poll()``, when it has one, is called after a frame's tiles
-        are admitted: a manual-mode server runs them only then.
+        busy/error marker (``reason`` / ``message``).  Tiles are
+        waited for through the backend's ``wait(futures, timeout)``
+        when it has one, as a server's runs (or, in manual mode,
+        polls) their flush; else through each future's ``result``.
     model:
         Zoo key (``(architecture, scheme, scale)`` or
         ``"arch/scheme/xN"``) every tile of this stream is routed to.
@@ -187,19 +214,13 @@ class StreamSession:
         self._backend = backend
         self._owns_backend = owns_backend
         self._clock = clock
-        self._policy = DeadlinePolicy(
-            self.config.policy, self.config.frame_budget_s
-        )
-        self.tile_cache = TileReuseCache(self.config.tile_cache_bytes)
+        self.tile_cache = ResultCache(self.config.tile_cache_bytes)
         self._plans: Dict[Tuple[int, int], TilePlan] = {}
         self._lock = threading.Condition()
         self._frames: "deque[_Frame]" = deque()
         self._last_seq: Optional[int] = None
         self._closed = False
         self._drain_on_close = True
-        # A manual-mode server runs queued tiles only when polled;
-        # bare backends have no poll.
-        self._kick = getattr(backend, "poll", None)
         self._register_metrics(metrics)
         self._thread = threading.Thread(
             target=self._collect_loop,
@@ -252,13 +273,16 @@ class StreamSession:
                         f"after {self._last_seq}"
                     )
             arrival = self._clock()
+            if deadline_s is None:
+                deadline_s = self.config.frame_budget_s
+            deadline = None if deadline_s is None else arrival + deadline_s
             future = ServeFuture()
             self._frames.append(
                 _Frame(
                     seq=seq,
                     image=frame,
                     arrival=arrival,
-                    deadline=self._policy.deadline(arrival, deadline_s),
+                    deadline=deadline,
                     future=future,
                 )
             )
@@ -309,7 +333,13 @@ class StreamSession:
 
     def stats(self) -> Dict:
         """Snapshot of this stream's counters, reuse and latency, read
-        from its children of the registry's stream families."""
+        from its children of the registry's stream families.
+
+        ``tiles`` holds the reused and computed tile counts of
+        ``repro_stream_tiles_total`` and their ``reuse_ratio``, then
+        the tile store's own ``entries``, ``current_bytes``,
+        ``max_bytes``, ``hits``, ``misses`` and ``evictions``.
+        """
         sid = self.stream_id
         with self._lock:
             counts = {
@@ -326,15 +356,31 @@ class StreamSession:
             "model": key_str(self.model),
             "policy": self.config.policy,
             "frames": counts,
-            "tiles": self.tile_cache.stats(),
+            "tiles": {**self.tile_cache.stats(), **self._tile_counts()},
             "latency": self._m_latency.merged(stream=sid).snapshot(),
         }
 
     # -- internals -----------------------------------------------------
 
-    def _dispatch(self) -> None:
-        if self._kick is not None:
-            self._kick()
+    def _tile_counts(self) -> Dict:
+        """This stream's reused and computed tiles, read from
+        ``repro_stream_tiles_total``, and the reuse ratio they give."""
+        sid = self.stream_id
+        reused = self._m_tiles.total(stream=sid, outcome="reused")
+        computed = self._m_tiles.total(stream=sid, outcome="computed")
+        total = reused + computed
+        return {
+            "reused_tiles": reused,
+            "computed_tiles": computed,
+            "reuse_ratio": round(reused / total, 6) if total else 0.0,
+        }
+
+    def _time_left(self, frame: _Frame, now: float) -> float:
+        """Seconds until ``frame`` drops (``<= 0``: it drops now), or
+        ``inf`` when it cannot: best-effort, or no deadline."""
+        if self.config.policy == DROP_LATE and frame.deadline is not None:
+            return frame.deadline - now
+        return math.inf
 
     def _register_metrics(self, metrics: Optional[MetricsRegistry]) -> None:
         if metrics is None:
@@ -361,7 +407,7 @@ class StreamSession:
         self._m_reuse = metrics.gauge(
             "repro_stream_tile_reuse_ratio",
             "Lifetime fraction of planned tiles served from the "
-            "per-stream tile cache.",
+            "stream's tile store.",
             ("stream",),
         )
         self._m_latency = metrics.histogram(
@@ -409,7 +455,7 @@ class StreamSession:
 
     def _process(self, frame: _Frame) -> FrameResult:
         """Run one frame: its delta plan, dirty tiles and stitch."""
-        if self._policy.should_drop(frame.deadline, self._clock()):
+        if self._time_left(frame, self._clock()) <= 0:
             return FrameResult(
                 "dropped", frame.seq, detail="deadline expired before inference"
             )
@@ -427,7 +473,6 @@ class StreamSession:
                      for i in first.values()]
             futures = dict(zip(
                 first, self._backend.submit_many(tiles, model=self.model)))
-            self._dispatch()
         fresh: Dict[str, np.ndarray] = {}
         try:
             for key, fut in futures.items():
@@ -458,29 +503,28 @@ class StreamSession:
     def _await_tile(self, fut, frame: _Frame) -> np.ndarray:
         """Wait for one tile, honoring close and the frame deadline.
 
-        Raises ``TimeoutError`` once a drop-late frame's deadline
-        expires while the tile is still outstanding, ``_Aborted`` on
-        an undrained close, ``_TileFailed`` on a busy/error value.
+        Waits through the backend's ``wait()`` when it has one, else
+        the future's ``result``, in slices no longer than the time a
+        drop-late frame has left.  Raises ``TimeoutError`` once that
+        frame's deadline comes while the tile is still outstanding,
+        ``_Aborted`` on an undrained close, ``_TileFailed`` on a
+        busy/error value.
         """
+        wait = getattr(self._backend, "wait", None)
         while True:
             with self._lock:
                 if self._closed and not self._drain_on_close:
                     raise _Aborted()
-            now = self._clock()
-            if self._policy.should_drop(frame.deadline, now):
+            left = self._time_left(frame, self._clock())
+            if left <= 0:
                 raise TimeoutError()
-            wait = _WAIT_SLICE_S
-            remaining = self._policy.remaining(frame.deadline, now)
-            if remaining is not None:
-                wait = min(wait, max(remaining, 0.0) + 1e-4)
+            timeout = min(_WAIT_SLICE_S, left)
             try:
-                value = fut.result(timeout=wait)
+                if wait is None:
+                    value = fut.result(timeout=timeout)
+                else:
+                    value = wait([fut], timeout=timeout)[0]
             except TimeoutError:
-                # Poll again each slice: on a manual-mode server, tiles
-                # that missed the first poll (their model had a flush
-                # in flight) run only when someone polls after that
-                # flush ends.
-                self._dispatch()
                 continue
             return self._tile_value(value)
 
@@ -521,18 +565,18 @@ class StreamSession:
         """
         now = self._clock()
         elapsed = max(0.0, now - frame.arrival)
-        result = replace(
-            result, late_s=self._policy.lateness(frame.deadline, now)
-        )
+        if frame.deadline is not None:
+            result = replace(result, late_s=max(0.0, now - frame.deadline))
         sid = self.stream_id
         self._m_out.labels(stream=sid, outcome=result.status).inc()
         if result.ok:
             reused = result.tiles_reused
             computed = result.tiles_total - reused
-            self.tile_cache.record_frame(reused, computed)
             self._m_tiles.labels(stream=sid, outcome="reused").inc(reused)
             self._m_tiles.labels(stream=sid, outcome="computed").inc(computed)
-            self._m_reuse.labels(stream=sid).set(self.tile_cache.reuse_ratio)
+            self._m_reuse.labels(stream=sid).set(
+                self._tile_counts()["reuse_ratio"]
+            )
             self._m_latency.labels(stream=sid).observe(elapsed)
         fields = {}
         if result.detail:

@@ -13,13 +13,13 @@ clip, bit for bit, which the parity gates rely on.
 """
 
 import math
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..data.synthetic import generate
 
-__all__ = ["dirty_fraction", "synthetic_clip"]
+__all__ = ["synthetic_clip"]
 
 
 def synthetic_clip(
@@ -67,25 +67,3 @@ def synthetic_clip(
         frames.append(frame.astype(dtype, copy=False))
     return frames
 
-
-def dirty_fraction(prev: np.ndarray, cur: np.ndarray,
-                   tile: int, overlap: int = 8,
-                   trim: Optional[int] = None) -> float:
-    """Fraction of ``cur``'s tiles that differ from ``prev``'s.
-
-    A measurement helper for tests/benches: plans tiles over the
-    frame and compares raw tile bytes, which is exactly the signal
-    the delta planner keys on.
-    """
-    from ..infer.tiling import plan_tiles, tile_view
-
-    plan = plan_tiles(cur.shape[0], cur.shape[1], tile, overlap, trim)
-    if not plan.tiles:
-        return 0.0
-    changed = 0
-    for spec in plan.tiles:
-        a = tile_view(prev, spec, plan.tile_h, plan.tile_w)
-        b = tile_view(cur, spec, plan.tile_h, plan.tile_w)
-        if not np.array_equal(a, b):
-            changed += 1
-    return changed / len(plan.tiles)

@@ -13,6 +13,8 @@ Proves the facade adds types, not numerics:
   zoo cells.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,28 @@ class TestLifecycleStates:
         assert engine.state == "spec"
         result = engine.infer(_images(n=1)[0])
         assert result.ok and result.image.shape == (24, 24, 3)
+
+    def test_infer_leaves_a_float_model_in_eval_mode(self):
+        # Inference never restores the mode it found: a thread that
+        # restored training mode would do so under another's forward.
+        engine = Engine.from_spec("edsr", scheme="e2fif", scale=2,
+                                  preset="tiny", config=EngineConfig(seed=0))
+        assert engine.model.training  # its BatchNorm layers would train
+        assert engine.infer(_images(n=1)[0]).ok
+        assert not engine.model.training
+
+    def test_concurrent_infer_matches_serial_in_eval_mode(self):
+        engine = Engine.from_spec("edsr", scheme="e2fif", scale=2,
+                                  preset="tiny", config=EngineConfig(seed=0))
+        images = _images(n=8, seed=1)
+        serial = [engine.infer(image).unwrap() for image in images]
+        engine.model.train()
+        with ThreadPoolExecutor(4) as pool:
+            outputs = list(pool.map(
+                lambda i: engine.infer(images[i % 8]).unwrap(), range(32)))
+        for i, output in enumerate(outputs):
+            np.testing.assert_array_equal(output, serial[i % 8])
+        assert not engine.model.training
 
     def test_train_invalidates_compiled_state(self, tmp_path):
         engine = Engine.from_spec(SPEC, config=EngineConfig(seed=0))

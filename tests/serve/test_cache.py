@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve import ResultCache, TileReuseCache, content_key
+from repro.serve import ResultCache, content_key
 
 
 def _arr(fill, shape=(4, 4, 3), dtype=np.float32):
@@ -161,38 +161,3 @@ class TestResultCache:
         with pytest.raises(ValueError):
             ResultCache(max_bytes=-1)
 
-
-class TestTileReuseCache:
-    def test_inherits_lru_semantics(self):
-        cache = TileReuseCache(max_bytes=1 << 20)
-        value = _arr(0.5)
-        assert cache.put("k", value)
-        np.testing.assert_array_equal(cache.get("k"), value)
-        got = cache.get("k")
-        got[0, 0, 0] = 99.0  # copies out: stored value is isolated
-        np.testing.assert_array_equal(cache.get("k"), value)
-
-    def test_reuse_accounting_separate_from_probe_traffic(self):
-        cache = TileReuseCache(max_bytes=1 << 20)
-        cache.put("k", _arr(0.5))
-        cache.get("k")
-        cache.get("nope")
-        # Raw probe counters move, reuse counters only via record_frame.
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.reuse_ratio == 0.0
-        cache.record_frame(reused=3, computed=1)
-        cache.record_frame(reused=1, computed=3)
-        assert cache.reused_tiles == 4
-        assert cache.computed_tiles == 4
-        assert cache.reuse_ratio == 0.5
-        stats = cache.stats()
-        assert stats["reused_tiles"] == 4
-        assert stats["computed_tiles"] == 4
-        assert stats["reuse_ratio"] == 0.5
-
-    def test_zero_budget_disables_reuse_storage(self):
-        cache = TileReuseCache(max_bytes=0)
-        assert not cache.put("k", _arr(0.5))
-        assert cache.get("k") is None
-        assert cache.reuse_ratio == 0.0

@@ -2,7 +2,7 @@
 due: from the submit that queues work for an idle model, or from the end
 of that model's previous flush.  It has no thread of its own, and a
 caller blocked in ``wait()`` runs a dispatched flush no worker has
-started.
+started; so does a stream waiting for its tiles.
 
 The models here are probes that record the thread each forward ran on
 and can hold a forward until the test opens their gate.  Every test gets
@@ -24,6 +24,7 @@ from repro.infer import InferencePipeline
 from repro.models import build_model
 from repro.nn import Module
 from repro.serve import ModelServer, ServerBusy, ServerConfig
+from repro.stream import StreamConfig, StreamSession
 
 from ..helpers import parse_table, record_resolves
 
@@ -113,6 +114,22 @@ def _dispatch_waited_behind_another_model(server, probes):
     return [held, mine]
 
 
+def _dispatch_stream_behind_another_model(server, probes):
+    # The same for a stream frame on A: the stream waits for its tile in
+    # wait(), so its collector thread runs A's flush.
+    _held(probes[KEY_B])
+    held = server.submit(_image(1), KEY_B)
+    assert probes[KEY_B].started.wait(timeout=10)
+    with StreamSession(server, KEY_A, scale=1,
+                       config=StreamConfig(tile=6, overlap=0)) as stream:
+        frame = stream.submit_frame(_image(2))
+        assert frame.result(timeout=5).ok
+        assert not held.done()
+    assert probes[KEY_A].forwards == [f"repro-stream-{stream.stream_id}"]
+    probes[KEY_B].gate.set()
+    return [held, frame]
+
+
 def _dispatch_closed_behind_a_flush(server, probes):
     _held(probes[KEY_A])
     running = server.submit(_image(1), KEY_A)
@@ -160,13 +177,14 @@ def _dispatch_on_the_pool(server, probes):
 #: ``_dispatch_*`` scenario of the same name over probe models, at each
 #: process thread count in ``threads`` (which sizes the pool): the
 #: flushes it starts and the value type of each future it returns.  Only
-#: ``waited_behind_another_model`` waits before ``close()``; no row polls
-#: or drains.
+#: the two ``*_behind_another_model`` rows wait before ``close()``; no row
+#: polls or drains.
 DISPATCH = """
   row                          | threads | flushes | values
   -----------------------------+---------+---------+--------------------
   behind_a_flush               | 1 2     | 2       | ndarray ndarray
   waited_behind_another_model  | 1       | 2       | ndarray ndarray
+  stream_behind_another_model  | 1       | 2       | ndarray FrameResult
   closed_behind_a_flush        | 1 2     | 1       | ndarray ServerBusy
   dtype                        | 1 2     | 1       | ndarray
   no_thread                    | 1 2     | 1       | ndarray

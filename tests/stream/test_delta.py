@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.infer import plan_tiles, tile_view
-from repro.serve import TileReuseCache, content_key
+from repro.serve import ResultCache, content_key
 from repro.stream import plan_frame_delta
 
 MODEL = ("srresnet", "scales", 2)
@@ -28,7 +28,7 @@ class TestPlanning:
     def test_cold_cache_everything_dirty(self):
         frame = _frame()
         plan = plan_tiles(16, 16, 8, overlap=0)
-        cache = TileReuseCache(1 << 20)
+        cache = ResultCache(1 << 20)
         delta = plan_frame_delta(frame, plan, MODEL, cache)
         assert len(delta.keys) == len(plan.tiles) == 4
         assert delta.dirty == (0, 1, 2, 3)
@@ -44,7 +44,7 @@ class TestPlanning:
     def test_identical_frame_fully_reused(self):
         frame = _frame()
         plan = plan_tiles(16, 16, 8, overlap=0)
-        cache = TileReuseCache(1 << 20)
+        cache = ResultCache(1 << 20)
         _fill_cache(frame, plan, cache)
         delta = plan_frame_delta(frame.copy(), plan, MODEL, cache)
         assert delta.dirty == ()
@@ -55,7 +55,7 @@ class TestPlanning:
     def test_single_pixel_change_dirties_only_covering_tiles(self):
         frame = _frame()
         plan = plan_tiles(16, 16, 8, overlap=0)
-        cache = TileReuseCache(1 << 20)
+        cache = ResultCache(1 << 20)
         _fill_cache(frame, plan, cache)
         changed = frame.copy()
         changed[2, 3, 0] += 0.5  # inside tile 0 only (overlap 0)
@@ -68,7 +68,7 @@ class TestPlanning:
         # tiles; all of them must go dirty.
         frame = _frame(h=24, w=24)
         plan = plan_tiles(24, 24, 16, overlap=8)  # stride 8, 2x2 tiles
-        cache = TileReuseCache(1 << 20)
+        cache = ResultCache(1 << 20)
         _fill_cache(frame, plan, cache)
         changed = frame.copy()
         changed[12, 12, 1] += 0.25  # inside all four tiles' footprints
@@ -86,7 +86,7 @@ class TestPlanning:
     def test_model_key_partitions_the_cache(self):
         frame = _frame()
         plan = plan_tiles(16, 16, 8, overlap=0)
-        cache = TileReuseCache(1 << 20)
+        cache = ResultCache(1 << 20)
         _fill_cache(frame, plan, cache)
         other = ("edsr", "e2fif", 2)
         delta = plan_frame_delta(frame, plan, other, cache)
@@ -97,7 +97,7 @@ class TestPlanning:
         # the delta carries private copies fetched at plan time.
         frame = _frame()
         plan = plan_tiles(16, 16, 8, overlap=0)
-        cache = TileReuseCache(1 << 20)
+        cache = ResultCache(1 << 20)
         _fill_cache(frame, plan, cache)
         delta = plan_frame_delta(frame, plan, MODEL, cache)
         before = {i: sr.copy() for i, sr in delta.cached.items()}

@@ -8,7 +8,9 @@ milliseconds.  The fake "SR" at ``scale=1`` is the identity, so a
 correctly stitched frame equals its input exactly (overlap 0).
 """
 
+import ast
 import logging
+import re
 import threading
 import time
 
@@ -118,6 +120,9 @@ FRAMES = """
   undrained   | dropped | frames_in frames_out frames_dropped | total_s=0.0; late_s=0.0; tiles_total=0; tiles_reused=0; detail=session closed without drain    | -
   busy        | error   | frames_in frames_out frames_error   | total_s=0.0; late_s=0.0; tiles_total=0; tiles_reused=0; detail=tile request shed: queue full   | ok
   wrong_scale | error   | frames_in frames_out frames_error   | total_s=0.0; late_s=0.0; tiles_total=0; tiles_reused=0; detail~expected (16, 16) at scale 2   | error
+  at_deadline | dropped | frames_in frames_out frames_dropped | total_s=1.0; late_s=0.0; tiles_total=4; tiles_reused=0; detail=deadline expired with 4 of 4 dirty tiles outstanding | ok
+  unbounded   | ok      | frames_in frames_out frames_ok      | total_s=1000.0; late_s=0.0; tiles_total=4; tiles_reused=0                                     | ok
+  expired     | dropped | frames_in frames_out frames_dropped | total_s=0.0; late_s=0.0; tiles_total=0; tiles_reused=0; detail=deadline expired before inference | ok
 """
 
 
@@ -135,12 +140,40 @@ def _frame_ok(session, backend, clock):
     return future
 
 
-def _frame_deadline(session, backend, clock):
-    future = session.submit_frame(_frames(1, seed=21)[0], deadline_s=1.0)
+def _withheld(session, backend, clock, seed, advance):
+    """A frame with a 1 s deadline whose 4 tiles are withheld while the
+    clock moves ``advance`` seconds."""
+    future = session.submit_frame(_frames(1, seed=seed)[0], deadline_s=1.0)
     backend.wait_for_submissions(4)  # and withheld past the deadline
-    clock.advance(2.0)
+    clock.advance(advance)
     future.result(timeout=10.0)
     backend.pop_pending()
+    return future
+
+
+def _frame_deadline(session, backend, clock):
+    return _withheld(session, backend, clock, seed=21, advance=2.0)
+
+
+def _frame_at_deadline(session, backend, clock):
+    # Expiry is inclusive: the frame drops the moment its deadline comes.
+    return _withheld(session, backend, clock, seed=26, advance=1.0)
+
+
+def _frame_unbounded(session, backend, clock):
+    # No deadline_s and no frame_budget_s: a drop-late frame never drops.
+    future = session.submit_frame(_frames(1, seed=27)[0])
+    backend.wait_for_submissions(4)
+    clock.advance(1000.0)
+    _serve_tiles(backend, 4)
+    return future
+
+
+def _frame_expired(session, backend, clock):
+    # No time left when the collector takes it: no tile is sent.
+    future = session.submit_frame(_frames(1, seed=28)[0], deadline_s=0.0)
+    future.result(timeout=10.0)
+    assert backend.submitted == 0
     return future
 
 
@@ -216,6 +249,89 @@ class TestFrameOutcomeTable:
                 assert following.result(timeout=10.0).status == row["next"]
         finally:
             session.close(drain=False)
+
+
+#: One row per deadline rule of ``StreamConfig``, under ``FakeClock``:
+#: a frame submitted with ``deadline_s`` (``-``: none) to a session of
+#: ``policy`` and ``budget`` (its ``frame_budget_s``), its 4 tiles held
+#: while the clock moves ``advance`` seconds and then served unless the
+#: frame has resolved; the frame's status and ``late_s``.
+DEADLINES = """
+  row           | policy      | budget | deadline_s | advance  | status  | late_s
+  --------------+-------------+--------+------------+----------+---------+-------
+  budget        | drop-late   | 0.5    | -          | 0.5      | dropped | 0.0
+  within_budget | drop-late   | 0.5    | -          | 0.499999 | ok      | 0.0
+  override      | drop-late   | 0.5    | 2.0        | 1.0      | ok      | 0.0
+  override_late | drop-late   | 0.5    | 2.0        | 2.25     | dropped | 0.25
+  best_effort   | best-effort | 0.5    | -          | 99.0     | ok      | 98.5
+"""
+
+
+class TestDeadlineTable:
+    @pytest.mark.parametrize(
+        "row", parse_table(DEADLINES), ids=lambda row: row["row"])
+    def test_each_rule_decides_the_frame(self, row):
+        backend = FakeBackend()
+        clock = FakeClock()
+        session = StreamSession(
+            backend, MODEL, scale=1,
+            config=StreamConfig(tile=8, overlap=0, tile_cache_bytes=0,
+                                policy=row["policy"],
+                                frame_budget_s=float(row["budget"])),
+            clock=clock,
+        )
+        deadline_s = (None if row["deadline_s"] == "-"
+                      else float(row["deadline_s"]))
+        try:
+            future = session.submit_frame(_frames(1, seed=30)[0],
+                                          deadline_s=deadline_s)
+            backend.wait_for_submissions(4)
+            clock.advance(float(row["advance"]))
+            if row["status"] == "dropped":
+                future.result(timeout=10.0)
+            # Served after the clock moved: the collector checks the
+            # deadline again before each of tiles 2-4.
+            for fut in backend.pop_pending():
+                fut.resolve()
+            result = future.result(timeout=10.0)
+            assert result.status == row["status"], result.detail
+            assert result.late_s == pytest.approx(float(row["late_s"]))
+        finally:
+            session.close(drain=False)
+
+
+#: ``StreamConfig`` keyword arguments, one row each, and the message of
+#: the ``ValueError`` it raises (``ok``: it builds).
+CONFIGS = """
+  args                   | error
+  -----------------------+--------------------------------------
+  tile=8 overlap=0       | ok
+  tile=0                 | tile must be positive
+  tile=8 overlap=8       | overlap 8 must be in [0, tile=8)
+  overlap=-1             | overlap -1 must be in [0, tile=48)
+  policy='never-late'    | unknown policy 'never-late'
+  policy='best-effort'   | ok
+  frame_budget_s=-0.1    | frame_budget_s must be >= 0
+  frame_budget_s=0       | ok
+  tile_cache_bytes=-1    | tile_cache_bytes must be >= 0
+  tile_cache_bytes=0     | ok
+  max_pending_frames=0   | max_pending_frames must be >= 1
+  max_pending_frames=1   | ok
+"""
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize(
+        "row", parse_table(CONFIGS), ids=lambda row: row["args"])
+    def test_each_argument_is_checked_when_built(self, row):
+        kwargs = {name: ast.literal_eval(value) for name, value in
+                  (arg.split("=") for arg in row["args"].split())}
+        if row["error"] == "ok":
+            config = StreamConfig(**kwargs)
+            assert {name: getattr(config, name) for name in kwargs} == kwargs
+        else:
+            with pytest.raises(ValueError, match=re.escape(row["error"])):
+                StreamConfig(**kwargs)
 
 
 class TestOrderingUnderAdversarialScheduler:
@@ -547,6 +663,21 @@ class TestSessionContract:
             assert stats["tiles"]["computed_tiles"] == 4
             assert stats["latency"]["count"] == 1
             dump = session.metrics.dump()
+            # The tile counts are the counter family's, and the store's
+            # own sizes sit beside them.
+            tiles, = [f for f in dump["families"]
+                      if f["name"] == "repro_stream_tiles_total"]
+            counted = {labels["outcome"]: value
+                       for _, labels, value in tiles["samples"]
+                       if labels["stream"] == session.stream_id}
+            assert counted == {"reused": 0, "computed": 4}
+            assert stats["tiles"] == {
+                **session.tile_cache.stats(),
+                "reused_tiles": counted["reused"],
+                "computed_tiles": counted["computed"],
+                "reuse_ratio": 0.0,
+            }
+            assert stats["tiles"]["entries"] == 4
             names = {f["name"] for f in dump["families"]}
             assert "repro_stream_frames_in_total" in names
             assert "repro_stream_frames_out_total" in names
@@ -561,7 +692,8 @@ class TestSessionContract:
     def test_reused_stream_id_merges_stats(self):
         """stats() reads the registry's children for this stream_id, so
         two sessions sharing one id on one registry report the merged
-        counts and latency their /metrics series already merge."""
+        frame and tile counts and latency their /metrics series
+        already merge."""
         backend = FakeBackend()
         registry = MetricsRegistry()
         config = StreamConfig(tile=8, overlap=0, tile_cache_bytes=0)
@@ -582,6 +714,8 @@ class TestSessionContract:
                 assert stats["frames"]["frames_in"] == 2
                 assert stats["frames"]["frames_ok"] == 2
                 assert stats["latency"]["count"] == 2
+                assert stats["tiles"]["reused_tiles"] == 0
+                assert stats["tiles"]["computed_tiles"] == 8
         finally:
             for session in sessions:
                 session.close()
